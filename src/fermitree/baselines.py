@@ -8,6 +8,7 @@ mode j) and live on qubits 0..n-1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .pauli import PauliString
@@ -130,12 +131,9 @@ def weight_stats(table: tuple[PauliString, ...]) -> WeightStats:
     if not table:
         raise ValueError("empty operator table")
     weights = [op.weight for op in table]
-    histogram: dict[int, int] = {}
-    for w in weights:
-        histogram[w] = histogram.get(w, 0) + 1
     return WeightStats(
         n_operators=len(table),
         mean_weight=sum(weights) / len(weights),
         max_weight=max(weights),
-        histogram=dict(sorted(histogram.items())),
+        histogram=dict(sorted(Counter(weights).items())),
     )

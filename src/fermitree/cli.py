@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tomo.add_argument("--seed", type=int, required=True)
     p_tomo.add_argument(
         "--workers", type=int, default=1,
-        help="parallel sampling threads; never changes the output",
+        help="sampling worker count (at least 1); never changes the output",
     )
     p_tomo.add_argument("--state", choices=("random", "zero", "ghz"), default="random")
     p_tomo.add_argument("--fermionic", action="store_true")

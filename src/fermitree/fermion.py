@@ -10,7 +10,8 @@ are representation independent.
 The sampled pipeline reuses the qubit Bell-measurement scheme: a k-RDM
 monomial of 2k Majorana operators encodes to a single Pauli string, whose
 expectation is read off the common shot stream with attenuation
-sqrt(3)^weight, at most (2n+1)^k for the ternary-tree mapping.
+sqrt(3)^weight, at most (2n+1)^k for the ternary-tree mapping.  The full
+RDM counts outcomes once per string support with the shared kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .statesim import (
     sample_bell_shots,
 )
 from .ternary import TernaryTreeMapping
-from .tomography import BELL_EIGENVALUES, LETTERS
+from .tomography import LETTERS, _sign_mean, joint_outcomes
 
 MappingLike = Union[TernaryTreeMapping, Sequence[PauliString]]
 
@@ -226,6 +227,20 @@ class FermionEstimate:
     attenuation: float
 
 
+def _monomial_estimate(outcomes, indices, pauli: PauliString, s: int) -> FermionEstimate:
+    columns = [LETTERS.index(letter.lower()) for _, letter in pauli.letters]
+    mean, scale, std_error = _sign_mean(outcomes, columns, s)
+    return FermionEstimate(
+        indices=tuple(indices),
+        value=pauli.phase * scale * mean,
+        std_error=std_error,
+        num_shots=s,
+        pauli=str(pauli),
+        weight=pauli.weight,
+        attenuation=scale,
+    )
+
+
 def estimate_monomial(
     stream: BellShotStream, indices: Sequence[int], mapping: MappingLike
 ) -> FermionEstimate:
@@ -240,21 +255,8 @@ def estimate_monomial(
     pauli = encode_monomial(indices, mapping)
     if pauli.letters and pauli.letters[-1][0] >= stream.num_pairs:
         raise ValueError("encoded string leaves the measured register")
-    s = stream.num_shots
-    products = np.ones(s, dtype=np.int8)
-    for qubit, letter in pauli.letters:
-        products *= BELL_EIGENVALUES[stream.codes[:, qubit], LETTERS.index(letter.lower())]
-    mean = int(np.sum(products, dtype=np.int64)) / s
-    scale = math.sqrt(3.0) ** pauli.weight
-    return FermionEstimate(
-        indices=tuple(indices),
-        value=pauli.phase * scale * mean,
-        std_error=scale * math.sqrt(max(0.0, 1.0 - mean * mean)) / math.sqrt(s),
-        num_shots=s,
-        pauli=str(pauli),
-        weight=pauli.weight,
-        attenuation=scale,
-    )
+    outcomes = joint_outcomes(stream, pauli.support())
+    return _monomial_estimate(outcomes, indices, pauli, stream.num_shots)
 
 
 def attenuation_bound(mapping: MappingLike, k: int) -> float:
@@ -279,8 +281,14 @@ def sampled_fermionic_rdm(
     table = majorana_table(mapping)
     if not 1 <= k <= len(table) // 2:
         raise ValueError(f"k must be in 1..{len(table) // 2}, got {k}")
+    if any(op.letters and op.letters[-1][0] >= system_state.num_sites for op in table):
+        raise ValueError("mapping acts outside the system register")
     stream = sample_bell_shots(attach_ancillas(system_state), num_shots, seed, workers)
-    return [
-        estimate_monomial(stream, indices, mapping)
-        for indices in itertools.combinations(range(1, len(table) + 1), 2 * k)
-    ]
+    tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+    out = []
+    for indices in itertools.combinations(range(1, len(table) + 1), 2 * k):
+        pauli = encode_monomial(indices, table)
+        if pauli.support() not in tables:
+            tables[pauli.support()] = joint_outcomes(stream, pauli.support())
+        out.append(_monomial_estimate(tables[pauli.support()], indices, pauli, num_shots))
+    return out

@@ -5,7 +5,8 @@ ancilla in a fiducial state xi, measure pairs in the generalized Bell
 basis, and read off displacement-operator correlators.  The (h, ell)
 outcome on a pair contributes the exact eigenvalue exp(2*pi*i*(g*h -
 f*ell)/D) of X^f Z^g (x) X^f Z^{-g}, and each ancilla attenuates the
-signal by its calibration factor tr(X^f Z^{-g} xi).
+signal by its calibration factor tr(X^f Z^{-g} xi).  Shots are counted
+per residue g*h - f*ell mod D with the kernel in ``fermitree.tomography``.
 
 A fiducial whose calibration factors all have magnitude 1/sqrt(D+1) makes
 the induced POVM symmetric informationally complete; the attenuation is
@@ -24,9 +25,11 @@ import numpy as np
 from .statesim import (
     BellShotStream,
     DenseState,
+    bell_povm_elements,
     hw_operator,
     prepare_xi,
 )
+from .tomography import joint_outcomes, residue_counts
 
 
 @dataclass(frozen=True)
@@ -117,19 +120,13 @@ def validate_fiducial(fiducial: FiducialState, tol: float = 1e-9) -> FiducialRep
 
 
 def hw_sic_elements(fiducial: FiducialState) -> list[np.ndarray]:
-    """POVM elements (1/D) X^h Z^ell xi Z^{-ell} X^{-h}, (h, ell) in row order.
+    """POVM realized by the Bell measurement with ancilla ``fiducial``.
 
-    They sum to the identity for any fiducial; for an exact SIC fiducial
-    the projector overlaps are (D*delta + 1)/(D + 1).
+    Element h*D + ell is (1/D) X^h Z^ell xi* Z^{-ell} X^{-h}, xi* being the
+    conjugate fiducial density.  They sum to the identity for any fiducial;
+    for an exact SIC fiducial the projector overlaps are (D*delta + 1)/(D + 1).
     """
-    d = fiducial.dimension
-    xi = fiducial.density()
-    out = []
-    for h in range(d):
-        for ell in range(d):
-            w = hw_operator(d, h, ell)
-            out.append(w @ xi @ w.conj().T / d)
-    return out
+    return bell_povm_elements(fiducial.as_state())
 
 
 # -- correlator estimation -----------------------------------------------------
@@ -192,12 +189,9 @@ def estimate_hw_correlator(
     if stream.num_shots == 0:
         raise ValueError("empty shot stream")
 
-    residues = np.zeros(stream.num_shots, dtype=np.int64)
-    for site, f, g in checked:
-        h = stream.codes[:, site].astype(np.int64) // d
-        ell = stream.codes[:, site].astype(np.int64) % d
-        residues += g * h - f * ell
-    counts = np.bincount(residues % d, minlength=d)
+    h, ell = np.divmod(np.arange(d * d), d)
+    exponents = [(g * h - f * ell) % d for _, f, g in checked]
+    counts = residue_counts(*joint_outcomes(stream, tuple(t[0] for t in checked)), exponents, d)
     omega = np.exp(2j * np.pi / d)
     s = stream.num_shots
     mean = sum(int(c) * omega ** r for r, c in enumerate(counts)) / s

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ CAPACITY_AMPLITUDES = 2 ** 20
 NORM_TOL = 1e-10
 
 # Shots are generated in fixed blocks; block b always uses the RNG stream
-# spawned with key (b,), so any worker partition yields identical output.
+# spawned with key (b,), so a longer run extends a shorter one unchanged.
 SHOT_BLOCK = 4096
 
 QUBIT_BELL_LABELS = ("F+", "F-", "P+", "P-")
@@ -291,6 +290,19 @@ def bell_basis_matrix(local_dim: int) -> np.ndarray:
     return cols
 
 
+def bell_povm_elements(ancilla: DenseState) -> list[np.ndarray]:
+    """POVM that the Bell measurement with ``ancilla`` realizes on a system site.
+
+    Outcome code c has probability tr(rho E_c), E_c = a_c^dag a_c, where
+    a_c = <B_c|(. (x) ancilla) is a row vector on the system site.
+    """
+    if ancilla.num_sites != 1:
+        raise ValueError("ancilla must be a single-site state")
+    d = ancilla.local_dim
+    rows = bell_basis_matrix(d).conj().T.reshape(d * d, d, d) @ ancilla.amplitudes
+    return [np.outer(a.conj(), a) for a in rows]
+
+
 def decode_bell_code(code: int, local_dim: int) -> tuple[int, int]:
     """Map a flat outcome code back to the (h, ell) label pair."""
     if not 0 <= code < local_dim ** 2:
@@ -450,7 +462,7 @@ def sample_bell_shots(
 
     Shots are produced in blocks of ``SHOT_BLOCK``; block b derives its RNG
     from SeedSequence(seed, spawn_key=(b,)), so the result is a pure
-    function of (state, num_shots, seed) regardless of ``workers``.
+    function of (state, num_shots, seed); ``workers`` (>= 1) never changes it.
     """
     if num_shots < 1:
         raise ValueError(f"need at least one shot, got {num_shots}")
@@ -461,23 +473,10 @@ def sample_bell_shots(
     probs = bell_outcome_distribution(state)
     digits_weights = (d * d) ** np.arange(n_pairs - 1, -1, -1, dtype=np.int64)
     codes = np.empty((num_shots, n_pairs), dtype=np.uint8)
-
-    blocks = [
-        (b, start, min(start + SHOT_BLOCK, num_shots))
-        for b, start in enumerate(range(0, num_shots, SHOT_BLOCK))
-    ]
-
-    def fill(block: tuple[int, int, int]) -> None:
-        b, start, stop = block
+    for b, start in enumerate(range(0, num_shots, SHOT_BLOCK)):
+        stop = min(start + SHOT_BLOCK, num_shots)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         flat = rng.choice(probs.shape[0], size=stop - start, p=probs)
         for j in range(n_pairs):
             codes[start:stop, j] = (flat // digits_weights[j]) % (d * d)
-
-    if workers == 1:
-        for block in blocks:
-            fill(block)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, blocks))
     return BellShotStream(local_dim=d, num_pairs=n_pairs, codes=codes, seed=seed)

@@ -22,8 +22,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from .baselines import weight_stats
 from .pauli import PauliString
 
 BRANCH_LETTERS = ("X", "Y", "Z")
@@ -186,8 +187,6 @@ def verify_table(table: tuple[PauliString, ...]) -> MappingVerification:
     Applies to any encoding (failures are reported as 1-based index
     pairs); the tree identity-product fields stay None.
     """
-    if not table:
-        raise ValueError("empty operator table")
     anti_failures = []
     for a, b in itertools.combinations(range(len(table)), 2):
         if not table[a].anticommutes_with(table[b]):
@@ -197,19 +196,16 @@ def verify_table(table: tuple[PauliString, ...]) -> MappingVerification:
         sq = op * op
         if sq.letters or sq.phase_power != 0:
             square_failures.append(u + 1)
-    weights = [op.weight for op in table]
-    histogram: dict[int, int] = {}
-    for w in weights:
-        histogram[w] = histogram.get(w, 0) + 1
+    stats = weight_stats(table)
     return MappingVerification(
         n_operators=len(table),
         anticommutation_failures=tuple(anti_failures),
         square_failures=tuple(square_failures),
         identity_product_ok=None,
         identity_product_phase_power=None,
-        weight_histogram=dict(sorted(histogram.items())),
-        mean_weight=sum(weights) / len(weights),
-        max_weight=max(weights),
+        weight_histogram=stats.histogram,
+        mean_weight=stats.mean_weight,
+        max_weight=stats.max_weight,
     )
 
 
@@ -227,15 +223,10 @@ def verify_mapping(mapping: TernaryTreeMapping) -> MappingVerification:
     for path in mapping.paths():
         product = product * path_operator(path)
     identity_ok = not product.letters
-    return MappingVerification(
-        n_operators=base.n_operators,
-        anticommutation_failures=base.anticommutation_failures,
-        square_failures=base.square_failures,
+    return replace(
+        base,
         identity_product_ok=identity_ok,
         identity_product_phase_power=product.phase_power if identity_ok else None,
-        weight_histogram=base.weight_histogram,
-        mean_weight=base.mean_weight,
-        max_weight=base.max_weight,
     )
 
 

@@ -11,21 +11,23 @@ because each ancilla contributes a factor tr(sigma xi) = 1/sqrt(3).  The
 price is the sqrt(3)^k variance amplification, uniform over all C(n,k) 3^k
 elements of the k-RDM.
 
-Accumulation is exact integer arithmetic on +-1 products, so estimates are
-bit-identical under any partition of the shots.
+The qubit, fermionic and qudit estimators share one outcome-counting
+kernel: ``joint_outcomes`` counts the joint outcomes on a set of sites once,
+and ``residue_counts`` turns them into exact shot counts per eigenvalue of
+any observable there, so estimates are bit-identical under any partition
+of the shots.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .statesim import BellShotStream, xi_density
+from .pauli import PAULI_MATRICES
+from .statesim import BellShotStream, bell_povm_elements, prepare_xi
 
 LETTERS = ("x", "y", "z")
 
@@ -40,6 +42,57 @@ BELL_EIGENVALUES = np.array(
     ],
     dtype=np.int8,
 )
+
+
+# Sign exponent e of each eigenvalue (-1)**e, laid out like BELL_EIGENVALUES.
+_SIGN_EXPONENTS = (1 - BELL_EIGENVALUES.astype(np.int64)) // 2
+
+
+def joint_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct joint Bell codes on ``sites`` and the number of shots of each.
+
+    Returns uint8 rows of codes (one column per site, rows in lexicographic
+    order) and their int64 shot counts.  Each shot is keyed as key * D^2 +
+    code, site by site, and the distinct keys are decoded into digits.
+    Whenever the next step could overflow int64, the keys are first
+    replaced by their ranks, whose digit rows are kept in ``prefix``.
+    """
+    base = stream.local_dim ** 2
+    keys = np.zeros(stream.num_shots, dtype=np.int64)
+    prefix, start = np.zeros((1, 0), dtype=np.uint8), 0
+    for i, site in enumerate(sites):
+        if len(prefix) * base ** (i - start + 1) > 2 ** 63:
+            _, first, keys = np.unique(keys, return_index=True, return_inverse=True)
+            prefix, start = stream.codes[first][:, list(sites[:i])], i
+        keys = keys * base + stream.codes[:, site]
+    keys, counts = np.unique(keys, return_counts=True)
+    tail = np.empty((len(keys), len(sites) - start), dtype=np.uint8)
+    for j in reversed(range(tail.shape[1])):
+        keys, tail[:, j] = np.divmod(keys, base)
+    return np.hstack([prefix[keys], tail]), counts
+
+
+def residue_counts(digits: np.ndarray, counts: np.ndarray, exponents: list, d: int) -> np.ndarray:
+    """Exact shot counts per residue mod ``d`` of the summed exponents.
+
+    ``exponents[j][code]`` is the integer exponent that ``code`` in column
+    j of ``digits`` contributes; entry r counts the shots summing to r.
+    """
+    residues = np.zeros(len(counts), dtype=np.int64)
+    for column, table in zip(digits.T, exponents):
+        residues += np.asarray(table, dtype=np.int64)[column]
+    out = np.zeros(d, dtype=np.int64)
+    np.add.at(out, residues % d, counts)
+    return out
+
+
+def _sign_mean(outcomes, columns: list[int], s: int) -> tuple[float, float, float]:
+    """Mean eigenvalue product (one letter column per site) over ``s`` shots,
+    with its sqrt(3)^k attenuation scale and the scaled plug-in std error."""
+    c = residue_counts(*outcomes, [_SIGN_EXPONENTS[:, col] for col in columns], 2)
+    mean = int(c[0] - c[1]) / s
+    scale = math.sqrt(3.0) ** len(columns)
+    return mean, scale, scale * math.sqrt(max(0.0, 1.0 - mean * mean)) / math.sqrt(s)
 
 
 @dataclass(frozen=True)
@@ -66,6 +119,18 @@ def _letter_columns(letters: tuple[str, ...]) -> list[int]:
     return cols
 
 
+def _check_qubit_stream(stream: BellShotStream) -> None:
+    if stream.local_dim != 2:
+        raise ValueError("qubit RDM estimation needs a qubit stream")
+    if stream.num_shots == 0:
+        raise ValueError("empty shot stream")
+
+
+def _rdm_estimate(outcomes, qubits, letters, s: int) -> RdmEstimate:
+    mean, scale, std_error = _sign_mean(outcomes, _letter_columns(tuple(letters)), s)
+    return RdmEstimate(tuple(qubits), tuple(letters), scale * mean, std_error, s)
+
+
 def estimate_rdm_element(
     stream: BellShotStream,
     qubits: tuple[int, ...],
@@ -82,8 +147,7 @@ def estimate_rdm_element(
         RdmEstimate with the attenuation-corrected value and the plug-in
         standard error sqrt(3)^k * sqrt(1 - mean^2) / sqrt(S).
     """
-    if stream.local_dim != 2:
-        raise ValueError("qubit RDM estimation needs a qubit stream")
+    _check_qubit_stream(stream)
     if not qubits:
         raise ValueError("need at least one qubit")
     if len(qubits) != len(letters):
@@ -92,37 +156,20 @@ def estimate_rdm_element(
         raise ValueError(f"repeated qubit in {qubits}")
     if any(not 0 <= q < stream.num_pairs for q in qubits):
         raise ValueError(f"qubit outside 0..{stream.num_pairs - 1}")
-    if stream.num_shots == 0:
-        raise ValueError("empty shot stream")
-
-    cols = _letter_columns(tuple(letters))
-    k = len(qubits)
-    products = np.ones(stream.num_shots, dtype=np.int8)
-    for qubit, col in zip(qubits, cols):
-        products *= BELL_EIGENVALUES[stream.codes[:, qubit], col]
-    total = int(np.sum(products, dtype=np.int64))
-    s = stream.num_shots
-    mean = total / s
-    scale = math.sqrt(3.0) ** k
-    std_error = scale * math.sqrt(max(0.0, 1.0 - mean * mean)) / math.sqrt(s)
-    return RdmEstimate(
-        qubits=tuple(qubits),
-        letters=tuple(letters),
-        value=scale * mean,
-        std_error=std_error,
-        num_shots=s,
-    )
+    return _rdm_estimate(joint_outcomes(stream, tuple(qubits)), qubits, letters, stream.num_shots)
 
 
 def estimate_all_k_rdms(stream: BellShotStream, k: int) -> list[RdmEstimate]:
-    """All C(n, k) * 3^k elements of the k-RDM from one stream."""
+    """All C(n, k) * 3^k elements of the k-RDM, one outcome table per support."""
     n = stream.num_pairs
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
+    _check_qubit_stream(stream)
     out = []
     for qubits in itertools.combinations(range(n), k):
+        outcomes = joint_outcomes(stream, qubits)
         for letters in itertools.product(LETTERS, repeat=k):
-            out.append(estimate_rdm_element(stream, qubits, letters))
+            out.append(_rdm_estimate(outcomes, qubits, letters, stream.num_shots))
     return out
 
 
@@ -146,15 +193,10 @@ def reconstruct_qubit_state(stream: BellShotStream, qubit: int = 0) -> np.ndarra
     The raw Bloch vector estimate may leave the Bloch ball at finite shot
     count; eigenvalues are clipped to [0, 1] and renormalized.
     """
-    pauli = {
-        "x": np.array([[0, 1], [1, 0]], dtype=complex),
-        "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
     rho = np.eye(2, dtype=complex)
     for letter in LETTERS:
         est = estimate_rdm_element(stream, (qubit,), (letter,))
-        rho += est.value * pauli[letter]
+        rho += est.value * PAULI_MATRICES[letter.upper()]
     rho /= 2.0
     vals, vecs = np.linalg.eigh(rho)
     vals = np.clip(vals.real, 0.0, None)
@@ -170,14 +212,11 @@ def reconstruct_qubit_state(stream: BellShotStream, qubit: int = 0) -> np.ndarra
 def sic_povm_elements() -> list[np.ndarray]:
     """Four-outcome tetrahedral POVM realized by the Bell measurement.
 
-    Element order follows the outcome codes (F+, F-, P+, P-): the F+
-    element is xi/2 and the others are its conjugations by Z, X, Y.
+    Element order follows the outcome codes (F+, F-, P+, P-), with
+    p(c) = tr(rho E_c); E_c = P xi* P / 2 for P = I, Z, X, Y, where xi*
+    is the complex conjugate of the ancilla density.
     """
-    xi = xi_density()
-    z = np.diag([1.0 + 0j, -1.0])
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    return [xi / 2, z @ xi @ z / 2, x @ xi @ x / 2, y @ xi @ y / 2]
+    return bell_povm_elements(prepare_xi())
 
 
 # -- reports ------------------------------------------------------------------
@@ -194,33 +233,3 @@ def estimates_to_rows(estimates: list[RdmEstimate]) -> list[dict]:
         }
         for e in estimates
     ]
-
-
-def write_rdm_report(
-    estimates: list[RdmEstimate],
-    path: str,
-    exact: dict[tuple, float] | None = None,
-    meta: dict | None = None,
-) -> None:
-    """JSON report of RDM estimates, with exact-oracle columns when given."""
-    rows = estimates_to_rows(estimates)
-    if exact is not None:
-        for row, est in zip(rows, estimates):
-            key = (est.qubits, est.letters)
-            if key in exact:
-                row["exact"] = exact[key]
-                row["abs_error"] = abs(est.value - exact[key])
-    payload = {"estimates": rows}
-    if meta:
-        payload = {**meta, "estimates": rows}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_weight_csv(path: str, rows: list[dict]) -> None:
-    """CSV with columns n, kind, mean_weight, max_weight."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["n", "kind", "mean_weight", "max_weight"])
-        writer.writeheader()
-        writer.writerows(rows)

@@ -1,0 +1,190 @@
+"""The shared outcome-counting kernel against per-shot reference loops.
+
+Each reference below gathers one eigenvalue (or phase residue) per shot
+and per site, the direct reading of the estimator formulas.  The kernel
+sums the same integers grouped by joint outcome, so values and standard
+errors must agree exactly, not within a tolerance.
+"""
+
+import itertools
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from fermitree.baselines import bravyi_kitaev, jordan_wigner
+from fermitree.fermion import encode_monomial, estimate_monomial, sampled_fermionic_rdm
+from fermitree.qudit import (
+    calibration_factor,
+    estimate_hw_correlator,
+    qubit_fiducial,
+    qutrit_fiducial,
+)
+from fermitree.statesim import (
+    BellShotStream,
+    attach_ancillas,
+    random_state,
+    sample_bell_shots,
+)
+from fermitree.ternary import build_mapping
+from fermitree.tomography import (
+    BELL_EIGENVALUES,
+    LETTERS,
+    estimate_all_k_rdms,
+    estimate_rdm_element,
+    joint_outcomes,
+    residue_counts,
+)
+
+
+def random_stream(d, num_pairs, num_shots, seed, distinct=None):
+    """Uniform random codes; with ``distinct``, shots repeat that many rows."""
+    rng = np.random.default_rng(seed)
+    if distinct is None:
+        codes = rng.integers(0, d * d, size=(num_shots, num_pairs))
+    else:
+        rows = rng.integers(0, d * d, size=(distinct, num_pairs))
+        codes = rows[rng.integers(0, distinct, size=num_shots)]
+    return BellShotStream(d, num_pairs, codes.astype(np.uint8))
+
+
+def reference_sign_mean(stream, qubits, columns):
+    products = np.ones(stream.num_shots, dtype=np.int8)
+    for qubit, col in zip(qubits, columns):
+        products *= BELL_EIGENVALUES[stream.codes[:, qubit], col]
+    return int(np.sum(products, dtype=np.int64)) / stream.num_shots
+
+
+def reference_rdm(stream, qubits, letters):
+    s = stream.num_shots
+    mean = reference_sign_mean(stream, qubits, [LETTERS.index(a) for a in letters])
+    scale = math.sqrt(3.0) ** len(qubits)
+    return scale * mean, scale * math.sqrt(max(0.0, 1.0 - mean * mean)) / math.sqrt(s)
+
+
+def reference_monomial(stream, indices, mapping):
+    s = stream.num_shots
+    pauli = encode_monomial(indices, mapping)
+    qubits = [q for q, _ in pauli.letters]
+    mean = reference_sign_mean(stream, qubits, [LETTERS.index(a.lower()) for _, a in pauli.letters])
+    scale = math.sqrt(3.0) ** pauli.weight
+    return pauli.phase * scale * mean, scale * math.sqrt(max(0.0, 1.0 - mean * mean)) / math.sqrt(s)
+
+
+def reference_hw(stream, targets, fiducial):
+    d = fiducial.dimension
+    s = stream.num_shots
+    residues = np.zeros(s, dtype=np.int64)
+    for site, f, g in targets:
+        h = stream.codes[:, site].astype(np.int64) // d
+        ell = stream.codes[:, site].astype(np.int64) % d
+        residues += g * h - f * ell
+    counts = np.bincount(residues % d, minlength=d)
+    omega = np.exp(2j * np.pi / d)
+    mean = sum(int(c) * omega ** r for r, c in enumerate(counts)) / s
+    calibration = complex(np.prod([calibration_factor(fiducial, f, g) for _, f, g in targets]))
+    return mean / calibration, math.sqrt(max(0.0, 1.0 - abs(mean) ** 2) / s) / abs(calibration)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("sites", [(), (1,), (3, 0), (0, 2, 4), (4, 3, 2, 1, 0)])
+def test_joint_outcomes_counts_every_row(d, sites):
+    stream = random_stream(d, 5, 3000, seed=d)
+    digits, counts = joint_outcomes(stream, sites)
+    want = Counter(tuple(int(c) for c in row) for row in stream.codes[:, list(sites)])
+    assert digits.dtype == np.uint8
+    assert digits.shape == (len(want), len(sites))
+    rows = [tuple(int(c) for c in row) for row in digits]
+    assert rows == sorted(want)
+    assert dict(zip(rows, counts.tolist())) == dict(want)
+
+
+def test_residue_counts_sums_exponents():
+    digits = np.array([[0, 1], [2, 2], [1, 0]], dtype=np.uint8)
+    counts = np.array([5, 7, 11])
+    exponents = [np.array([0, 1, 2]), np.array([2, 2, 1])]
+    # residues (0+2, 2+1, 1+2) mod 3 = (2, 0, 0)
+    assert residue_counts(digits, counts, exponents, 3).tolist() == [18, 0, 5]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_qubit_estimator_is_bit_identical(k):
+    stream = random_stream(2, 5, 4000, seed=10 + k, distinct=300)
+    for qubits in itertools.combinations(range(5), k):
+        for letters in itertools.product(LETTERS, repeat=k):
+            est = estimate_rdm_element(stream, qubits, letters)
+            assert (est.value, est.std_error) == reference_rdm(stream, qubits, letters)
+
+
+@pytest.mark.parametrize("d,fiducial", [(2, qubit_fiducial()), (3, qutrit_fiducial())])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_hw_estimator_is_bit_identical(d, fiducial, k):
+    stream = random_stream(d, 4, 3000, seed=20 + k, distinct=200)
+    labels = [(f, g) for f in range(d) for g in range(d) if (f, g) != (0, 0)]
+    assert (1, 1) in labels
+    for sites in itertools.combinations(range(4), k):
+        for choice in itertools.product(labels, repeat=k):
+            targets = [(site, f, g) for site, (f, g) in zip(sites, choice)]
+            est = estimate_hw_correlator(stream, targets, fiducial)
+            assert (est.value, est.std_error) == reference_hw(stream, targets, fiducial)
+
+
+@pytest.mark.parametrize("table", [build_mapping(5).majorana_table, jordan_wigner(5), bravyi_kitaev(5)])
+@pytest.mark.parametrize("degree", [2, 4])
+def test_fermion_estimator_is_bit_identical(table, degree):
+    stream = random_stream(2, 5, 3000, seed=30 + degree, distinct=250)
+    for indices in itertools.combinations(range(1, 11), degree):
+        est = estimate_monomial(stream, indices, table)
+        assert (est.value, est.std_error) == reference_monomial(stream, indices, table)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_all_k_rdms_equals_per_element(k):
+    stream = random_stream(2, 5, 4000, seed=40 + k, distinct=300)
+    want = [
+        estimate_rdm_element(stream, qubits, letters)
+        for qubits in itertools.combinations(range(5), k)
+        for letters in itertools.product(LETTERS, repeat=k)
+    ]
+    assert estimate_all_k_rdms(stream, k) == want
+
+
+def test_sampled_fermionic_rdm_equals_per_monomial():
+    table = jordan_wigner(6)
+    state = random_state(6, 2, np.random.default_rng(50))
+    got = sampled_fermionic_rdm(state, table, 2, 5000, seed=51)
+    stream = sample_bell_shots(attach_ancillas(state), 5000, seed=51)
+    want = [
+        estimate_monomial(stream, indices, table)
+        for indices in itertools.combinations(range(1, 13), 4)
+    ]
+    assert got == want
+
+
+def test_sampled_fermionic_rdm_rejects_mapping_beyond_register():
+    state = random_state(2, 2, np.random.default_rng(52))
+    with pytest.raises(ValueError):
+        sampled_fermionic_rdm(state, jordan_wigner(3), 1, 100, seed=1)
+
+
+def test_keys_beyond_int64_are_compacted():
+    # 4^40 joint outcomes exceed the int64 key range, so counting all 40
+    # pairs needs the rank compaction; repeated rows keep counts above 1
+    stream = random_stream(2, 40, 3000, seed=60, distinct=150)
+    sites = tuple(range(40))
+    digits, counts = joint_outcomes(stream, sites)
+    want = Counter(tuple(int(c) for c in row) for row in stream.codes)
+    rows = [tuple(int(c) for c in row) for row in digits]
+    assert rows == sorted(want)
+    assert dict(zip(rows, counts.tolist())) == dict(want)
+
+    rng = np.random.default_rng(61)
+    letters = tuple(rng.choice(LETTERS, size=40))
+    est = estimate_rdm_element(stream, sites, letters)
+    assert (est.value, est.std_error) == reference_rdm(stream, sites, letters)
+
+    table = jordan_wigner(40)
+    assert encode_monomial((1, 80), table).weight == 40
+    est = estimate_monomial(stream, (1, 80), table)
+    assert (est.value, est.std_error) == reference_monomial(stream, (1, 80), table)

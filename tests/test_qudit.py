@@ -22,6 +22,7 @@ from fermitree.qudit import (
 from fermitree.statesim import (
     BellShotStream,
     attach_ancillas,
+    bell_outcome_distribution,
     hw_operator,
     random_state,
     sample_bell_shots,
@@ -90,6 +91,26 @@ def test_sic_projector_overlaps(fid):
         want = 1.0 if a == b else 1 / (d + 1)
         got = np.trace(projectors[a] @ projectors[b]).real
         assert got == pytest.approx(want, abs=1e-10)
+
+
+def _complex_fiducial(d, seed):
+    rng = np.random.default_rng(seed)
+    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return FiducialState(d, vec / np.linalg.norm(vec))
+
+
+@pytest.mark.parametrize("fid", [qubit_fiducial(), _complex_fiducial(3, 11)])
+def test_sic_elements_reproduce_bell_probabilities(fid):
+    # p(h, ell) = tr(rho E_(h, ell)) for complex states and complex
+    # fiducials, against the Bell outcome distribution of (system, ancilla)
+    d = fid.dimension
+    elements = hw_sic_elements(fid)
+    for seed in range(5):
+        state = random_state(1, d, np.random.default_rng(seed))
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+        got = np.array([np.trace(rho @ e).real for e in elements])
+        want = bell_outcome_distribution(attach_ancillas(state, fid.as_state()))
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_estimate_on_crafted_stream():

@@ -1,7 +1,6 @@
 """Tests for qubit k-RDM estimation from Bell shot streams."""
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,9 @@ import pytest
 from fermitree.pauli import PauliString
 from fermitree.statesim import (
     BellShotStream,
+    DenseState,
     attach_ancillas,
+    bell_outcome_distribution,
     expectation,
     generalized_bell_state,
     prepare_xi,
@@ -26,8 +27,6 @@ from fermitree.tomography import (
     merge_streams,
     reconstruct_qubit_state,
     sic_povm_elements,
-    write_rdm_report,
-    write_weight_csv,
 )
 
 
@@ -163,24 +162,23 @@ def test_sic_povm_completeness_and_overlaps():
         assert np.linalg.eigvalsh(e).min() >= -1e-12
 
 
-def test_report_writers(tmp_path):
+def test_sic_povm_reproduces_bell_probabilities():
+    # p(c) = tr(rho E_c) must equal the Bell outcome distribution of the
+    # state paired with the tetrahedral ancilla; |+y> tells the POVM from
+    # its complex conjugate, which swaps the (F+, P-) and (F-, P+) weights
+    plus_y = DenseState(2, 1, np.array([1, 1j]) / math.sqrt(2))
+    states = [plus_y] + [random_state(1, 2, np.random.default_rng(s)) for s in range(5)]
+    elements = sic_povm_elements()
+    for state in states:
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+        got = np.array([np.trace(rho @ e).real for e in elements])
+        want = bell_outcome_distribution(attach_ancillas(state))
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_report_writers():
     stream = _stream([[0, 1], [2, 3], [0, 0]])
     ests = estimate_all_k_rdms(stream, 1)
     rows = estimates_to_rows(ests)
     assert rows[0]["qubits"] == [0]
-    report = tmp_path / "rdm.json"
-    exact = {(e.qubits, e.letters): 0.0 for e in ests}
-    write_rdm_report(ests, str(report), exact=exact, meta={"seed": 1})
-    payload = json.loads(report.read_text())
-    assert payload["seed"] == 1
-    assert len(payload["estimates"]) == 6
-    assert "abs_error" in payload["estimates"][0]
-
-    csv_path = tmp_path / "weights.csv"
-    write_weight_csv(
-        str(csv_path),
-        [{"n": 1, "kind": "ternary", "mean_weight": 1.0, "max_weight": 1}],
-    )
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "n,kind,mean_weight,max_weight"
-    assert lines[1] == "1,ternary,1.0,1"
+    assert len(rows) == 6

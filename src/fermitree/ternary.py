@@ -24,6 +24,8 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .baselines import weight_stats
 from .pauli import PauliString
 
@@ -181,26 +183,67 @@ class MappingVerification:
         )
 
 
+# Rows of the pair-parity block accumulated at once: every table of up to
+# 1024 operators is one block, and larger tables need about this many times
+# 2n booleans of working memory instead of several 2n x 2n arrays.
+_PARITY_BLOCK_ROWS = 1024
+
+_LETTER_CODES = {"X": 1, "Y": 2, "Z": 3}
+
+
+def _anticommutation_failures(table: tuple[PauliString, ...]) -> tuple[tuple[int, int], ...]:
+    """1-based pairs (a, b), a < b, of table entries that commute.
+
+    Two strings anticommute when an odd number of their shared qubits carry
+    different letters.  The letters are grouped by qubit label, and each
+    qubit XORs "letters differ" into the parity of every pair of operators
+    it carries, one block of rows at a time.  Pairs come out in
+    ``itertools.combinations`` order.
+    """
+    entries = [(q, u, _LETTER_CODES[letter]) for u, op in enumerate(table) for q, letter in op.letters]
+    entries.sort()
+    qubits, ops, codes = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    cuts = np.flatnonzero(np.diff(qubits)) + 1
+    groups = list(zip(np.split(ops, cuts), np.split(codes, cuts))) if entries else []
+    first = np.array([idx[0] for idx, _ in groups], dtype=np.int64)
+    last = np.array([idx[-1] for idx, _ in groups], dtype=np.int64)
+    m = len(table)
+    failures: list[tuple[int, int]] = []
+    for r0 in range(0, m, _PARITY_BLOCK_ROWS):
+        r1 = min(r0 + _PARITY_BLOCK_ROWS, m)
+        # parity[i, j] belongs to the pair (r0 + i, r0 + j)
+        parity = np.zeros((r1 - r0, m - r0), dtype=bool)
+        for g in np.flatnonzero((first < r1) & (last >= r0)):
+            idx, code = groups[g]
+            lo, hi = np.searchsorted(idx, (r0, r1))
+            if lo == hi:
+                continue
+            differ = code[lo:hi, None] != code[None, lo:]
+            if idx[-1] - idx[lo] == len(idx) - 1 - lo:
+                # the operators on this qubit are consecutive table entries
+                a, b = idx[lo] - r0, idx[-1] - r0 + 1
+                parity[a:a + hi - lo, a:b] ^= differ
+            else:
+                parity[np.ix_(idx[lo:hi] - r0, idx[lo:] - r0)] ^= differ
+        rows, cols = np.nonzero(~parity)
+        keep = cols > rows
+        failures.extend(zip((rows[keep] + r0 + 1).tolist(), (cols[keep] + r0 + 1).tolist()))
+    return tuple(failures)
+
+
 def verify_table(table: tuple[PauliString, ...]) -> MappingVerification:
     """Exhaustive anticommutation and involution checks on a Majorana table.
 
     Applies to any encoding (failures are reported as 1-based index
-    pairs); the tree identity-product fields stay None.
+    pairs); the tree identity-product fields stay None.  An entry i^k P
+    squares to (-1)^k I, so it fails the involution check exactly when k
+    is odd.
     """
-    anti_failures = []
-    for a, b in itertools.combinations(range(len(table)), 2):
-        if not table[a].anticommutes_with(table[b]):
-            anti_failures.append((a + 1, b + 1))
-    square_failures = []
-    for u, op in enumerate(table):
-        sq = op * op
-        if sq.letters or sq.phase_power != 0:
-            square_failures.append(u + 1)
     stats = weight_stats(table)
     return MappingVerification(
         n_operators=len(table),
-        anticommutation_failures=tuple(anti_failures),
-        square_failures=tuple(square_failures),
+        anticommutation_failures=_anticommutation_failures(table),
+        square_failures=tuple(u + 1 for u, op in enumerate(table) if op.phase_power % 2),
         identity_product_ok=None,
         identity_product_phase_power=None,
         weight_histogram=stats.histogram,

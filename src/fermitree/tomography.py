@@ -54,8 +54,10 @@ def joint_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.n
     Returns uint8 rows of codes (one column per site, rows in lexicographic
     order) and their int64 shot counts.  Each shot is keyed as key * D^2 +
     code, site by site, and the distinct keys are decoded into digits.
-    Whenever the next step could overflow int64, the keys are first
-    replaced by their ranks, whose digit rows are kept in ``prefix``.
+    When there are no more possible keys than shots, they are counted with
+    ``bincount``; otherwise they are sorted.  Whenever the next step could
+    overflow int64, the keys are first replaced by their ranks, whose digit
+    rows are kept in ``prefix``.
     """
     base = stream.local_dim ** 2
     keys = np.zeros(stream.num_shots, dtype=np.int64)
@@ -65,7 +67,12 @@ def joint_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.n
             _, first, keys = np.unique(keys, return_index=True, return_inverse=True)
             prefix, start = stream.codes[first][:, list(sites[:i])], i
         keys = keys * base + stream.codes[:, site]
-    keys, counts = np.unique(keys, return_counts=True)
+    if base ** len(sites) <= stream.num_shots:
+        counts = np.bincount(keys, minlength=base ** len(sites))
+        keys = np.flatnonzero(counts)
+        counts = counts[keys]
+    else:
+        keys, counts = np.unique(keys, return_counts=True)
     tail = np.empty((len(keys), len(sites) - start), dtype=np.uint8)
     for j in reversed(range(tail.shape[1])):
         keys, tail[:, j] = np.divmod(keys, base)

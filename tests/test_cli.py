@@ -70,6 +70,64 @@ def test_verify_catches_corrupted_file(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+VERIFY_MODES_13 = {
+    "ternary": (
+        "ternary mapping, n=13: 26 operators\n"
+        "  anticommutation: ok\n"
+        "  squares to +I:   ok\n"
+        "  path product:    identity, phase i^1\n"
+        "  mean weight:     3.000000 (lower bound 2.965647)\n"
+        "  max weight:      3\n"
+        "PASS\n"
+    ),
+    "bk": (
+        "bk mapping, n=13: 26 operators\n"
+        "  anticommutation: ok\n"
+        "  squares to +I:   ok\n"
+        "  mean weight:     4.307692 (lower bound 2.965647)\n"
+        "  max weight:      5\n"
+        "PASS\n"
+    ),
+    "jw": (
+        "jw mapping, n=13: 26 operators\n"
+        "  anticommutation: ok\n"
+        "  squares to +I:   ok\n"
+        "  mean weight:     7.000000 (lower bound 2.965647)\n"
+        "  max weight:      13\n"
+        "PASS\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY_MODES_13))
+def test_verify_output_is_unchanged(kind, capsys):
+    assert main(["verify", "--kind", kind, "--modes", "13"]) == 0
+    assert capsys.readouterr().out == VERIFY_MODES_13[kind]
+
+
+def test_verify_corrupted_file_output_is_unchanged(tmp_path, capsys):
+    path = tmp_path / "mapping.json"
+    main(["map", "--modes", "4", "--output", str(path)])
+    capsys.readouterr()
+    data = json.loads(path.read_text())
+    table = data["majorana_table"]
+    table[0] = table[1]  # duplicate: the two copies commute
+    table[3] = "+i " + table[3].split(" ", 1)[1]  # odd phase: squares to -I
+    table[5] = "+ I"  # identity commutes with everything
+    table[6] = "- " + table[6].split(" ", 1)[1]  # even phase: still fine
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--input", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"ternary mapping from {path}: 8 operators\n"
+        "  anticommutation: ((1, 2), (1, 6), (2, 6), (3, 6), (4, 6), (5, 6), (6, 7), (6, 8))\n"
+        "  squares to +I:   (4,)\n"
+        "  path product:    identity, phase i^0\n"
+        "  mean weight:     1.750000 (lower bound 1.892789)\n"
+        "  max weight:      2\n"
+        "FAIL\n"
+    )
+
+
 def test_verify_needs_modes_or_input(capsys):
     assert main(["verify"]) == 2
     assert "error" in capsys.readouterr().err

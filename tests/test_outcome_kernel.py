@@ -100,6 +100,31 @@ def test_joint_outcomes_counts_every_row(d, sites):
     assert dict(zip(rows, counts.tolist())) == dict(want)
 
 
+@pytest.mark.parametrize("d,fiducial", [(2, qubit_fiducial()), (3, qutrit_fiducial())])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_counting_branches_at_key_range_threshold(d, fiducial, extra):
+    # D^4 possible keys on two sites against D^4 + extra shots: counted with
+    # bincount when extra >= 0 and by sorting when extra = -1
+    sites = (2, 0)
+    stream = random_stream(d, 3, d ** 4 + extra, seed=70 + 3 * d + extra)
+    digits, counts = joint_outcomes(stream, sites)
+    want = Counter(tuple(int(c) for c in row) for row in stream.codes[:, list(sites)])
+    rows = [tuple(int(c) for c in row) for row in digits]
+    assert rows == sorted(want)
+    assert dict(zip(rows, counts.tolist())) == dict(want)
+    assert counts.dtype == np.int64
+
+    labels = [(f, g) for f in range(d) for g in range(d) if (f, g) != (0, 0)]
+    for choice in itertools.product(labels, repeat=len(sites)):
+        targets = [(site, f, g) for site, (f, g) in zip(sites, choice)]
+        est = estimate_hw_correlator(stream, targets, fiducial)
+        assert (est.value, est.std_error) == reference_hw(stream, targets, fiducial)
+    if d == 2:
+        for letters in itertools.product(LETTERS, repeat=len(sites)):
+            est = estimate_rdm_element(stream, sites, letters)
+            assert (est.value, est.std_error) == reference_rdm(stream, sites, letters)
+
+
 def test_residue_counts_sums_exponents():
     digits = np.array([[0, 1], [2, 2], [1, 0]], dtype=np.uint8)
     counts = np.array([5, 7, 11])

@@ -200,7 +200,9 @@ def _anticommutation_failures(table: tuple[PauliString, ...]) -> tuple[tuple[int
     it carries, one block of rows at a time.  Pairs come out in
     ``itertools.combinations`` order.
     """
-    entries = [(q, u, _LETTER_CODES[letter]) for u, op in enumerate(table) for q, letter in op.letters]
+    # labels may be arbitrarily large ints: only their order matters here
+    rank = {q: i for i, q in enumerate(sorted({q for op in table for q, _ in op.letters}))}
+    entries = [(rank[q], u, _LETTER_CODES[letter]) for u, op in enumerate(table) for q, letter in op.letters]
     entries.sort()
     qubits, ops, codes = np.array(entries, dtype=np.int64).reshape(-1, 3).T
     cuts = np.flatnonzero(np.diff(qubits)) + 1
@@ -220,7 +222,9 @@ def _anticommutation_failures(table: tuple[PauliString, ...]) -> tuple[tuple[int
                 continue
             differ = code[lo:hi, None] != code[None, lo:]
             if idx[-1] - idx[lo] == len(idx) - 1 - lo:
-                # the operators on this qubit are consecutive table entries
+                # the operators on this qubit are consecutive table entries,
+                # as in ternary and JW tables: a slice is much cheaper than
+                # the np.ix_ scatter
                 a, b = idx[lo] - r0, idx[-1] - r0 + 1
                 parity[a:a + hi - lo, a:b] ^= differ
             else:

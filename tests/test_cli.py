@@ -128,6 +128,27 @@ def test_verify_corrupted_file_output_is_unchanged(tmp_path, capsys):
     )
 
 
+def test_verify_file_with_labels_beyond_int64(tmp_path, capsys):
+    path = tmp_path / "mapping.json"
+    main(["map", "--modes", "4", "--output", str(path)])
+    capsys.readouterr()
+    data = json.loads(path.read_text())
+    table = data["majorana_table"]
+    table[2] += " X99999999999999999999"  # still anticommutes with the rest
+    table[4] = "+ Z18446744073709551616"  # shares no qubit with the rest
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--input", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"ternary mapping from {path}: 8 operators\n"
+        "  anticommutation: ((1, 5), (2, 5), (3, 5), (4, 5), (5, 6), (5, 7), (5, 8))\n"
+        "  squares to +I:   ok\n"
+        "  path product:    identity, phase i^0\n"
+        "  mean weight:     2.000000 (lower bound 1.892789)\n"
+        "  max weight:      3\n"
+        "FAIL\n"
+    )
+
+
 def test_verify_needs_modes_or_input(capsys):
     assert main(["verify"]) == 2
     assert "error" in capsys.readouterr().err

@@ -59,7 +59,7 @@ def reference_verify_mapping(mapping):
 
 
 # a few dense labels plus sparse large ones, so qubits are keyed by label
-LABELS = st.sampled_from([0, 1, 2, 3, 4, 17, 1000000, 2 ** 40])
+LABELS = st.sampled_from([0, 1, 2, 3, 4, 17, 1000000, 2 ** 40, 2 ** 64, 10 ** 20 - 1])
 
 OPERATORS = st.builds(
     PauliString.from_map,

@@ -168,6 +168,8 @@ def cmd_tomograph(args: argparse.Namespace) -> int:
     if args.fermionic:
         if args.modes is None:
             raise ValueError("--fermionic needs --modes")
+        if args.shots_output:
+            raise ValueError("--shots-output writes qubit streams only, not --fermionic ones")
         config.update({"modes": args.modes, "mapping": args.kind})
         table = _build_table(args.kind, args.modes)
         system = _prepare_state(args.state, args.modes, args.seed)
@@ -308,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tomo.add_argument("--modes", type=int)
     p_tomo.add_argument("--kind", choices=KINDS, default="ternary")
     p_tomo.add_argument("--output")
-    p_tomo.add_argument("--shots-output", help="also write the raw shot stream (JSONL)")
+    p_tomo.add_argument(
+        "--shots-output", help="also write the raw shot stream (JSONL; qubit runs only)"
+    )
     p_tomo.set_defaults(func=cmd_tomograph)
 
     p_sic = sub.add_parser("qudit-sic", help="validate a fiducial and its POVM")

@@ -135,31 +135,33 @@ def number_operator_strings(mapping: MappingLike) -> tuple[PauliString, ...]:
 def encoded_vacuum(mapping: MappingLike, num_qubits: int | None = None) -> DenseState:
     """The state annihilated by every mode, i.e. N_j = -1 for all j.
 
-    Found by applying the rank-one projector prod_j (I - N_j)/2 to
-    computational basis states and keeping the best image.  The global
-    phase is whatever the projection produces; expectation values never
-    see it.
+    Returns the first nonzero image of a computational basis state under
+    the projector P = prod_j (I - N_j)/2, normalised.  No later image is
+    larger: the N_j are commuting Hermitian Pauli strings, so P averages
+    the stabiliser group they generate and <b|P|b> is 0 or one common value
+    for every basis state b (Aaronson and Gottesman, PRA 2004).  Tables
+    whose N_j are not Hermitian or do not commute are rejected.  The global
+    phase is whatever the projection produces; expectations never see it.
     """
     numbers = number_operator_strings(mapping)
     if num_qubits is None:
         num_qubits = mode_count(mapping)
     if len(numbers) > num_qubits:
         raise ValueError(f"{len(numbers)} modes cannot fit on {num_qubits} qubits")
+    if any(n_op.phase_power % 2 for n_op in numbers) or any(
+        a.anticommutes_with(b) for a, b in itertools.combinations(numbers, 2)
+    ):
+        raise ValueError("number operators must be commuting Hermitian Pauli strings")
     dim = 2 ** num_qubits
-    best: np.ndarray | None = None
-    best_norm2 = 0.0
     for b in range(dim):
         vec = np.zeros(dim, dtype=complex)
         vec[b] = 1.0
         for n_op in numbers:
             vec = 0.5 * (vec - pauli_matvec(n_op, vec, num_qubits))
         norm2 = float(np.vdot(vec, vec).real)
-        if norm2 > best_norm2 + 1e-12:
-            best_norm2 = norm2
-            best = vec
-    if best is None or best_norm2 < 1e-12:
-        raise ValueError("no vacuum component found in the computational basis")
-    return DenseState(2, num_qubits, best / math.sqrt(best_norm2))
+        if norm2 > 1e-12:
+            return DenseState(2, num_qubits, vec / math.sqrt(norm2))
+    raise ValueError("no vacuum component found in the computational basis")
 
 
 def encode_fock_state(

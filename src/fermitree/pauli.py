@@ -138,9 +138,6 @@ class PauliString:
         )
         return differing % 2 == 1
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        return not self.anticommutes_with(other)
-
     # -- densification -----------------------------------------------------
 
     def to_dense(self, num_qubits: int) -> np.ndarray:

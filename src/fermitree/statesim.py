@@ -123,18 +123,6 @@ class DenseState:
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape([self.local_dim] * self.num_sites)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def tensor(self, other: "DenseState") -> "DenseState":
-        if other.local_dim != self.local_dim:
-            raise ValueError("local dimensions differ")
-        return DenseState(
-            self.local_dim,
-            self.num_sites + other.num_sites,
-            np.kron(self.amplitudes, other.amplitudes),
-        )
-
     def apply_single_site(self, matrix: np.ndarray, site: int) -> "DenseState":
         """Return the state with a local_dim x local_dim matrix applied at ``site``."""
         if not 0 <= site < self.num_sites:
@@ -414,19 +402,18 @@ class BellShotStream:
         return (self.record(i) for i in range(self.num_shots))
 
     def to_jsonl(self, path: str) -> None:
+        d = self.local_dim
+        outcome_of = QUBIT_BELL_LABELS if d == 2 else [list(divmod(c, d)) for c in range(d * d)]
         with open(path, "w", encoding="utf-8") as fh:
-            for i in range(self.num_shots):
-                rec = self.record(i)
-                if self.local_dim == 2:
-                    outcomes: list = list(rec.labels())
-                else:
-                    outcomes = [list(p) for p in rec.outcome_pairs()]
+            for i, row in enumerate(self.codes.tolist()):
+                outcomes = [outcome_of[c] for c in row]
                 fh.write(json.dumps({"shot_index": i, "outcomes": outcomes}) + "\n")
 
     @classmethod
     def from_jsonl(cls, path: str, local_dim: int | None = None) -> "BellShotStream":
         """Read a shot stream; qudit streams may need ``local_dim`` since the
-        record format stores (h, ell) pairs, not the dimension."""
+        record format stores (h, ell) pairs, not the dimension.  An unknown
+        label or an h or ell outside 0..D-1 raises ValueError."""
         rows = []
         with open(path, encoding="utf-8") as fh:
             for line in fh:
@@ -442,14 +429,24 @@ class BellShotStream:
                 raise ValueError("labeled Bell outcomes imply qubit records")
             label_code = {lab: c for c, lab in enumerate(QUBIT_BELL_LABELS)}
             d = 2
-            codes = [[label_code[lab] for lab in r["outcomes"]] for r in rows]
+            try:
+                codes = np.array([[label_code[lab] for lab in r["outcomes"]] for r in rows])
+            except KeyError as err:
+                raise ValueError(f"unknown qubit Bell label {err.args[0]!r}") from None
         else:
-            pairs = [r["outcomes"] for r in rows]
+            try:
+                pairs = np.array([r["outcomes"] for r in rows], dtype=np.int64)
+            except OverflowError:
+                raise ValueError("Bell outcome (h, ell) outside the int64 range") from None
+            if pairs.ndim != 3 or pairs.shape[2] != 2:
+                raise ValueError("qudit Bell outcomes must be [h, ell] pairs")
             if local_dim is None:
-                local_dim = max(max(max(h, ell) for h, ell in p) for p in pairs) + 1
+                local_dim = int(pairs.max()) + 1
             d = max(local_dim, 2)
-            codes = [[h * d + ell for h, ell in p] for p in pairs]
-        return cls(d, len(codes[0]), np.array(codes, dtype=np.uint8))
+            if pairs.min() < 0 or pairs.max() >= d:
+                raise ValueError(f"Bell outcome (h, ell) outside 0..{d - 1}")
+            codes = pairs[..., 0] * d + pairs[..., 1]
+        return cls(d, codes.shape[1], codes)
 
 
 def sample_bell_shots(

@@ -104,9 +104,6 @@ class TernaryTreeMapping:
         """All 2n+1 tree paths in lexicographic order, dropped one included."""
         return _all_paths(self.base_height, self.extended_leaves)
 
-    def kept_paths(self) -> tuple[TreePath, ...]:
-        return tuple(p for p in self.paths() if p != self.dropped_path)
-
 
 def build_mapping(n_modes: int) -> TernaryTreeMapping:
     """Construct the ternary-tree mapping for ``n_modes`` fermionic modes.

@@ -247,6 +247,17 @@ def test_tomograph_fermionic_needs_modes(capsys):
     capsys.readouterr()
 
 
+def test_tomograph_fermionic_rejects_shots_output(tmp_path, capsys):
+    path = tmp_path / "shots.jsonl"
+    code = main(
+        ["tomograph", "--fermionic", "--modes", "2", "--shots", "10", "--seed", "0",
+         "--shots-output", str(path)]
+    )
+    assert code == 2
+    assert "--shots-output" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_bad_flag_exits_via_argparse():
     with pytest.raises(SystemExit) as err:
         main(["map", "--kind", "nonsense", "--modes", "3"])

@@ -1,6 +1,7 @@
-"""Every demo script runs to completion."""
+"""Every demo script, and the README's library example, runs to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,12 @@ def test_demo_runs(script):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"^## Library example\n.*?^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert match is not None, "README has no Library example python block"
+    script = tmp_path / "readme_example.py"
+    script.write_text(match.group(1), encoding="utf-8")
+    test_demo_runs(script)

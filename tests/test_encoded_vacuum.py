@@ -1,0 +1,94 @@
+"""The first-image encoded vacuum against the best-image scan it replaced."""
+
+import math
+
+import numpy as np
+import pytest
+
+from fermitree.baselines import bravyi_kitaev, jordan_wigner
+from fermitree.fermion import encoded_vacuum, number_operator_strings
+from fermitree.pauli import PauliString
+from fermitree.statesim import pauli_matvec
+from fermitree.ternary import build_mapping
+
+KINDS = {
+    "ternary": lambda n: build_mapping(n).majorana_table,
+    "jw": jordan_wigner,
+    "bk": bravyi_kitaev,
+}
+
+
+def best_image_vacuum(table, num_qubits):
+    """Reference oracle: project every basis state and keep the largest image."""
+    numbers = number_operator_strings(table)
+    dim = 2 ** num_qubits
+    best = None
+    best_norm2 = 0.0
+    for b in range(dim):
+        vec = np.zeros(dim, dtype=complex)
+        vec[b] = 1.0
+        for n_op in numbers:
+            vec = 0.5 * (vec - pauli_matvec(n_op, vec, num_qubits))
+        norm2 = float(np.vdot(vec, vec).real)
+        if norm2 > best_norm2 + 1e-12:
+            best_norm2 = norm2
+            best = vec
+    if best is None or best_norm2 < 1e-12:
+        raise ValueError("no vacuum component found in the computational basis")
+    return best / math.sqrt(best_norm2)
+
+
+def x_conjugated(table):
+    """X P X for every entry, X acting on every qubit: each Y or Z flips the sign."""
+    return tuple(
+        PauliString(op.letters, op.phase_power + 2 * sum(letter != "X" for _, letter in op.letters))
+        for op in table
+    )
+
+
+def assert_bit_identical(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("extra", [0, 1], ids=["n_qubits", "n_plus_1_qubits"])
+def test_first_image_matches_best_image_scan(kind, n, extra):
+    table = KINDS[kind](n)
+    flipped = x_conjugated(table)
+    for candidate in (table, flipped):
+        want = best_image_vacuum(candidate, n + extra)
+        assert_bit_identical(encoded_vacuum(candidate, n + extra).amplitudes, want)
+    # the conjugated copy's vacuum lies off |0...0>; for JW it is |1...1>
+    support = np.flatnonzero(want)
+    assert support[0] > 0
+    if kind == "jw" and extra == 0:
+        assert support.tolist() == [2 ** n - 1]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("n", range(1, 11))
+def test_valid_tables_pass_the_guard(kind, n):
+    table = KINDS[kind](n)
+    vac = encoded_vacuum(table).amplitudes
+    for n_op in number_operator_strings(table):
+        assert np.allclose(pauli_matvec(n_op, vac, n), -vac, atol=1e-12)
+
+
+def test_non_hermitian_number_operator_is_rejected():
+    table = tuple(PauliString.parse(t) for t in ("X0", "X0", "Y0", "Z1"))
+    # N_1 = i X0 X0 = i I, so the best image of the old scan is no vacuum
+    stale = best_image_vacuum(table, 2)
+    n_2 = number_operator_strings(table)[1]
+    assert not np.allclose(pauli_matvec(n_2, stale, 2), -stale)
+    with pytest.raises(ValueError, match="Hermitian"):
+        encoded_vacuum(table)
+
+
+def test_anticommuting_number_operators_are_rejected():
+    # N_1 = -Z0 and N_2 = Y0 are Hermitian but anticommute
+    table = tuple(PauliString.parse(t) for t in ("X0", "Y0", "X0", "Z0"))
+    with pytest.raises(ValueError, match="commuting"):
+        encoded_vacuum(table)

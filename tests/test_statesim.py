@@ -1,5 +1,6 @@
 """Tests for the dense simulator and Bell-basis sampling."""
 
+import json
 import math
 
 import numpy as np
@@ -271,6 +272,65 @@ def test_shot_stream_jsonl_qudit(tmp_path):
     # (h, ell) pairs up to 2 cannot come from a qubit stream
     with pytest.raises(ValueError):
         BellShotStream.from_jsonl(str(path), local_dim=2)
+
+
+@pytest.mark.parametrize(
+    "stream,text",
+    [
+        (
+            BellShotStream(2, 3, np.array([[0, 1, 2], [3, 3, 0], [2, 0, 1]])),
+            '{"shot_index": 0, "outcomes": ["F+", "F-", "P+"]}\n'
+            '{"shot_index": 1, "outcomes": ["P-", "P-", "F+"]}\n'
+            '{"shot_index": 2, "outcomes": ["P+", "F+", "F-"]}\n',
+        ),
+        (
+            BellShotStream(3, 2, np.array([[8, 4], [0, 5], [2, 7], [6, 3]])),
+            '{"shot_index": 0, "outcomes": [[2, 2], [1, 1]]}\n'
+            '{"shot_index": 1, "outcomes": [[0, 0], [1, 2]]}\n'
+            '{"shot_index": 2, "outcomes": [[0, 2], [2, 1]]}\n'
+            '{"shot_index": 3, "outcomes": [[2, 0], [1, 0]]}\n',
+        ),
+    ],
+    ids=["qubit", "qutrit"],
+)
+def test_shot_stream_jsonl_bytes(tmp_path, stream, text):
+    path = tmp_path / "shots.jsonl"
+    stream.to_jsonl(str(path))
+    assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize(
+    "outcomes",
+    [
+        [[0, 5]], [[1, 4]], [[3, 0]], [[-1, 0]], [[0, -2]], [[-85, 0]], [[2**63, 0]],
+        [[0, 1, 2]], [0, 1], [[0, 1], [2]],
+    ],
+)
+def test_from_jsonl_rejects_unrepresentable_pairs(tmp_path, outcomes):
+    path = tmp_path / "shots.jsonl"
+    path.write_text(json.dumps({"shot_index": 0, "outcomes": outcomes}) + "\n")
+    with pytest.raises(ValueError):
+        BellShotStream.from_jsonl(str(path), local_dim=3)
+
+
+def test_from_jsonl_infers_dimension_but_rejects_negatives(tmp_path):
+    path = tmp_path / "shots.jsonl"
+    path.write_text('{"shot_index": 0, "outcomes": [[0, 5]]}\n')
+    assert BellShotStream.from_jsonl(str(path)).local_dim == 6
+    # -128 * 2 + 0 would wrap to the valid uint8 code 0
+    path.write_text('{"shot_index": 0, "outcomes": [[-128, 0]]}\n')
+    with pytest.raises(ValueError):
+        BellShotStream.from_jsonl(str(path))
+
+
+def test_from_jsonl_rejects_unknown_qubit_label(tmp_path):
+    path = tmp_path / "shots.jsonl"
+    path.write_text(
+        '{"shot_index": 0, "outcomes": ["F+", "P-"]}\n'
+        '{"shot_index": 1, "outcomes": ["F+", "Q?"]}\n'
+    )
+    with pytest.raises(ValueError, match="Q\\?"):
+        BellShotStream.from_jsonl(str(path))
 
 
 def test_shot_record_label_guard():

@@ -7,8 +7,8 @@ Subcommands:
     tomograph  sample Bell shots and estimate k-RDM elements
     qudit-sic  validate a fiducial state and its Heisenberg-Weyl POVM
 
-Exit codes: 0 success, 1 verification failure, 2 bad arguments,
-3 register too large for dense simulation.
+Exit codes: 0 success, 1 verification failure, 2 bad arguments or a
+malformed input file, 3 register too large for dense simulation.
 """
 
 from __future__ import annotations

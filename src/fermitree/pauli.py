@@ -163,17 +163,17 @@ class PauliString:
     # -- text format -------------------------------------------------------
 
     def __str__(self) -> str:
-        prefix = _TOKENS_BY_POWER[self.phase_power]
+        phase = _TOKENS_BY_POWER[self.phase_power]
         if not self.letters:
-            return f"{prefix} I"
+            return f"{phase} I"
         body = " ".join(f"{letter}{qubit}" for qubit, letter in self.letters)
-        return f"{prefix} {body}"
+        return f"{phase} {body}"
 
     @classmethod
     def parse(cls, text: str) -> "PauliString":
         """Parse the text format, e.g. ``"+i X0 Z3 Y7"`` or ``"+ I"``.
 
-        The phase prefix is optional and defaults to ``+``.  Round-trips
+        The leading phase token is optional and defaults to ``+``.  Round-trips
         with :meth:`__str__`.
         """
         tokens = text.split()
@@ -195,17 +195,3 @@ class PauliString:
             pairs.append((int(match.group(2)), match.group(1)))
         return cls(tuple(pairs), power)
 
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Canonical product with accumulated phase; weight(a*b) <= weight(a)+weight(b)."""
-    return a * b
-
-
-def anticommutes(a: PauliString, b: PauliString) -> bool:
-    """True iff a*b = -b*a (odd number of shared sites with differing letters)."""
-    return a.anticommutes_with(b)
-
-
-def to_dense(p: PauliString, num_qubits: int) -> np.ndarray:
-    """Exact dense tensor-product matrix of ``p`` including its phase."""
-    return p.to_dense(num_qubits)

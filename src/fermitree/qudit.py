@@ -233,7 +233,13 @@ def save_fiducial(fiducial: FiducialState, path: str) -> None:
 
 
 def load_fiducial(path: str) -> FiducialState:
+    """Read a fiducial file; ValueError if it is malformed."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    amps = np.array([complex(re, im) for re, im in payload["amplitudes"]])
-    return FiducialState(int(payload["dimension"]), amps)
+    if not isinstance(payload, dict) or type(payload.get("dimension")) is not int:
+        raise ValueError(f"fiducial file {path} needs an integer dimension")
+    pairs = np.array(payload.get("amplitudes", []))
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("fiducial amplitudes must be a list of [re, im] number pairs")
+    amps = np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(-1)
+    return FiducialState(payload["dimension"], amps)

@@ -4,10 +4,11 @@ States are flat complex vectors over sites of a common local dimension D,
 site 0 being the leftmost (most significant) tensor factor.  The module
 provides the tetrahedral ancilla state, Heisenberg-Weyl displacement
 operators, generalized Bell states, and two interchangeable ways to draw
-Bell-basis measurement outcomes on site pairs:
+Bell-basis measurement outcomes on site pairs, both returning a
+``BellShotStream`` whose shots are rows of uint8 codes h * D + ell:
 
     * ``bell_measure_all_pairs`` collapses one pair at a time (reference
-      semantics, one shot per call);
+      semantics, a one-shot stream per call);
     * ``sample_bell_shots`` samples the exact joint outcome distribution
       in bulk, with a blocked RNG layout that makes the stream depend only
       on the seed, never on the worker count.
@@ -291,30 +292,7 @@ def bell_povm_elements(ancilla: DenseState) -> list[np.ndarray]:
     return [np.outer(a.conj(), a) for a in rows]
 
 
-def decode_bell_code(code: int, local_dim: int) -> tuple[int, int]:
-    """Map a flat outcome code back to the (h, ell) label pair."""
-    if not 0 <= code < local_dim ** 2:
-        raise ValueError(f"code {code} outside 0..{local_dim ** 2 - 1}")
-    return divmod(code, local_dim)
-
-
 # -- Bell-basis measurement on site pairs ------------------------------------
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """Outcome of one Bell-basis measurement round over all site pairs."""
-
-    local_dim: int
-    codes: tuple[int, ...]
-
-    def outcome_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(decode_bell_code(c, self.local_dim) for c in self.codes)
-
-    def labels(self) -> tuple[str, ...]:
-        if self.local_dim != 2:
-            raise ValueError("named Bell outcomes exist only for qubits")
-        return tuple(QUBIT_BELL_LABELS[c] for c in self.codes)
 
 
 def _paired(state: DenseState) -> int:
@@ -325,10 +303,11 @@ def _paired(state: DenseState) -> int:
 
 def bell_measure_all_pairs(
     state: DenseState, rng: np.random.Generator | int | None = None
-) -> ShotRecord:
+) -> BellShotStream:
     """Measure each (2p, 2p+1) pair in the Bell basis by sequential collapse.
 
-    The input state is not modified; collapses happen on an internal copy.
+    Returns a one-shot stream.  The input state is not modified; collapses
+    happen on an internal copy.
     """
     rng = np.random.default_rng(rng)
     n_pairs = _paired(state)
@@ -349,7 +328,7 @@ def bell_measure_all_pairs(
         collapsed = (basis @ post).reshape(moved.shape)
         tensor = np.moveaxis(collapsed, (0, 1), (2 * p, 2 * p + 1))
         codes.append(code)
-    return ShotRecord(local_dim=d, codes=tuple(codes))
+    return BellShotStream(d, n_pairs, [codes])
 
 
 def bell_outcome_distribution(state: DenseState) -> np.ndarray:
@@ -395,12 +374,6 @@ class BellShotStream:
     def __len__(self) -> int:
         return self.num_shots
 
-    def record(self, index: int) -> ShotRecord:
-        return ShotRecord(self.local_dim, tuple(int(c) for c in self.codes[index]))
-
-    def __iter__(self):
-        return (self.record(i) for i in range(self.num_shots))
-
     def to_jsonl(self, path: str) -> None:
         d = self.local_dim
         outcome_of = QUBIT_BELL_LABELS if d == 2 else [list(divmod(c, d)) for c in range(d * d)]
@@ -412,34 +385,33 @@ class BellShotStream:
     @classmethod
     def from_jsonl(cls, path: str, local_dim: int | None = None) -> "BellShotStream":
         """Read a shot stream; qudit streams may need ``local_dim`` since the
-        record format stores (h, ell) pairs, not the dimension.  An unknown
-        label or an h or ell outside 0..D-1 raises ValueError."""
-        rows = []
+        record format stores (h, ell) pairs, not the dimension.  A record
+        without ``shot_index`` or ``outcomes``, an unknown label, an h or
+        ell that is not an integer in 0..D-1 raises ValueError."""
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append(json.loads(line))
+            rows = [json.loads(line) for line in fh if line.strip()]
         if not rows:
             raise ValueError(f"no shot records in {path}")
-        rows.sort(key=lambda r: r["shot_index"])
-        first = rows[0]["outcomes"]
-        if first and isinstance(first[0], str):
+        try:
+            outcomes = [r["outcomes"] for r in sorted(rows, key=lambda r: r["shot_index"])]
+        except (KeyError, TypeError):
+            raise ValueError("shot records need a shot_index and outcomes") from None
+        first = outcomes[0]
+        if isinstance(first, list) and first and isinstance(first[0], str):
             if local_dim not in (None, 2):
                 raise ValueError("labeled Bell outcomes imply qubit records")
             label_code = {lab: c for c, lab in enumerate(QUBIT_BELL_LABELS)}
             d = 2
             try:
-                codes = np.array([[label_code[lab] for lab in r["outcomes"]] for r in rows])
+                codes = np.array([[label_code[lab] for lab in row] for row in outcomes])
             except KeyError as err:
                 raise ValueError(f"unknown qubit Bell label {err.args[0]!r}") from None
+            except TypeError:
+                raise ValueError("qubit Bell outcomes must be labels") from None
         else:
-            try:
-                pairs = np.array([r["outcomes"] for r in rows], dtype=np.int64)
-            except OverflowError:
-                raise ValueError("Bell outcome (h, ell) outside the int64 range") from None
-            if pairs.ndim != 3 or pairs.shape[2] != 2:
-                raise ValueError("qudit Bell outcomes must be [h, ell] pairs")
+            pairs = np.array(outcomes)
+            if pairs.ndim != 3 or pairs.shape[2] != 2 or pairs.dtype.kind not in "iu":
+                raise ValueError("qudit Bell outcomes must be [h, ell] integer pairs")
             if local_dim is None:
                 local_dim = int(pairs.max()) + 1
             d = max(local_dim, 2)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -295,18 +295,38 @@ def mapping_to_dict(mapping: TernaryTreeMapping) -> dict:
     }
 
 
+def _int_list(value, name: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise ValueError(f"{name} must be a list of integers")
+    return tuple(value)
+
+
 def mapping_from_dict(data: dict) -> TernaryTreeMapping:
-    if data.get("kind") != "ternary":
-        raise ValueError(f"not a ternary mapping payload: kind={data.get('kind')!r}")
-    mapping = TernaryTreeMapping(
-        n_modes=data["n_modes"],
-        base_height=data["base_height"],
-        extended_leaves=tuple(tuple(p) for p in data["extended_leaves"]),
-        num_qubits=data["num_qubits"],
-        majorana_table=tuple(PauliString.parse(s) for s in data["majorana_table"]),
-        dropped_path=tuple(data["dropped_path"]),
+    """Rebuild a mapping from its JSON payload; ValueError if it is malformed."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind != "ternary":
+        raise ValueError(f"not a ternary mapping payload: kind={kind!r}")
+    missing = {f.name for f in fields(TernaryTreeMapping)} - data.keys()
+    if missing:
+        raise ValueError(f"ternary mapping payload lacks {', '.join(sorted(missing))}")
+    n_modes, base_height, num_qubits = (data[k] for k in ("n_modes", "base_height", "num_qubits"))
+    if any(type(v) is not int for v in (n_modes, base_height, num_qubits)):
+        raise ValueError("n_modes, base_height and num_qubits must be integers")
+    table, leaves = data["majorana_table"], data["extended_leaves"]
+    if not isinstance(table, list) or any(not isinstance(s, str) for s in table):
+        raise ValueError("majorana_table must be a list of Pauli string texts")
+    if len(table) != 2 * n_modes:
+        raise ValueError(f"majorana_table has {len(table)} entries, not 2 * n_modes = {2 * n_modes}")
+    if not isinstance(leaves, list):
+        raise ValueError("extended_leaves must be a list of paths")
+    return TernaryTreeMapping(
+        n_modes=n_modes,
+        base_height=base_height,
+        extended_leaves=tuple(_int_list(p, "each extended leaf") for p in leaves),
+        num_qubits=num_qubits,
+        majorana_table=tuple(PauliString.parse(s) for s in table),
+        dropped_path=_int_list(data["dropped_path"], "dropped_path"),
     )
-    return mapping
 
 
 def save_mapping(mapping: TernaryTreeMapping, path: str) -> None:

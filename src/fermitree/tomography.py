@@ -51,32 +51,28 @@ _SIGN_EXPONENTS = (1 - BELL_EIGENVALUES.astype(np.int64)) // 2
 def joint_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Distinct joint Bell codes on ``sites`` and the number of shots of each.
 
-    Returns uint8 rows of codes (one column per site, rows in lexicographic
-    order) and their int64 shot counts.  Each shot is keyed as key * D^2 +
-    code, site by site, and the distinct keys are decoded into digits.
-    When there are no more possible keys than shots, they are counted with
-    ``bincount``; otherwise they are sorted.  Whenever the next step could
-    overflow int64, the keys are first replaced by their ranks, whose digit
-    rows are kept in ``prefix``.
+    A shot is a row of uint8 codes in a ``BellShotStream``, the type both
+    samplers return.  Returns the distinct rows on ``sites`` in
+    lexicographic order and their int64 counts: sorted as byte strings, or,
+    when there are no more possible rows than shots, keyed as key * D^2 +
+    code site by site and counted with ``bincount``.
     """
     base = stream.local_dim ** 2
+    width = len(sites)
+    if base ** width > stream.num_shots:
+        rows = np.ascontiguousarray(stream.codes[:, list(sites)]).view(np.dtype((np.void, width)))
+        distinct, counts = np.unique(rows, return_counts=True)
+        return distinct.view(np.uint8).reshape(len(distinct), width), counts
     keys = np.zeros(stream.num_shots, dtype=np.int64)
-    prefix, start = np.zeros((1, 0), dtype=np.uint8), 0
-    for i, site in enumerate(sites):
-        if len(prefix) * base ** (i - start + 1) > 2 ** 63:
-            _, first, keys = np.unique(keys, return_index=True, return_inverse=True)
-            prefix, start = stream.codes[first][:, list(sites[:i])], i
+    for site in sites:
         keys = keys * base + stream.codes[:, site]
-    if base ** len(sites) <= stream.num_shots:
-        counts = np.bincount(keys, minlength=base ** len(sites))
-        keys = np.flatnonzero(counts)
-        counts = counts[keys]
-    else:
-        keys, counts = np.unique(keys, return_counts=True)
-    tail = np.empty((len(keys), len(sites) - start), dtype=np.uint8)
-    for j in reversed(range(tail.shape[1])):
-        keys, tail[:, j] = np.divmod(keys, base)
-    return np.hstack([prefix[keys], tail]), counts
+    counts = np.bincount(keys, minlength=base ** width)
+    keys = np.flatnonzero(counts)
+    counts = counts[keys]
+    digits = np.empty((len(keys), width), dtype=np.uint8)
+    for j in reversed(range(width)):
+        keys, digits[:, j] = np.divmod(keys, base)
+    return digits, counts
 
 
 def residue_counts(digits: np.ndarray, counts: np.ndarray, exponents: list, d: int) -> np.ndarray:

@@ -70,6 +70,28 @@ def test_verify_catches_corrupted_file(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+MALFORMED_MAPPINGS = {
+    "kind only": lambda data: {"kind": "ternary"},
+    "entry not text": lambda data: {**data, "majorana_table": [5, *data["majorana_table"][1:]]},
+    "short table": lambda data: {**data, "majorana_table": data["majorana_table"][:2]},
+    "n_modes not int": lambda data: {**data, "n_modes": "2"},
+    "path not list": lambda data: {**data, "dropped_path": 2},
+    "not an object": lambda data: [data],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MAPPINGS))
+def test_verify_rejects_malformed_file(case, tmp_path, capsys):
+    path = tmp_path / "mapping.json"
+    main(["map", "--modes", "2", "--output", str(path)])
+    capsys.readouterr()
+    path.write_text(json.dumps(MALFORMED_MAPPINGS[case](json.loads(path.read_text()))))
+    assert main(["verify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 VERIFY_MODES_13 = {
     "ternary": (
         "ternary mapping, n=13: 26 operators\n"
@@ -287,6 +309,25 @@ def test_qudit_sic_rejects_non_sic_fiducial(tmp_path, capsys):
     code, payload = run_json(capsys, ["qudit-sic", "--fiducial", str(path)])
     assert code == 1
     assert payload["informationally_complete"] is False
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dimension": 3},
+        {"dimension": "3", "amplitudes": [[1, 0], [0, 0], [0, 0]]},
+        {"dimension": 3, "amplitudes": [[1, 0], [0], [0, 0]]},
+        {"dimension": 2, "amplitudes": [["1", 0], [0, 0]]},
+        [3],
+    ],
+)
+def test_qudit_sic_rejects_malformed_fiducial(payload, tmp_path, capsys):
+    path = tmp_path / "fid.json"
+    path.write_text(json.dumps(payload))
+    assert main(["qudit-sic", "--fiducial", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_qudit_sic_needs_fiducial_for_other_dims(capsys):

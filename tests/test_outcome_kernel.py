@@ -194,16 +194,18 @@ def test_sampled_fermionic_rdm_rejects_mapping_beyond_register():
 
 
 def test_keys_beyond_int64_are_compacted():
-    # 4^40 joint outcomes exceed the int64 key range, so counting all 40
-    # pairs needs the rank compaction; repeated rows keep counts above 1
+    # 4^40 and 9^24 joint outcomes exceed the int64 key range, so counting
+    # all pairs sorts whole byte rows; repeated rows keep counts above 1
     stream = random_stream(2, 40, 3000, seed=60, distinct=150)
-    sites = tuple(range(40))
-    digits, counts = joint_outcomes(stream, sites)
-    want = Counter(tuple(int(c) for c in row) for row in stream.codes)
-    rows = [tuple(int(c) for c in row) for row in digits]
-    assert rows == sorted(want)
-    assert dict(zip(rows, counts.tolist())) == dict(want)
+    qutrits = random_stream(3, 24, 3000, seed=62, distinct=150)
+    for each in (stream, qutrits):
+        digits, counts = joint_outcomes(each, tuple(range(each.num_pairs)))
+        want = Counter(tuple(int(c) for c in row) for row in each.codes)
+        rows = [tuple(int(c) for c in row) for row in digits]
+        assert rows == sorted(want)
+        assert dict(zip(rows, counts.tolist())) == dict(want)
 
+    sites = tuple(range(40))
     rng = np.random.default_rng(61)
     letters = tuple(rng.choice(LETTERS, size=40))
     est = estimate_rdm_element(stream, sites, letters)
@@ -213,3 +215,7 @@ def test_keys_beyond_int64_are_compacted():
     assert encode_monomial((1, 80), table).weight == 40
     est = estimate_monomial(stream, (1, 80), table)
     assert (est.value, est.std_error) == reference_monomial(stream, (1, 80), table)
+
+    targets = [(site, 1, 1) for site in range(24)]
+    est = estimate_hw_correlator(qutrits, targets, qutrit_fiducial())
+    assert (est.value, est.std_error) == reference_hw(qutrits, targets, qutrit_fiducial())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermitree.pauli import PauliString, anticommutes, multiply, to_dense
+from fermitree.pauli import PauliString
 
 
 def test_single_qubit_product_table():
@@ -48,15 +48,15 @@ def test_weight_and_support():
 
 
 def test_known_anticommutation():
-    assert anticommutes(PauliString.single(0, "X"), PauliString.single(0, "Y"))
-    assert not anticommutes(PauliString.single(0, "X"), PauliString.single(1, "Y"))
+    assert PauliString.single(0, "X").anticommutes_with(PauliString.single(0, "Y"))
+    assert not PauliString.single(0, "X").anticommutes_with(PauliString.single(1, "Y"))
     # XX vs YZ: differs on both shared sites, even count, commutes
     a = PauliString.from_map({0: "X", 1: "X"})
     b = PauliString.from_map({0: "Y", 1: "Z"})
-    assert not anticommutes(a, b)
+    assert not a.anticommutes_with(b)
     # XX vs XY: one differing site
     c = PauliString.from_map({0: "X", 1: "Y"})
-    assert anticommutes(a, c)
+    assert a.anticommutes_with(c)
 
 
 def test_constructor_validation():
@@ -82,8 +82,8 @@ def test_product_matches_dense_oracle():
     for _ in range(50):
         a = _random_string(rng)
         b = _random_string(rng)
-        lhs = to_dense(a * b, 3)
-        rhs = to_dense(a, 3) @ to_dense(b, 3)
+        lhs = (a * b).to_dense(3)
+        rhs = a.to_dense(3) @ b.to_dense(3)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -92,27 +92,27 @@ def test_anticommutation_matches_dense_oracle():
     for _ in range(50):
         a = _random_string(rng)
         b = _random_string(rng)
-        ab = to_dense(a, 3) @ to_dense(b, 3)
-        ba = to_dense(b, 3) @ to_dense(a, 3)
-        if anticommutes(a, b):
+        ab = a.to_dense(3) @ b.to_dense(3)
+        ba = b.to_dense(3) @ a.to_dense(3)
+        if a.anticommutes_with(b):
             assert np.allclose(ab + ba, 0, atol=1e-12)
         else:
             assert np.allclose(ab - ba, 0, atol=1e-12)
 
 
 def test_dense_identity_and_phase():
-    ident = to_dense(PauliString.identity(2), 2)
+    ident = PauliString.identity(2).to_dense(2)
     assert np.allclose(ident, -np.eye(4))
-    x0 = to_dense(PauliString.single(0, "X"), 2)
+    x0 = PauliString.single(0, "X").to_dense(2)
     # qubit 0 is the leftmost factor
     assert np.allclose(x0, np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)))
 
 
 def test_dense_guards():
     with pytest.raises(ValueError):
-        to_dense(PauliString.single(3, "X"), 2)
+        PauliString.single(3, "X").to_dense(2)
     with pytest.raises(ValueError):
-        to_dense(PauliString.identity(), 15)
+        PauliString.identity().to_dense(15)
 
 
 def test_text_format_examples():
@@ -156,11 +156,11 @@ def test_product_associativity(a, b, c):
 @given(strings, strings)
 @settings(max_examples=60)
 def test_anticommutation_symmetry(a, b):
-    assert anticommutes(a, b) == anticommutes(b, a)
+    assert a.anticommutes_with(b) == b.anticommutes_with(a)
 
 
 @given(strings)
 def test_square_is_scalar(p):
-    sq = multiply(p, p)
+    sq = p * p
     assert sq.letters == ()
     assert sq.phase_power == (2 * p.phase_power) % 4

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from fermitree.pauli import PauliString, to_dense
+from fermitree.pauli import PauliString
 from fermitree.statesim import (
     CAPACITY_AMPLITUDES,
+    QUBIT_BELL_LABELS,
     BellShotStream,
     CapacityError,
     DenseState,
@@ -17,7 +18,6 @@ from fermitree.statesim import (
     bell_basis_matrix,
     bell_measure_all_pairs,
     bell_outcome_distribution,
-    decode_bell_code,
     expectation,
     generalized_bell_state,
     hw_operator,
@@ -78,7 +78,7 @@ def test_pauli_matvec_matches_dense_oracle():
             if c != "I":
                 letters[q] = c
         p = PauliString.from_map(letters, int(rng.integers(0, 4)))
-        assert np.allclose(pauli_matvec(p, vec, 3), to_dense(p, 3) @ vec, atol=1e-12)
+        assert np.allclose(pauli_matvec(p, vec, 3), p.to_dense(3) @ vec, atol=1e-12)
 
 
 def test_apply_pauli_does_not_mutate_input():
@@ -175,21 +175,15 @@ def test_bell_eigenrelation(d):
                     assert np.allclose(op @ vec, phase * vec, atol=1e-12)
 
 
-def test_decode_bell_code():
-    assert decode_bell_code(5, 3) == (1, 2)
-    with pytest.raises(ValueError):
-        decode_bell_code(9, 3)
-
-
 def test_bell_measurement_on_product_of_bell_states():
     # a product of Bell pairs gives deterministic outcomes
     f_minus = generalized_bell_state(2, 0, 1).amplitudes
     p_plus = generalized_bell_state(2, 1, 0).amplitudes
     state = DenseState.from_amplitudes(np.kron(f_minus, p_plus))
     rec = bell_measure_all_pairs(state, np.random.default_rng(0))
-    assert rec.codes == (1, 2)
-    assert rec.labels() == ("F-", "P+")
-    assert rec.outcome_pairs() == ((0, 1), (1, 0))
+    assert rec.codes.tolist() == [[1, 2]]
+    assert [QUBIT_BELL_LABELS[c] for c in rec.codes[0]] == ["F-", "P+"]
+    assert [divmod(int(c), 2) for c in rec.codes[0]] == [(0, 1), (1, 0)]
 
 
 def test_outcome_distribution_matches_collapse_chain():
@@ -204,7 +198,7 @@ def test_outcome_distribution_matches_collapse_chain():
     shots = 3000
     for _ in range(shots):
         rec = bell_measure_all_pairs(state, rng)
-        counts[rec.codes[0] * 4 + rec.codes[1]] += 1
+        counts[int(rec.codes[0, 0]) * 4 + int(rec.codes[0, 1])] += 1
     for idx in range(16):
         sigma = math.sqrt(probs[idx] * (1 - probs[idx]) * shots)
         assert abs(counts[idx] - shots * probs[idx]) <= 5 * sigma + 1
@@ -303,7 +297,7 @@ def test_shot_stream_jsonl_bytes(tmp_path, stream, text):
     "outcomes",
     [
         [[0, 5]], [[1, 4]], [[3, 0]], [[-1, 0]], [[0, -2]], [[-85, 0]], [[2**63, 0]],
-        [[0, 1, 2]], [0, 1], [[0, 1], [2]],
+        [[0, 1, 2]], [0, 1], [[0, 1], [2]], [[1.5, 0]], [["1", 0]],
     ],
 )
 def test_from_jsonl_rejects_unrepresentable_pairs(tmp_path, outcomes):
@@ -311,6 +305,23 @@ def test_from_jsonl_rejects_unrepresentable_pairs(tmp_path, outcomes):
     path.write_text(json.dumps({"shot_index": 0, "outcomes": outcomes}) + "\n")
     with pytest.raises(ValueError):
         BellShotStream.from_jsonl(str(path), local_dim=3)
+
+
+def test_from_jsonl_rejects_qubit_row_holding_a_list(tmp_path):
+    path = tmp_path / "shots.jsonl"
+    path.write_text('{"shot_index": 0, "outcomes": ["F+", ["P-"]]}\n')
+    with pytest.raises(ValueError):
+        BellShotStream.from_jsonl(str(path))
+
+
+def test_from_jsonl_rejects_row_without_shot_index(tmp_path):
+    path = tmp_path / "shots.jsonl"
+    path.write_text(
+        '{"shot_index": 0, "outcomes": ["F+"]}\n'
+        '{"outcomes": ["P-"]}\n'
+    )
+    with pytest.raises(ValueError):
+        BellShotStream.from_jsonl(str(path))
 
 
 def test_from_jsonl_infers_dimension_but_rejects_negatives(tmp_path):
@@ -331,19 +342,6 @@ def test_from_jsonl_rejects_unknown_qubit_label(tmp_path):
     )
     with pytest.raises(ValueError, match="Q\\?"):
         BellShotStream.from_jsonl(str(path))
-
-
-def test_shot_record_label_guard():
-    rec = sample_bell_shots(
-        attach_ancillas(
-            random_state(1, 3, np.random.default_rng(0)),
-            DenseState.computational((0,), local_dim=3),
-        ),
-        1,
-        seed=0,
-    ).record(0)
-    with pytest.raises(ValueError):
-        rec.labels()
 
 
 def test_random_state_seeded():

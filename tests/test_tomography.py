@@ -11,6 +11,7 @@ from fermitree.statesim import (
     BellShotStream,
     DenseState,
     attach_ancillas,
+    bell_measure_all_pairs,
     bell_outcome_distribution,
     expectation,
     generalized_bell_state,
@@ -123,6 +124,22 @@ def test_merge_guards():
         merge_streams([])
     with pytest.raises(ValueError):
         merge_streams([_stream([[0]]), _stream([[0, 1]])])
+
+
+def test_merged_collapse_shots_feed_the_estimators():
+    # one-shot streams of the sequential-collapse oracle merge into a
+    # stream the estimators read like a sampled one
+    state = random_state(2, 2, np.random.default_rng(16))
+    joint = attach_ancillas(state)
+    rng = np.random.default_rng(17)
+    shots = 3000
+    stream = merge_streams([bell_measure_all_pairs(joint, rng) for _ in range(shots)])
+    assert stream.codes.shape == (shots, 2)
+    for est in estimate_all_k_rdms(stream, 1):
+        oracle = expectation(state, PauliString.single(est.qubits[0], est.letters[0].upper())).real
+        # each shot is +-1 with mean oracle / sqrt(3)
+        sigma = math.sqrt(3.0 - oracle ** 2) / math.sqrt(shots)
+        assert abs(est.value - oracle) <= 5 * sigma
 
 
 def test_variance_grows_with_k():

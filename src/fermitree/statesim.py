@@ -207,12 +207,6 @@ def prepare_xi() -> DenseState:
     return DenseState(2, 1, amps)
 
 
-def xi_density() -> np.ndarray:
-    """Density matrix (I + (X+Y+Z)/sqrt(3)) / 2 of the tetrahedral state."""
-    amps = prepare_xi().amplitudes
-    return np.outer(amps, amps.conj())
-
-
 def attach_ancillas(system: DenseState, ancilla: DenseState | None = None) -> DenseState:
     """Interleave one ancilla per system site: system site j lands on site 2j.
 
@@ -387,9 +381,11 @@ class BellShotStream:
         """Read a shot stream; qudit streams may need ``local_dim`` since the
         record format stores (h, ell) pairs, not the dimension.  A record
         without ``shot_index`` or ``outcomes``, an unknown label, an h or
-        ell that is not an integer in 0..D-1 raises ValueError."""
+        ell that is not an integer in 0..D-1 (a JSON boolean included)
+        raises ValueError."""
         with open(path, encoding="utf-8") as fh:
-            rows = [json.loads(line) for line in fh if line.strip()]
+            text = fh.read()
+        rows = [json.loads(line) for line in text.split("\n") if line.strip()]
         if not rows:
             raise ValueError(f"no shot records in {path}")
         try:
@@ -411,6 +407,12 @@ class BellShotStream:
         else:
             pairs = np.array(outcomes)
             if pairs.ndim != 3 or pairs.shape[2] != 2 or pairs.dtype.kind not in "iu":
+                raise ValueError("qudit Bell outcomes must be [h, ell] integer pairs")
+            # numpy reads true and false among integers as 1 and 0; the text
+            # test spares the per-value scan on files that hold neither
+            if ("true" in text or "false" in text) and any(
+                type(v) is bool for row in outcomes for pair in row for v in pair
+            ):
                 raise ValueError("qudit Bell outcomes must be [h, ell] integer pairs")
             if local_dim is None:
                 local_dim = int(pairs.max()) + 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,93 +58,78 @@ def path_operator(path: TreePath) -> PauliString:
     return PauliString.from_map(letters)
 
 
-def _base_height(n_modes: int) -> int:
-    # Largest h with 3**h <= 2n+1; the base tree is complete with height h.
-    target = 2 * n_modes + 1
+def _tree_shape(n_modes: int) -> tuple[int, tuple[TreePath, ...], TreePath]:
+    """Base height h, extended leaves and dropped path of the n-mode tree.
+
+    The base tree is the largest complete ternary tree with at most 2n+1
+    leaves; its leftmost m = n - (3**h - 1)/2 leaves are extended by one
+    level, and its all-Z leaf is dropped.
+    """
+    if n_modes < 1:
+        raise ValueError(f"need at least one mode, got {n_modes}")
     h = 0
-    while 3 ** (h + 1) <= target:
+    while 3 ** (h + 1) <= 2 * n_modes + 1:
         h += 1
-    return h
-
-
-def _all_paths(base_height: int, extended_leaves: tuple[TreePath, ...]) -> tuple[TreePath, ...]:
-    extended = set(extended_leaves)
-    out: list[TreePath] = []
-    for leaf in itertools.product((0, 1, 2), repeat=base_height):
-        if leaf in extended:
-            out.extend(leaf + (c,) for c in (0, 1, 2))
-        else:
-            out.append(leaf)
-    return tuple(out)
+    m = n_modes - (3 ** h - 1) // 2
+    extended = tuple(itertools.islice(itertools.product((0, 1, 2), repeat=h), m))
+    return h, extended, (2,) * h
 
 
 @dataclass(frozen=True)
 class TernaryTreeMapping:
     """Majorana-to-Pauli table for n fermionic modes on n qubits.
 
+    The tree is fixed by ``n_modes`` alone, so its shape is derived, not
+    stored.
+
     Attributes:
         n_modes: number of fermionic modes n.
-        base_height: height h of the underlying complete ternary tree.
-        extended_leaves: paths of the base-tree leaves grown by one level
-            to reach 2n+1 total paths (leftmost-first, possibly empty).
-        num_qubits: qubit count, always equal to n_modes.
         majorana_table: kept path operators in lexicographic path order;
             entry u-1 represents Majorana operator u, u = 1..2n.
-        dropped_path: the all-Z path excluded from the table.
     """
 
     n_modes: int
-    base_height: int
-    extended_leaves: tuple[TreePath, ...]
-    num_qubits: int
     majorana_table: tuple[PauliString, ...] = field(repr=False)
-    dropped_path: TreePath
 
-    def paths(self) -> tuple[TreePath, ...]:
-        """All 2n+1 tree paths in lexicographic order, dropped one included."""
-        return _all_paths(self.base_height, self.extended_leaves)
+    @property
+    def base_height(self) -> int:
+        """Height h of the underlying complete ternary tree."""
+        return _tree_shape(self.n_modes)[0]
+
+    @property
+    def extended_leaves(self) -> tuple[TreePath, ...]:
+        """Base-tree leaves grown by one level to reach 2n+1 paths."""
+        return _tree_shape(self.n_modes)[1]
+
+    @property
+    def num_qubits(self) -> int:
+        """Qubit count, always equal to n_modes."""
+        return self.n_modes
+
+    @property
+    def dropped_path(self) -> TreePath:
+        """The all-Z path excluded from the table."""
+        return _tree_shape(self.n_modes)[2]
 
 
 def build_mapping(n_modes: int) -> TernaryTreeMapping:
     """Construct the ternary-tree mapping for ``n_modes`` fermionic modes.
 
-    The base tree is the largest complete ternary tree with at most 2n+1
-    leaves; the leftmost m = n - (3**h - 1)/2 leaves are extended by one
-    level.  Extending a leaf replaces its path operator by three new ones
-    acting additionally on the new node's qubit, and the new node receives
-    the qubit label the leaf had, so labels stay contiguous in 0..n-1.
+    Extending a leaf replaces its path operator by three new ones acting
+    additionally on the new node's qubit, and the new node receives the
+    qubit label the leaf had, so labels stay contiguous in 0..n-1.
     """
-    if n_modes < 1:
-        raise ValueError(f"need at least one mode, got {n_modes}")
-    h = _base_height(n_modes)
-    internal = (3 ** h - 1) // 2
-    m = n_modes - internal
-    base_leaves = list(itertools.product((0, 1, 2), repeat=h))
-    if not 0 <= m < 3 ** h:
-        raise AssertionError("extension count out of range")
-    extended = tuple(base_leaves[:m])
-    dropped = (2,) * h
-    assert dropped not in extended, "the all-Z path must stay a leaf"
-
-    kept = tuple(p for p in _all_paths(h, extended) if p != dropped)
-    table = tuple(path_operator(p) for p in kept)
-    if len(table) != 2 * n_modes:
+    h, extended, dropped = _tree_shape(n_modes)
+    grown = set(extended)
+    kept: list[TreePath] = []
+    for leaf in itertools.product((0, 1, 2), repeat=h):
+        if leaf in grown:
+            kept.extend(leaf + (c,) for c in (0, 1, 2))
+        elif leaf != dropped:
+            kept.append(leaf)
+    if len(kept) != 2 * n_modes:
         raise AssertionError("mapping must contain exactly 2n operators")
-    return TernaryTreeMapping(
-        n_modes=n_modes,
-        base_height=h,
-        extended_leaves=extended,
-        num_qubits=n_modes,
-        majorana_table=table,
-        dropped_path=dropped,
-    )
-
-
-def majorana_operator(mapping: TernaryTreeMapping, u: int) -> PauliString:
-    """Pauli string of Majorana operator u, 1-indexed."""
-    if not 1 <= u <= 2 * mapping.n_modes:
-        raise ValueError(f"Majorana index {u} outside 1..{2 * mapping.n_modes}")
-    return mapping.majorana_table[u - 1]
+    return TernaryTreeMapping(n_modes, tuple(path_operator(p) for p in kept))
 
 
 def weight_lower_bound(n_modes: int) -> float:
@@ -257,15 +242,17 @@ def verify_mapping(mapping: TernaryTreeMapping) -> MappingVerification:
     """Check the defining Majorana algebra plus the tree identity.
 
     Verifies that all table entries pairwise anticommute, that each squares
-    to +identity, and, since the kept paths plus the dropped path exhaust
-    the tree, that the ordered product of all 2n+1 path operators is a pure
-    phase times the identity (every node letter appears exactly three
-    times, once per branch).
+    to +identity, and that the ordered product of the 2n table entries times
+    the dropped path's operator is a pure phase times the identity.  For a
+    built table that is the product of all 2n+1 path operators in
+    lexicographic order, the all-Z path coming last: every node letter
+    appears exactly three times, once per branch.
     """
     base = verify_table(mapping.majorana_table)
     product = PauliString.identity()
-    for path in mapping.paths():
-        product = product * path_operator(path)
+    for op in mapping.majorana_table:
+        product = product * op
+    product = product * path_operator(mapping.dropped_path)
     identity_ok = not product.letters
     return replace(
         base,
@@ -276,57 +263,52 @@ def verify_mapping(mapping: TernaryTreeMapping) -> MappingVerification:
 
 def max_weight_bound(n_modes: int) -> int:
     """ceil(log3(2n+1)): no path is longer than the extended tree height."""
-    h = _base_height(n_modes)
+    h = _tree_shape(n_modes)[0]
     return h if 3 ** h == 2 * n_modes + 1 else h + 1
 
 
 # -- serialization ---------------------------------------------------------
 
 
+def _tree_fields(n_modes: int) -> dict:
+    h, extended, dropped = _tree_shape(n_modes)
+    return {
+        "num_qubits": n_modes,
+        "base_height": h,
+        "extended_leaves": [list(p) for p in extended],
+        "dropped_path": list(dropped),
+    }
+
+
 def mapping_to_dict(mapping: TernaryTreeMapping) -> dict:
     return {
         "kind": "ternary",
         "n_modes": mapping.n_modes,
-        "num_qubits": mapping.num_qubits,
-        "base_height": mapping.base_height,
-        "extended_leaves": [list(p) for p in mapping.extended_leaves],
-        "dropped_path": list(mapping.dropped_path),
+        **_tree_fields(mapping.n_modes),
         "majorana_table": [str(op) for op in mapping.majorana_table],
     }
 
 
-def _int_list(value, name: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or any(type(v) is not int for v in value):
-        raise ValueError(f"{name} must be a list of integers")
-    return tuple(value)
-
-
 def mapping_from_dict(data: dict) -> TernaryTreeMapping:
-    """Rebuild a mapping from its JSON payload; ValueError if it is malformed."""
+    """Rebuild a mapping from its JSON payload; ValueError if it is malformed.
+
+    The tree fields must equal the ones ``n_modes`` determines.  They are
+    compared as JSON texts, so ``true`` does not pass for ``1``.
+    """
     kind = data.get("kind") if isinstance(data, dict) else None
     if kind != "ternary":
         raise ValueError(f"not a ternary mapping payload: kind={kind!r}")
-    missing = {f.name for f in fields(TernaryTreeMapping)} - data.keys()
-    if missing:
-        raise ValueError(f"ternary mapping payload lacks {', '.join(sorted(missing))}")
-    n_modes, base_height, num_qubits = (data[k] for k in ("n_modes", "base_height", "num_qubits"))
-    if any(type(v) is not int for v in (n_modes, base_height, num_qubits)):
-        raise ValueError("n_modes, base_height and num_qubits must be integers")
-    table, leaves = data["majorana_table"], data["extended_leaves"]
+    n_modes, table = data.get("n_modes"), data.get("majorana_table")
+    if type(n_modes) is not int:
+        raise ValueError("n_modes must be an integer")
     if not isinstance(table, list) or any(not isinstance(s, str) for s in table):
         raise ValueError("majorana_table must be a list of Pauli string texts")
     if len(table) != 2 * n_modes:
         raise ValueError(f"majorana_table has {len(table)} entries, not 2 * n_modes = {2 * n_modes}")
-    if not isinstance(leaves, list):
-        raise ValueError("extended_leaves must be a list of paths")
-    return TernaryTreeMapping(
-        n_modes=n_modes,
-        base_height=base_height,
-        extended_leaves=tuple(_int_list(p, "each extended leaf") for p in leaves),
-        num_qubits=num_qubits,
-        majorana_table=tuple(PauliString.parse(s) for s in table),
-        dropped_path=_int_list(data["dropped_path"], "dropped_path"),
-    )
+    for key, value in _tree_fields(n_modes).items():
+        if json.dumps(data.get(key)) != json.dumps(value):
+            raise ValueError(f"{key} does not match the tree of n_modes = {n_modes}")
+    return TernaryTreeMapping(n_modes, tuple(PauliString.parse(s) for s in table))
 
 
 def save_mapping(mapping: TernaryTreeMapping, path: str) -> None:

@@ -8,8 +8,9 @@ Pauli observables at once: the outcome of pair j assigns an eigenvalue of
     <P_1 ... P_k>  ~  sqrt(3)^k * mean over shots of the eigenvalue product,
 
 because each ancilla contributes a factor tr(sigma xi) = 1/sqrt(3).  The
-price is the sqrt(3)^k variance amplification, uniform over all C(n,k) 3^k
-elements of the k-RDM.
+price is a per-shot variance amplified by 3^k, so a standard error that
+grows as sqrt(3)^k, uniform over all C(n,k) 3^k elements of the k-RDM
+(acceptance criterion 08 checks the k=2 / k=1 standard-error ratio).
 
 The qubit, fermionic and qudit estimators share one outcome-counting
 kernel: ``joint_outcomes`` counts the joint outcomes on a set of sites once,

@@ -1,11 +1,13 @@
 """End-to-end tests of the command line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from fermitree.baselines import jordan_wigner
 from fermitree.cli import main
 from fermitree.ternary import build_mapping, load_mapping, verify_mapping
 
@@ -76,6 +78,11 @@ MALFORMED_MAPPINGS = {
     "short table": lambda data: {**data, "majorana_table": data["majorana_table"][:2]},
     "n_modes not int": lambda data: {**data, "n_modes": "2"},
     "path not list": lambda data: {**data, "dropped_path": 2},
+    "base_height 30": lambda data: {**data, "base_height": 30},
+    "base_height true": lambda data: {**data, "base_height": True},
+    "extended_leaves shifted": lambda data: {**data, "extended_leaves": [[1]]},
+    "num_qubits off by one": lambda data: {**data, "num_qubits": 3},
+    "dropped_path not all-Z": lambda data: {**data, "dropped_path": [0]},
     "not an object": lambda data: [data],
 }
 
@@ -143,7 +150,7 @@ def test_verify_corrupted_file_output_is_unchanged(tmp_path, capsys):
         f"ternary mapping from {path}: 8 operators\n"
         "  anticommutation: ((1, 2), (1, 6), (2, 6), (3, 6), (4, 6), (5, 6), (6, 7), (6, 8))\n"
         "  squares to +I:   (4,)\n"
-        "  path product:    identity, phase i^0\n"
+        "  path product:    NOT identity\n"
         "  mean weight:     1.750000 (lower bound 1.892789)\n"
         "  max weight:      2\n"
         "FAIL\n"
@@ -164,11 +171,77 @@ def test_verify_file_with_labels_beyond_int64(tmp_path, capsys):
         f"ternary mapping from {path}: 8 operators\n"
         "  anticommutation: ((1, 5), (2, 5), (3, 5), (4, 5), (5, 6), (5, 7), (5, 8))\n"
         "  squares to +I:   ok\n"
-        "  path product:    identity, phase i^0\n"
+        "  path product:    NOT identity\n"
         "  mean weight:     2.000000 (lower bound 1.892789)\n"
         "  max weight:      3\n"
         "FAIL\n"
     )
+
+
+def test_verify_file_holding_another_table(tmp_path, capsys):
+    # a Jordan-Wigner table anticommutes and squares to +I, but its product
+    # with the dropped all-Z path is not a phase times the identity
+    path = tmp_path / "mapping.json"
+    main(["map", "--modes", "4", "--output", str(path)])
+    capsys.readouterr()
+    data = json.loads(path.read_text())
+    data["majorana_table"] = [str(op) for op in jordan_wigner(4)]
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--input", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "  path product:    NOT identity\n" in out
+    assert out.endswith("FAIL\n")
+
+
+# sha256 of the stdout of `fermitree map --modes n`, n = 1..40
+MAP_SHA256 = [
+    "c52b714705b2144dcbf865c2b40f6be2f7b033c077d5cc7841f4b49f40abd904",
+    "5d00cf56c427a686d2e76adfb5b9e5f074d0bc0661f5872a9ad21f4168f3f326",
+    "4adaac8f9bf60d596801b0d01e21e78214a57c4b14254ac5727ce8c6967268a9",
+    "e9e353244e7f15e93fff27a6cdcde5a81b502f5afd73a2c88a828f133ec9b265",
+    "15ffe548401cd1869904807727f6375bc456612c9e0445176976fccd46089ea3",
+    "0a392ef3acd5b71f87f005de5630d3f2b5ca3a8113964abd6e4f9b9f415ae40a",
+    "ec97a91c104d956a08da26c956b84354bcd243edf38b0990e2533c6d5f900828",
+    "3b8dd046bf6f7c5dce29aa21b4f63e1baee9dafa19b5cf157366b1bd51a322fd",
+    "8a0b2d9e728041a1116e2f709775f052f41c853c3ea81da1ee2b3c58371a7c09",
+    "b234ccd707e35d00398f0d0e70711684596a61122782d7295d43dadbe39c52a0",
+    "4be3fe42315d698af8d6075e1742d94771e279990cc97fd688bf98470640be04",
+    "ce39a46eaf7fe5ebfdd20ff9daad34a819c3154522fda580812dab67a957b38a",
+    "08c81f702ce905398fc85062ebd0ee32f43dda9b96e7b17a7f17288a5f0540f7",
+    "3f91419a258670d3bb1603b90914a73838712ee7f04d5a5f81d745d4e62eaf0e",
+    "75013cfcc59a17efa0cf4da905c9343f5fa531017462f0720593a5b0143333a3",
+    "b38fb54c9e0b79b1721c89134406f7b4b9750ec980732cb2b1a062d354dfb7a0",
+    "818d3d1e47ce599dcceb8907471796f6c9a9628dec65b3f27321dbdf82b67cdf",
+    "59d78f8dcea487db6fb8a6a9fb07cc1c3f7e09d8a6bfcd7302430acf9291fbd7",
+    "b7c25183021dc6c2c8a9fca6218e5fba2c9da6e88119f43bf7ec0601206fa50f",
+    "6879dbdc3387700fcaa61e2ec972926ffa01b5ef06f772204248c73c1fbb7b1e",
+    "80864a592abf621943f2a69b6c42fa08ac4492c2a1efaed05ba19e8f7fbb416e",
+    "8e6a211a5f54d3a2c152afa156f7fbf507bde8499262d738cd7c432b521448de",
+    "474f5d789c57a9eee8ce2f129e85cf89641ce7ab7e55c3dfcbfd31e684ba59d7",
+    "5ab3f467661d131a07a7a6f440ec26d0587e5f28a27dd9a3c68517f5c9b0b003",
+    "9100065b70581d77ee81cc4e217910dc0031b99bfaef8989943e55564d483dbf",
+    "4d34d035757142021476ab41a113574500e9c3d2afd360530827d34768c00b9e",
+    "77efce26455bc9c003aaed4e39bacdfa098cc5a66926dc0578668031bc62ee5d",
+    "2bcd1d01033878457f3b3757425708c4015718a64ddbeae03cff7a93c36de73d",
+    "eb772220097452efcc5ed71c5fbaaae49f703f247de7d4132da6ea994ca6486e",
+    "b30fe65bf95cf524e656e2ca3a697c96ca1d0993039897068296e2165092c421",
+    "d65d7f8529931b1f17628a2c738940c9ce31864fda1dfe633fc5cb299ac8b9f5",
+    "7be788464c6a95becf72f56314855f179008bfa1b45d6d36ec481a3101f130cd",
+    "35e594176cd1aac4069c99ab3c3128ad05fed80c6287bc5fc60ddac179118629",
+    "b34d3b0019c416258bcaaea57527b291419e53b68b3d74e2a1bbae34d8fe52b7",
+    "651a4e2d244e38bcb1897f9e4b1bbd569cc26167ec6b13ae28bf70f8095eb225",
+    "3c576e066a07b4f5537664460ffb6b05dedb0561020e9d25e2d13a53fbe55023",
+    "34a90a3c56c7e51f85722fa38fa588502f8dc86e1afdbaf2c96e565dda175244",
+    "f77630fe822a06d63aa72b9d6b8199f306d75ee2e5790d6388cb631ce3d67a03",
+    "d6ccab756902aa7860081bf642052d80f9a3e404a0cf59f5332a349fef0d6f94",
+    "a487fda7c6308155b2a5b737ff24498ee601b5fd60acba1b3383b8a725c9ee12",
+]
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_map_output_is_unchanged(n, capsys):
+    assert main(["map", "--modes", str(n)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == MAP_SHA256[n - 1]
 
 
 def test_verify_needs_modes_or_input(capsys):

@@ -25,7 +25,6 @@ from fermitree.statesim import (
     prepare_xi,
     random_state,
     sample_bell_shots,
-    xi_density,
 )
 
 
@@ -104,7 +103,7 @@ def test_xi_state():
         val = expectation(xi, PauliString.single(0, letter))
         assert val.real == pytest.approx(1 / math.sqrt(3), abs=1e-12)
         assert abs(val.imag) < 1e-12
-    rho = xi_density()
+    rho = np.outer(xi.amplitudes, xi.amplitudes.conj())
     assert np.trace(rho).real == pytest.approx(1.0)
     assert np.allclose(rho, rho.conj().T)
 
@@ -297,7 +296,7 @@ def test_shot_stream_jsonl_bytes(tmp_path, stream, text):
     "outcomes",
     [
         [[0, 5]], [[1, 4]], [[3, 0]], [[-1, 0]], [[0, -2]], [[-85, 0]], [[2**63, 0]],
-        [[0, 1, 2]], [0, 1], [[0, 1], [2]], [[1.5, 0]], [["1", 0]],
+        [[0, 1, 2]], [0, 1], [[0, 1], [2]], [[1.5, 0]], [["1", 0]], [[True, 0]], [[0, False]],
     ],
 )
 def test_from_jsonl_rejects_unrepresentable_pairs(tmp_path, outcomes):

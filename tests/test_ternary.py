@@ -8,7 +8,6 @@ from fermitree.pauli import PauliString
 from fermitree.ternary import (
     build_mapping,
     load_mapping,
-    majorana_operator,
     mapping_from_dict,
     mapping_to_dict,
     max_weight_bound,
@@ -19,6 +18,7 @@ from fermitree.ternary import (
     verify_table,
     weight_lower_bound,
 )
+from test_verify_table import all_paths
 
 # level-order node numbers worked out by hand on the first three levels
 NODE_INDEX_CASES = [
@@ -89,21 +89,11 @@ def test_mapping_n3():
     ]
 
 
-def test_majorana_operator_indexing():
-    m = build_mapping(2)
-    assert majorana_operator(m, 1) == m.majorana_table[0]
-    assert majorana_operator(m, 4) == m.majorana_table[3]
-    with pytest.raises(ValueError):
-        majorana_operator(m, 0)
-    with pytest.raises(ValueError):
-        majorana_operator(m, 5)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 13, 14, 27, 40])
 def test_structure_bookkeeping(n):
     m = build_mapping(n)
     assert len(m.majorana_table) == 2 * n
-    assert len(m.paths()) == 2 * n + 1
+    assert len(all_paths(m)) == 2 * n + 1
     assert m.dropped_path == (2,) * m.base_height
     assert m.dropped_path not in m.extended_leaves
     # qubit labels are exactly 0..n-1

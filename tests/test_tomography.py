@@ -18,7 +18,6 @@ from fermitree.statesim import (
     prepare_xi,
     random_state,
     sample_bell_shots,
-    xi_density,
 )
 from fermitree.tomography import (
     BELL_EIGENVALUES,
@@ -162,7 +161,8 @@ def test_reconstruct_qubit_state():
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     vals = np.linalg.eigvalsh(rho)
     assert vals.min() >= -1e-12
-    assert np.max(np.abs(rho - xi_density())) < 0.02
+    amps = xi.amplitudes
+    assert np.max(np.abs(rho - np.outer(amps, amps.conj()))) < 0.02
 
 
 def test_sic_povm_completeness_and_overlaps():

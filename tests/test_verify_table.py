@@ -4,6 +4,8 @@
 every pair of entries is checked with ``anticommutes_with`` and every
 entry is squared with ``*``.  The fast verifier must return an equal
 ``MappingVerification``, failures and their order included.
+``all_paths`` enumerates the tree, so the identity product over every path
+is the reference for ``verify_mapping``'s product over the table.
 """
 
 import itertools
@@ -46,9 +48,22 @@ def reference_verify_table(table):
     )
 
 
+def all_paths(mapping):
+    """All 2n+1 tree paths in lexicographic order, the dropped one included."""
+    grown = set(mapping.extended_leaves)
+    paths = []
+    for leaf in itertools.product((0, 1, 2), repeat=mapping.base_height):
+        if leaf in grown:
+            paths.extend(leaf + (c,) for c in (0, 1, 2))
+        else:
+            paths.append(leaf)
+    return paths
+
+
 def reference_verify_mapping(mapping):
+    # the product over the tree's paths, not over the table it verifies
     product = PauliString.identity()
-    for path in mapping.paths():
+    for path in all_paths(mapping):
         product = product * path_operator(path)
     identity_ok = not product.letters
     return replace(

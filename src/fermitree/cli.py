@@ -113,11 +113,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    canonical = None  # whether an input file holds build_mapping's table
     if args.input:
         mapping = load_mapping(args.input)
         label = f"ternary mapping from {args.input}"
         report = verify_mapping(mapping)
         n_modes = mapping.n_modes
+        canonical = mapping.majorana_table == build_mapping(n_modes).majorana_table
     elif args.modes is None:
         raise ValueError("need --modes or --input")
     elif args.kind == "ternary":
@@ -139,6 +141,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if report.identity_product_ok is not None:
         phase = report.identity_product_phase_power
         print(f"  path product:    {'identity, phase i^' + str(phase) if report.identity_product_ok else 'NOT identity'}")
+    if canonical is not None:
+        print(f"  canonical table: {'yes' if canonical else 'no'}")
     print(f"  mean weight:     {report.mean_weight:.6f} (lower bound {bound:.6f})")
     print(f"  max weight:      {report.max_weight}")
     passed = report.passed and bound_ok

@@ -23,12 +23,12 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .pauli import PauliString
+from .pauli import Masks, MaskRegister, PauliString, mask_product, qubit_register
 from .statesim import (
     BellShotStream,
     DenseState,
     attach_ancillas,
-    expectation,
+    masks_matvec,
     pauli_matvec,
     sample_bell_shots,
 )
@@ -103,23 +103,33 @@ def hermitization_phase(num_factors: int) -> complex:
     return _PHASES[(num_factors * (num_factors - 1) // 2) % 4]
 
 
+def _masks_product(factors: Sequence[Masks]) -> Masks:
+    out = (0, 0, 0)
+    for masks in factors:
+        out = mask_product(out, masks)
+    return out
+
+
 def encode_monomial(
     indices: Sequence[int] | MajoranaMonomial, mapping: MappingLike
 ) -> PauliString:
     """Pauli string of the index-ordered Majorana product, phase included.
 
     Coefficients of a MajoranaMonomial are not folded in; the string phase
-    comes purely from the Pauli algebra of the table entries.
+    comes purely from the Pauli algebra of the table entries.  The entries
+    are multiplied as masks over the ranks of the labels they act on, so
+    labels of any size are fine.
     """
     if isinstance(indices, MajoranaMonomial):
         indices = indices.indices
     table = majorana_table(mapping)
-    out = PauliString.identity()
+    factors = []
     for u in indices:
         if not 1 <= u <= len(table):
             raise ValueError(f"Majorana index {u} outside 1..{len(table)}")
-        out = out * table[u - 1]
-    return out
+        factors.append(table[u - 1])
+    register = MaskRegister.spanning(factors)
+    return register.pauli(_masks_product([register.masks(op) for op in factors]))
 
 
 def number_operator_strings(mapping: MappingLike) -> tuple[PauliString, ...]:
@@ -203,13 +213,22 @@ def exact_fermionic_rdm(
 
     Values carry the algebraic phase of the encoded product; multiply by
     hermitization_phase(2k) for the real-valued Hermitian convention.
+    Each monomial is the mask product of its table entries, applied to the
+    state with one gather; a table entry outside the register raises
+    ValueError.
     """
     table = majorana_table(mapping)
     if not 1 <= k <= len(table) // 2:
         raise ValueError(f"k must be in 1..{len(table) // 2}, got {k}")
+    if state.local_dim != 2:
+        raise ValueError("Pauli strings act on qubit registers only")
+    n = state.num_sites
+    masks = [qubit_register(n).masks(op) for op in table]
+    amplitudes = state.amplitudes
     out: dict[tuple[int, ...], complex] = {}
     for indices in itertools.combinations(range(1, len(table) + 1), 2 * k):
-        out[indices] = expectation(state, encode_monomial(indices, mapping))
+        product = _masks_product([masks[u - 1] for u in indices])
+        out[indices] = complex(np.vdot(amplitudes, masks_matvec(product, amplitudes, n)))
     return out
 
 
@@ -278,18 +297,21 @@ def sampled_fermionic_rdm(
 
     The system register is extended with one tetrahedral ancilla per qubit
     and measured pairwise in the Bell basis ``num_shots`` times; every
-    degree-2k monomial is then evaluated on the same stream.
+    degree-2k monomial is then evaluated on the same stream.  Monomials are
+    mask products of the table entries, turned into a PauliString only for
+    their support, letters and text; a table entry outside the register
+    raises ValueError before any shot is drawn.
     """
     table = majorana_table(mapping)
     if not 1 <= k <= len(table) // 2:
         raise ValueError(f"k must be in 1..{len(table) // 2}, got {k}")
-    if any(op.letters and op.letters[-1][0] >= system_state.num_sites for op in table):
-        raise ValueError("mapping acts outside the system register")
+    register = qubit_register(system_state.num_sites)
+    masks = [register.masks(op) for op in table]
     stream = sample_bell_shots(attach_ancillas(system_state), num_shots, seed, workers)
     tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
     out = []
     for indices in itertools.combinations(range(1, len(table) + 1), 2 * k):
-        pauli = encode_monomial(indices, table)
+        pauli = register.pauli(_masks_product([masks[u - 1] for u in indices]))
         if pauli.support() not in tables:
             tables[pauli.support()] = joint_outcomes(stream, pauli.support())
         out.append(_monomial_estimate(tables[pauli.support()], indices, pauli, num_shots))

@@ -1,11 +1,14 @@
 """Exact dense simulation of qubit/qudit registers and Bell-basis sampling.
 
 States are flat complex vectors over sites of a common local dimension D,
-site 0 being the leftmost (most significant) tensor factor.  The module
-provides the tetrahedral ancilla state, Heisenberg-Weyl displacement
-operators, generalized Bell states, and two interchangeable ways to draw
-Bell-basis measurement outcomes on site pairs, both returning a
-``BellShotStream`` whose shots are rows of uint8 codes h * D + ell:
+site 0 being the leftmost (most significant) tensor factor; on qubits,
+qubit 0 is the top bit of the state index.  A Pauli string acts by one
+gather over index ^ x, a sign per index and one factor i**(phase + #Y)
+(``pauli_matvec``).  The module also provides the tetrahedral ancilla
+state, Heisenberg-Weyl displacement operators, generalized Bell states,
+and two interchangeable ways to draw Bell-basis measurement outcomes on
+site pairs, both returning a ``BellShotStream`` whose shots are rows of
+uint8 codes h * D + ell:
 
     * ``bell_measure_all_pairs`` collapses one pair at a time (reference
       semantics, a one-shot stream per call);
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PAULI_MATRICES, PauliString
+from .pauli import Masks, PauliString, qubit_register
 
 CAPACITY_AMPLITUDES = 2 ** 20
 NORM_TOL = 1e-10
@@ -155,38 +158,66 @@ def random_state(
 # -- Pauli action on qubit registers ----------------------------------------
 
 
+def masks_matvec(masks: Masks, amplitudes: np.ndarray, num_sites: int) -> np.ndarray:
+    """P @ vec for P = i**power X^x Z^z in the masks of ``qubit_register``.
+
+    One gather: (P vec)[b] = i**power (-1)**popcount((b ^ x) & z) vec[b ^ x],
+    qubit 0 being the most significant bit of the index b.  The parity is
+    XORed together one z bit at a time.  Multiplying by +-1 and +-i is
+    exact, so every value equals that of one 2 x 2 contraction per letter;
+    only a zero may come out with the other sign.
+    """
+    x, z, power = masks
+    vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if vec.shape != (2 ** num_sites,):
+        raise ValueError(f"expected {2 ** num_sites} amplitudes, got {vec.shape[0]}")
+    source = np.arange(vec.shape[0])
+    source ^= x
+    out = vec[source]
+    if z:
+        bits = [bit for bit in range(num_sites) if z >> bit & 1]
+        parity = source >> bits[0]
+        for bit in bits[1:]:
+            parity ^= source >> bit
+        flip = (parity & 1).astype(bool)
+        if power & 2:
+            flip = ~flip
+        np.negative(out, out=out, where=flip)
+    elif power & 2:
+        np.negative(out, out=out)
+    if power & 1:
+        out *= 1j
+    return out
+
+
 def pauli_matvec(pauli: PauliString, amplitudes: np.ndarray, num_sites: int) -> np.ndarray:
-    """P @ vec on a qubit register; the vector need not be normalized."""
+    """P @ vec on a register of ``num_sites`` qubits; vec need not be normalized.
+
+    Qubit 0 is the leftmost tensor factor, i.e. the most significant bit of
+    the state index.  The string is taken to its masks, where each Y adds a
+    factor i (Y = iXZ), and applied by ``masks_matvec``.  A label outside
+    the register raises ValueError before any mask or array is built.
+    """
     if pauli.letters and pauli.letters[-1][0] >= num_sites:
         raise ValueError(
             f"qubit {pauli.letters[-1][0]} outside register of {num_sites}"
         )
-    vec = np.asarray(amplitudes, dtype=complex).reshape([2] * num_sites)
-    for qubit, letter in pauli.letters:
-        vec = np.moveaxis(
-            np.tensordot(PAULI_MATRICES[letter], vec, axes=([1], [qubit])), 0, qubit
-        )
-    out = np.ascontiguousarray(vec).reshape(-1)
-    if pauli.phase != 1:
-        out = out * pauli.phase
-    elif not pauli.letters:
-        out = out.copy()
-    return out
+    return masks_matvec(qubit_register(num_sites).masks(pauli), amplitudes, num_sites)
 
 
 def apply_pauli(state: DenseState, pauli: PauliString) -> DenseState:
     """Apply a phase-tracked Pauli string to a qubit register."""
     if state.local_dim != 2:
         raise ValueError("Pauli strings act on qubit registers only")
-    out = state.copy()
-    out.amplitudes = pauli_matvec(pauli, state.amplitudes, state.num_sites)
-    return out
+    return DenseState(2, state.num_sites, pauli_matvec(pauli, state.amplitudes, state.num_sites))
 
 
 def expectation(state: DenseState, pauli: PauliString) -> complex:
     """<state| P |state>; real up to roundoff when P is Hermitian (phase +-1)."""
-    applied = apply_pauli(state, pauli)
-    return complex(np.vdot(state.amplitudes, applied.amplitudes))
+    if state.local_dim != 2:
+        raise ValueError("Pauli strings act on qubit registers only")
+    applied = pauli_matvec(pauli, state.amplitudes, state.num_sites)
+    return complex(np.vdot(state.amplitudes, applied))
 
 
 # -- the tetrahedral ancilla state ------------------------------------------

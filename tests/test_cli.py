@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -151,6 +152,7 @@ def test_verify_corrupted_file_output_is_unchanged(tmp_path, capsys):
         "  anticommutation: ((1, 2), (1, 6), (2, 6), (3, 6), (4, 6), (5, 6), (6, 7), (6, 8))\n"
         "  squares to +I:   (4,)\n"
         "  path product:    NOT identity\n"
+        "  canonical table: no\n"
         "  mean weight:     1.750000 (lower bound 1.892789)\n"
         "  max weight:      2\n"
         "FAIL\n"
@@ -172,6 +174,7 @@ def test_verify_file_with_labels_beyond_int64(tmp_path, capsys):
         "  anticommutation: ((1, 5), (2, 5), (3, 5), (4, 5), (5, 6), (5, 7), (5, 8))\n"
         "  squares to +I:   ok\n"
         "  path product:    NOT identity\n"
+        "  canonical table: no\n"
         "  mean weight:     2.000000 (lower bound 1.892789)\n"
         "  max weight:      3\n"
         "FAIL\n"
@@ -190,7 +193,41 @@ def test_verify_file_holding_another_table(tmp_path, capsys):
     assert main(["verify", "--input", str(path)]) == 1
     out = capsys.readouterr().out
     assert "  path product:    NOT identity\n" in out
+    assert "  canonical table: no\n" in out
     assert out.endswith("FAIL\n")
+
+
+def test_verify_file_reports_canonical_table(tmp_path, capsys):
+    path = tmp_path / "mapping.json"
+    main(["map", "--modes", "13", "--output", str(path)])
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        f"ternary mapping from {path}: 26 operators\n"
+        + VERIFY_MODES_13["ternary"].split("\n", 1)[1].replace(
+            "  mean weight:", "  canonical table: yes\n  mean weight:"
+        )
+    )
+
+
+def test_verify_file_with_relabelled_qubits_is_not_canonical(tmp_path, capsys):
+    # swapping two qubit labels off the dropped all-Z path (qubits 0 and 3)
+    # keeps the algebra and the identity product, but not the canonical table
+    path = tmp_path / "mapping.json"
+    main(["map", "--modes", "4", "--output", str(path)])
+    capsys.readouterr()
+    data = json.loads(path.read_text())
+    swap = {"1": "2", "2": "1"}
+    data["majorana_table"] = [
+        re.sub(r"(?<=[XYZ])([12])\b", lambda m: swap[m.group(1)], op)
+        for op in data["majorana_table"]
+    ]
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "  path product:    identity, phase i^" in out
+    assert "  canonical table: no\n" in out
+    assert out.endswith("PASS\n")
 
 
 # sha256 of the stdout of `fermitree map --modes n`, n = 1..40

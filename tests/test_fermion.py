@@ -1,6 +1,9 @@
 """Tests for the fermionic RDM pipeline."""
 
+import functools
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -15,10 +18,11 @@ from fermitree.fermion import (
     estimate_monomial,
     exact_fermionic_rdm,
     hermitization_phase,
+    majorana_table,
     number_operator_strings,
     sampled_fermionic_rdm,
 )
-from fermitree.pauli import PauliString
+from fermitree.pauli import PauliString, mask_product, qubit_register
 from fermitree.statesim import (
     BellShotStream,
     attach_ancillas,
@@ -65,6 +69,22 @@ def test_encode_monomial_jw():
     assert encode_monomial(MajoranaMonomial((1, 2)), table) == encode_monomial((1, 2), table)
     with pytest.raises(ValueError):
         encode_monomial((5,), table)
+
+
+@pytest.mark.parametrize("kind,build", ALL_MAPPINGS)
+def test_register_mask_products_match_string_products(kind, build):
+    # every degree-2k monomial, k <= 2, of every table up to n = 10
+    for n in range(1, 11):
+        table = majorana_table(build(n))
+        register = qubit_register(n)
+        masks = [register.masks(op) for op in table]
+        for k in (1, 2):
+            for indices in itertools.combinations(range(1, 2 * n + 1), 2 * k):
+                expected = functools.reduce(operator.mul, (table[u - 1] for u in indices))
+                product = functools.reduce(mask_product, (masks[u - 1] for u in indices))
+                encoded = register.pauli(product)
+                assert (encoded.letters, encoded.phase_power) == (expected.letters, expected.phase_power)
+                assert encode_monomial(indices, table) == expected
 
 
 def test_encode_monomial_matches_dense_oracle():
@@ -145,6 +165,18 @@ def test_exact_rdm_validation():
         exact_fermionic_rdm(fock, mapping, 0)
     with pytest.raises(ValueError):
         exact_fermionic_rdm(fock, mapping, 3)
+    with pytest.raises(ValueError, match="outside the register"):
+        exact_fermionic_rdm(random_state(1, 2, np.random.default_rng(0)), mapping, 1)
+
+
+@pytest.mark.parametrize("kind,build", ALL_MAPPINGS)
+def test_exact_rdm_equals_expectation_of_encoded_strings(kind, build):
+    # the mask products feed the same kernel as the encoded strings, bit for bit
+    mapping = build(5)
+    state = random_state(5, 2, np.random.default_rng(8))
+    for indices, value in exact_fermionic_rdm(state, mapping, 2).items():
+        oracle = expectation(state, encode_monomial(indices, mapping))
+        assert (value.real, value.imag) == (oracle.real, oracle.imag)
 
 
 @pytest.mark.parametrize("k", [1, 2])

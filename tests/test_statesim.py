@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fermitree.pauli import PauliString
+from fermitree import statesim
+from fermitree.pauli import PAULI_MATRICES, PauliString
 from fermitree.statesim import (
     CAPACITY_AMPLITUDES,
     QUBIT_BELL_LABELS,
@@ -78,6 +81,64 @@ def test_pauli_matvec_matches_dense_oracle():
                 letters[q] = c
         p = PauliString.from_map(letters, int(rng.integers(0, 4)))
         assert np.allclose(pauli_matvec(p, vec, 3), p.to_dense(3) @ vec, atol=1e-12)
+
+
+def tensordot_matvec(pauli: PauliString, amplitudes: np.ndarray, num_sites: int) -> np.ndarray:
+    """Oracle: P @ vec by one tensordot with a 2 x 2 Pauli matrix per letter."""
+    vec = np.asarray(amplitudes, dtype=complex).reshape([2] * num_sites)
+    for qubit, letter in pauli.letters:
+        vec = np.moveaxis(
+            np.tensordot(PAULI_MATRICES[letter], vec, axes=([1], [qubit])), 0, qubit
+        )
+    return np.ascontiguousarray(vec).reshape(-1) * pauli.phase
+
+
+@st.composite
+def strings_and_vectors(draw):
+    n = draw(st.integers(1, 10))
+    letters = draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n))
+    pauli = PauliString(
+        tuple((q, c) for q, c in enumerate(letters) if c != "I"), draw(st.integers(0, 3))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vec = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+    return pauli, vec, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(strings_and_vectors())
+def test_pauli_matvec_equals_tensordot_oracle(case):
+    pauli, vec, n = case
+    assert np.array_equal(pauli_matvec(pauli, vec, n), tensordot_matvec(pauli, vec, n))
+
+
+def test_pauli_matvec_bit_order_and_y_phase():
+    # qubit 0 is the most significant index bit; Y = iXZ maps |0> to i|1>
+    vec = np.zeros(4, dtype=complex)
+    vec[0b01] = 1.0
+    assert np.array_equal(pauli_matvec(PauliString.single(0, "Y"), vec, 2), [0, 0, 0, 1j])
+    assert np.array_equal(pauli_matvec(PauliString.single(1, "Y", 2), vec, 2), [1j, 0, 0, 0])
+
+
+class _Unreadable:
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("amplitudes were read")
+
+
+@pytest.mark.parametrize("label", [3, 4, 2 ** 63, 2 ** 64])
+def test_pauli_matvec_rejects_labels_outside_register_first(label, monkeypatch):
+    def no_masks(num_qubits):
+        raise AssertionError("masks were built")
+
+    monkeypatch.setattr(statesim, "qubit_register", no_masks)
+    pauli = PauliString(((0, "X"), (label, "Z")))
+    with pytest.raises(ValueError, match="outside register"):
+        pauli_matvec(pauli, _Unreadable(), 3)
+
+
+def test_pauli_matvec_rejects_wrong_vector_length():
+    with pytest.raises(ValueError):
+        pauli_matvec(PauliString.single(0, "X"), np.ones(6), 3)
 
 
 def test_apply_pauli_does_not_mutate_input():

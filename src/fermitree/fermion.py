@@ -23,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .pauli import Masks, MaskRegister, PauliString, mask_product, qubit_register
+from .pauli import Masks, PauliString, from_masks, mask_product, to_masks
 from .statesim import (
     BellShotStream,
     DenseState,
@@ -116,20 +116,17 @@ def encode_monomial(
     """Pauli string of the index-ordered Majorana product, phase included.
 
     Coefficients of a MajoranaMonomial are not folded in; the string phase
-    comes purely from the Pauli algebra of the table entries.  The entries
-    are multiplied as masks over the ranks of the labels they act on, so
-    labels of any size are fine.
+    comes purely from the Pauli algebra of the table entries.
     """
     if isinstance(indices, MajoranaMonomial):
         indices = indices.indices
     table = majorana_table(mapping)
-    factors = []
+    out = PauliString.identity()
     for u in indices:
         if not 1 <= u <= len(table):
             raise ValueError(f"Majorana index {u} outside 1..{len(table)}")
-        factors.append(table[u - 1])
-    register = MaskRegister.spanning(factors)
-    return register.pauli(_masks_product([register.masks(op) for op in factors]))
+        out = out * table[u - 1]
+    return out
 
 
 def number_operator_strings(mapping: MappingLike) -> tuple[PauliString, ...]:
@@ -223,7 +220,7 @@ def exact_fermionic_rdm(
     if state.local_dim != 2:
         raise ValueError("Pauli strings act on qubit registers only")
     n = state.num_sites
-    masks = [qubit_register(n).masks(op) for op in table]
+    masks = [to_masks(op, n) for op in table]
     amplitudes = state.amplitudes
     out: dict[tuple[int, ...], complex] = {}
     for indices in itertools.combinations(range(1, len(table) + 1), 2 * k):
@@ -305,13 +302,13 @@ def sampled_fermionic_rdm(
     table = majorana_table(mapping)
     if not 1 <= k <= len(table) // 2:
         raise ValueError(f"k must be in 1..{len(table) // 2}, got {k}")
-    register = qubit_register(system_state.num_sites)
-    masks = [register.masks(op) for op in table]
+    n = system_state.num_sites
+    masks = [to_masks(op, n) for op in table]
     stream = sample_bell_shots(attach_ancillas(system_state), num_shots, seed, workers)
     tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
     out = []
     for indices in itertools.combinations(range(1, len(table) + 1), 2 * k):
-        pauli = register.pauli(_masks_product([masks[u - 1] for u in indices]))
+        pauli = from_masks(_masks_product([masks[u - 1] for u in indices]), n)
         if pauli.support() not in tables:
             tables[pauli.support()] = joint_outcomes(stream, pauli.support())
         out.append(_monomial_estimate(tables[pauli.support()], indices, pauli, num_shots))

@@ -5,17 +5,15 @@ letters together with a global phase restricted to {+1, +i, -1, -i}.  The
 phase is stored as an integer power of i, so products, commutation checks
 and involutions are exact integer arithmetic with no floating point.
 
-Hot loops over strings on one register use the (x, z, power) masks of a
-:class:`MaskRegister` instead: a product is two XORs and a popcount
-(Aaronson and Gottesman, PRA 2004).
+Hot loops over strings on the qubits 0..n-1 of one register use their
+(x, z, power) masks instead (``to_masks``): a product is two XORs and a
+popcount (Aaronson and Gottesman, PRA 2004).
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -210,60 +208,43 @@ Masks = tuple[int, int, int]
 _MASK_LETTERS = (None, "X", "Z", "Y")  # indexed by x-bit + 2 * z-bit
 
 
-class MaskRegister:
-    """Bit positions of qubit labels for the (x, z, power) form of strings.
+def to_masks(pauli: PauliString, num_qubits: int) -> Masks:
+    """The (x, z, power) masks of a string on the qubits 0..num_qubits-1.
 
-    Label ``labels[r]`` is bit len(labels)-1-r of x (letters X and Y) and
-    of z (letters Z and Y).  Since Y = iXZ, power is the phase power plus
-    the number of Y letters.  For the labels 0..n-1 of ``qubit_register(n)``
-    qubit 0 is the most significant bit, the state-index order of
-    ``statesim``.  Masks are local to their register, so a label of any
-    size, even beyond int64, costs one bit.
+    Qubit q is bit num_qubits-1-q of x (letters X and Y) and of z (letters
+    Z and Y), so qubit 0 is the most significant bit, the state-index order
+    of ``statesim``.  Since Y = iXZ, power is the phase power plus the
+    number of Y letters.  A label outside the register raises ValueError
+    before any mask is built.
     """
-
-    def __init__(self, labels: Iterable[int]) -> None:
-        self.labels = tuple(labels)
-        n = len(self.labels)
-        self._bit = {q: 1 << (n - 1 - r) for r, q in enumerate(self.labels)}
-
-    @classmethod
-    def spanning(cls, paulis: Iterable[PauliString]) -> "MaskRegister":
-        """The register of every label the strings act on, in sorted order."""
-        return cls(sorted({q for p in paulis for q, _ in p.letters}))
-
-    def masks(self, pauli: PauliString) -> Masks:
-        x = z = 0
-        power = pauli.phase_power
-        for qubit, letter in pauli.letters:
-            bit = self._bit.get(qubit)
-            if bit is None:
-                raise ValueError(f"qubit {qubit} outside the register")
-            if letter != "Z":
-                x |= bit
-            if letter != "X":
-                z |= bit
-            if letter == "Y":
-                power += 1
-        return x, z, power % 4
-
-    def pauli(self, masks: Masks) -> PauliString:
-        """The PauliString of (x, z, power) on this register."""
-        x, z, power = masks
-        n = len(self.labels)
-        letters = []
-        rest = x | z
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            letter = _MASK_LETTERS[bool(x & low) + 2 * bool(z & low)]
-            letters.append((self.labels[n - low.bit_length()], letter))
-        return PauliString(tuple(letters), power - (x & z).bit_count())
+    if pauli.letters and pauli.letters[-1][0] >= num_qubits:
+        raise ValueError(
+            f"qubit {pauli.letters[-1][0]} outside the register of {num_qubits} qubits"
+        )
+    x = z = 0
+    power = pauli.phase_power
+    for qubit, letter in pauli.letters:
+        bit = 1 << (num_qubits - 1 - qubit)
+        if letter != "Z":
+            x |= bit
+        if letter != "X":
+            z |= bit
+        if letter == "Y":
+            power += 1
+    return x, z, power % 4
 
 
-@functools.lru_cache(maxsize=64)
-def qubit_register(num_qubits: int) -> MaskRegister:
-    """The register of labels 0..num_qubits-1, qubit 0 the top bit."""
-    return MaskRegister(range(num_qubits))
+def from_masks(masks: Masks, num_qubits: int) -> PauliString:
+    """The PauliString of (x, z, power) on the qubits 0..num_qubits-1."""
+    x, z, power = masks
+    letters = []
+    rest = x | z
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        letter = _MASK_LETTERS[bool(x & low) + 2 * bool(z & low)]
+        letters.append((num_qubits - low.bit_length(), letter))
+    return PauliString(tuple(letters), power - (x & z).bit_count())
 
 
 def mask_product(a: Masks, b: Masks) -> Masks:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import Masks, PauliString, qubit_register
+from .pauli import Masks, PauliString, to_masks
 
 CAPACITY_AMPLITUDES = 2 ** 20
 NORM_TOL = 1e-10
@@ -159,7 +159,7 @@ def random_state(
 
 
 def masks_matvec(masks: Masks, amplitudes: np.ndarray, num_sites: int) -> np.ndarray:
-    """P @ vec for P = i**power X^x Z^z in the masks of ``qubit_register``.
+    """P @ vec for P = i**power X^x Z^z in the masks of ``pauli.to_masks``.
 
     One gather: (P vec)[b] = i**power (-1)**popcount((b ^ x) & z) vec[b ^ x],
     qubit 0 being the most significant bit of the index b.  The parity is
@@ -198,11 +198,7 @@ def pauli_matvec(pauli: PauliString, amplitudes: np.ndarray, num_sites: int) -> 
     factor i (Y = iXZ), and applied by ``masks_matvec``.  A label outside
     the register raises ValueError before any mask or array is built.
     """
-    if pauli.letters and pauli.letters[-1][0] >= num_sites:
-        raise ValueError(
-            f"qubit {pauli.letters[-1][0]} outside register of {num_sites}"
-        )
-    return masks_matvec(qubit_register(num_sites).masks(pauli), amplitudes, num_sites)
+    return masks_matvec(to_masks(pauli, num_sites), amplitudes, num_sites)
 
 
 def apply_pauli(state: DenseState, pauli: PauliString) -> DenseState:

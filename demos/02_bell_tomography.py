@@ -1,10 +1,11 @@
 """Estimate every k-qubit reduced density matrix from one shot stream.
 
-One tetrahedral ancilla is attached per system qubit and each pair is
-measured in the Bell basis. A single stream of such shots determines all
-Pauli expectations at once: the Bell outcome of a pair fixes an eigenvalue
-for x, y and z simultaneously, at the price of a 3^(k/2) attenuation that
-the estimator undoes.
+Each system qubit is measured in the Bell basis together with its own
+tetrahedral ancilla; on the system that is a four-outcome product POVM,
+so the shots are drawn from the system state alone. A single stream of
+such shots determines all Pauli expectations at once: the Bell outcome of
+a pair fixes an eigenvalue for x, y and z simultaneously, at the price of
+a 3^(k/2) attenuation that the estimator undoes.
 """
 
 import numpy as np
@@ -12,12 +13,11 @@ import numpy as np
 from fermitree import (
     BellShotStream,
     PauliString,
-    attach_ancillas,
     estimate_all_k_rdms,
     expectation,
     merge_streams,
     random_state,
-    sample_bell_shots,
+    sample_povm_shots,
 )
 
 SHOTS = 100_000
@@ -25,7 +25,7 @@ SHOTS = 100_000
 
 def main():
     state = random_state(3, 2, np.random.default_rng(9))
-    stream = sample_bell_shots(attach_ancillas(state), SHOTS, seed=17)
+    stream = sample_povm_shots(state, SHOTS, seed=17)
     print(f"3-qubit random state, {SHOTS} Bell shots\n")
 
     for k in (1, 2):
@@ -51,11 +51,11 @@ def main():
 
     # shot blocks are seeded independently, so a shorter run is a prefix of
     # a longer one and the worker count never changes the outcomes
-    half = sample_bell_shots(attach_ancillas(state), SHOTS // 2, seed=17)
+    half = sample_povm_shots(state, SHOTS // 2, seed=17)
     assert np.array_equal(half.codes, stream.codes[: SHOTS // 2])
     print(f"\na {SHOTS // 2}-shot run prefixes the {SHOTS}-shot run exactly")
 
-    parallel = sample_bell_shots(attach_ancillas(state), SHOTS, seed=17, workers=4)
+    parallel = sample_povm_shots(state, SHOTS, seed=17, workers=4)
     assert np.array_equal(parallel.codes, stream.codes)
     print("workers=4 reproduces the workers=1 stream exactly")
 

@@ -1,11 +1,13 @@
 """Sample the 1-RDM of an encoded Fock state and compare with the oracle.
 
 The full pipeline: build a ternary-tree Majorana encoding for n modes,
-prepare the encoded Fock state, attach one ancilla per qubit, measure all
-pairs in the Bell basis, and read every Majorana-pair expectation off the
-same shot stream. Each estimate carries the attenuation factor
-sqrt(3)^weight its Pauli string incurred; Majorana pairs stay below the
-(2n+1)^k ceiling no matter how large the register is.
+prepare the encoded Fock state, measure every qubit in the Bell basis with
+its own tetrahedral ancilla (``sampled_fermionic_rdm`` draws these shots
+from the system state alone with ``sample_povm_shots``), and read every
+Majorana-pair expectation off the same shot stream. Each estimate carries
+the attenuation factor sqrt(3)^weight its Pauli string incurred; Majorana
+pairs stay below the (2n+1)^k ceiling no matter how large the register
+is.
 """
 
 from fermitree import (

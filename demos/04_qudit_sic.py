@@ -11,14 +11,13 @@ tetrahedral ancilla does for qubits at D = 2.
 import numpy as np
 
 from fermitree import (
-    attach_ancillas,
     estimate_hw_correlator,
     exact_hw_correlator,
     fiducial_overlaps,
     hw_sic_elements,
     qutrit_fiducial,
     random_state,
-    sample_bell_shots,
+    sample_povm_shots,
     validate_fiducial,
 )
 
@@ -41,7 +40,7 @@ def main():
         print(f"  ({f},{g}): {value.real:+.4f}{value.imag:+.4f}i")
 
     state = random_state(2, 3, np.random.default_rng(12))
-    stream = sample_bell_shots(attach_ancillas(state, fid.as_state()), SHOTS, seed=3)
+    stream = sample_povm_shots(state, SHOTS, seed=3, ancilla=fid.as_state())
     print(f"\nrandom 2-qutrit state, {SHOTS} generalized Bell shots")
     print("  target                 estimate            exact")
     for targets in [[(0, 1, 0)], [(1, 0, 1)], [(0, 1, 2), (1, 2, 1)]]:

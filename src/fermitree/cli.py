@@ -38,10 +38,9 @@ from .qudit import (
 from .statesim import (
     CapacityError,
     DenseState,
-    attach_ancillas,
     expectation,
     random_state,
-    sample_bell_shots,
+    sample_povm_shots,
 )
 from .ternary import (
     build_mapping,
@@ -211,9 +210,7 @@ def cmd_tomograph(args: argparse.Namespace) -> int:
             raise ValueError("need --qubits (or --fermionic with --modes)")
         config["qubits"] = args.qubits
         system = _prepare_state(args.state, args.qubits, args.seed)
-        stream = sample_bell_shots(
-            attach_ancillas(system), args.shots, args.seed, workers=args.workers
-        )
+        stream = sample_povm_shots(system, args.shots, args.seed, workers=args.workers)
         estimates = estimate_all_k_rdms(stream, args.k)
         rows = estimates_to_rows(estimates)
         for row, est in zip(rows, estimates):

@@ -27,10 +27,9 @@ from .pauli import Masks, PauliString, from_masks, mask_product, to_masks
 from .statesim import (
     BellShotStream,
     DenseState,
-    attach_ancillas,
     masks_matvec,
     pauli_matvec,
-    sample_bell_shots,
+    sample_povm_shots,
 )
 from .ternary import TernaryTreeMapping
 from .tomography import LETTERS, _sign_mean, joint_outcomes
@@ -292,9 +291,10 @@ def sampled_fermionic_rdm(
 ) -> list[FermionEstimate]:
     """Estimate the full k-RDM monomial table from one joint shot stream.
 
-    The system register is extended with one tetrahedral ancilla per qubit
-    and measured pairwise in the Bell basis ``num_shots`` times; every
-    degree-2k monomial is then evaluated on the same stream.  Monomials are
+    Each qubit is measured ``num_shots`` times in the Bell basis with a
+    tetrahedral ancilla, the shots drawn from the system state alone by
+    ``sample_povm_shots``; every degree-2k monomial is then evaluated on the
+    same stream.  Monomials are
     mask products of the table entries, turned into a PauliString only for
     their support, letters and text; a table entry outside the register
     raises ValueError before any shot is drawn.
@@ -304,7 +304,7 @@ def sampled_fermionic_rdm(
         raise ValueError(f"k must be in 1..{len(table) // 2}, got {k}")
     n = system_state.num_sites
     masks = [to_masks(op, n) for op in table]
-    stream = sample_bell_shots(attach_ancillas(system_state), num_shots, seed, workers)
+    stream = sample_povm_shots(system_state, num_shots, seed, workers=workers)
     tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
     out = []
     for indices in itertools.combinations(range(1, len(table) + 1), 2 * k):

@@ -6,15 +6,23 @@ qubit 0 is the top bit of the state index.  A Pauli string acts by one
 gather over index ^ x, a sign per index and one factor i**(phase + #Y)
 (``pauli_matvec``).  The module also provides the tetrahedral ancilla
 state, Heisenberg-Weyl displacement operators, generalized Bell states,
-and two interchangeable ways to draw Bell-basis measurement outcomes on
-site pairs, both returning a ``BellShotStream`` whose shots are rows of
-uint8 codes h * D + ell:
+and three ways to draw Bell-basis measurement outcomes, all returning a
+``BellShotStream`` whose shots are rows of uint8 codes h * D + ell:
 
-    * ``bell_measure_all_pairs`` collapses one pair at a time (reference
-      semantics, a one-shot stream per call);
+    * ``bell_measure_all_pairs`` collapses one site pair of a register at
+      a time (reference semantics, a one-shot stream per call);
     * ``sample_bell_shots`` samples the exact joint outcome distribution
-      in bulk, with a blocked RNG layout that makes the stream depend only
-      on the seed, never on the worker count.
+      of a register whose ancillas are attached (``attach_ancillas``);
+    * ``sample_povm_shots`` draws the same stream from the system state
+      alone: the Bell measurement of a system site with its ancilla is the
+      rank-one product POVM E_c = a_c^dag a_c on that site, so the D^(2n)
+      outcome amplitudes come from applying the D^2 x D rows a_c site by
+      site to the D^n system amplitudes, with no D^(2n)-amplitude register.
+
+The two bulk samplers share one blocked RNG layout (``_draw_codes``) that
+makes a stream depend only on the distribution and the seed, never on the
+worker count; the capacity budget bounds the D^(2n) outcome distribution
+in both.
 """
 
 from __future__ import annotations
@@ -66,7 +74,8 @@ class DenseState:
                 f"expected {dim} amplitudes, got {self.amplitudes.shape[0]}"
             )
         norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > NORM_TOL:
+        # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1")
 
     # -- constructors ------------------------------------------------------
@@ -103,8 +112,8 @@ class DenseState:
             )
         if normalize:
             norm = np.linalg.norm(amps)
-            if norm == 0:
-                raise ValueError("cannot normalize the zero vector")
+            if not 0 < norm < math.inf:
+                raise ValueError(f"cannot normalize a vector of norm {norm}")
             amps = amps / norm
         return cls(local_dim, num_sites, amps)
 
@@ -234,11 +243,11 @@ def prepare_xi() -> DenseState:
     return DenseState(2, 1, amps)
 
 
-def attach_ancillas(system: DenseState, ancilla: DenseState | None = None) -> DenseState:
-    """Interleave one ancilla per system site: system site j lands on site 2j.
+def _ancilla_for(system: DenseState, ancilla: DenseState | None) -> DenseState:
+    """The ancilla paired with each site of ``system``, xi by default.
 
-    The ancilla defaults to the tetrahedral state; any single-site state of
-    the same local dimension is accepted.
+    Raises CapacityError when the D^(2n) amplitudes of the register with
+    ancillas, or of its Bell outcome distribution, exceed the budget.
     """
     if ancilla is None:
         ancilla = prepare_xi()
@@ -246,10 +255,24 @@ def attach_ancillas(system: DenseState, ancilla: DenseState | None = None) -> De
         raise ValueError("ancilla must be a single-site state")
     if ancilla.local_dim != system.local_dim:
         raise ValueError("ancilla local dimension differs from system")
+    n, d = system.num_sites, system.local_dim
+    if d ** (2 * n) > CAPACITY_AMPLITUDES:
+        raise CapacityError(
+            f"{n} sites of dimension {d} with one ancilla each have {d ** (2 * n)} "
+            f"Bell outcomes, budget is {CAPACITY_AMPLITUDES}"
+        )
+    return ancilla
+
+
+def attach_ancillas(system: DenseState, ancilla: DenseState | None = None) -> DenseState:
+    """Interleave one ancilla per system site: system site j lands on site 2j.
+
+    The ancilla defaults to the tetrahedral state; any single-site state of
+    the same local dimension is accepted.
+    """
+    ancilla = _ancilla_for(system, ancilla)
     n = system.num_sites
     d = system.local_dim
-    if d ** (2 * n) > CAPACITY_AMPLITUDES:
-        raise CapacityError(f"{2 * n} sites of dimension {d} exceed the budget")
     tensor = system.as_tensor()
     for _ in range(n):
         tensor = np.multiply.outer(tensor, ancilla.amplitudes)
@@ -300,17 +323,21 @@ def bell_basis_matrix(local_dim: int) -> np.ndarray:
     return cols
 
 
+def _bell_povm_rows(ancilla: DenseState) -> np.ndarray:
+    """Rows a_c = <B_c|(. (x) ancilla) on a system site, shaped (D^2, D)."""
+    if ancilla.num_sites != 1:
+        raise ValueError("ancilla must be a single-site state")
+    d = ancilla.local_dim
+    return bell_basis_matrix(d).conj().T.reshape(d * d, d, d) @ ancilla.amplitudes
+
+
 def bell_povm_elements(ancilla: DenseState) -> list[np.ndarray]:
     """POVM that the Bell measurement with ``ancilla`` realizes on a system site.
 
     Outcome code c has probability tr(rho E_c), E_c = a_c^dag a_c, where
     a_c = <B_c|(. (x) ancilla) is a row vector on the system site.
     """
-    if ancilla.num_sites != 1:
-        raise ValueError("ancilla must be a single-site state")
-    d = ancilla.local_dim
-    rows = bell_basis_matrix(d).conj().T.reshape(d * d, d, d) @ ancilla.amplitudes
-    return [np.outer(a.conj(), a) for a in rows]
+    return [np.outer(a.conj(), a) for a in _bell_povm_rows(ancilla)]
 
 
 # -- Bell-basis measurement on site pairs ------------------------------------
@@ -368,6 +395,33 @@ def bell_outcome_distribution(state: DenseState) -> np.ndarray:
         tensor = np.moveaxis(np.tensordot(basis_h, tensor, axes=([1], [p])), 0, p)
     probs = np.abs(tensor.reshape(-1)) ** 2
     return probs / probs.sum()
+
+
+def povm_outcome_distribution(
+    system: DenseState, ancilla: DenseState | None = None
+) -> np.ndarray:
+    """``bell_outcome_distribution(attach_ancillas(system, ancilla))`` without
+    the register: p(c_0 ... c_{n-1}) = |(a_{c_0} (x) ... (x) a_{c_{n-1}}) psi|^2.
+
+    Each step turns the leading D axis (the next system site) into a
+    trailing D^2 axis by one matrix product, so after n steps the axes
+    read (c_0, ..., c_{n-1}), site 0 first.  CapacityError is raised
+    before any allocation when the D^(2n) outcomes exceed the budget.
+    """
+    ancilla = _ancilla_for(system, ancilla)
+    d = system.local_dim
+    rows_t = _bell_povm_rows(ancilla).T
+    amps = system.amplitudes
+    for _ in range(system.num_sites):
+        amps = amps.reshape(d, -1).T @ rows_t
+    # square real and imaginary parts in place (amps is the last product,
+    # never the state's own array): a fresh 2^20-entry temporary costs
+    # page faults comparable to the products above
+    parts = amps.reshape(-1).view(np.float64)
+    np.square(parts, out=parts)
+    probs = parts[0::2] + parts[1::2]
+    probs /= probs.sum()
+    return probs
 
 
 @dataclass
@@ -450,31 +504,77 @@ class BellShotStream:
         return cls(d, codes.shape[1], codes)
 
 
+def _check_sampling(num_shots: int, workers: int) -> None:
+    if num_shots < 1:
+        raise ValueError(f"need at least one shot, got {num_shots}")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
+
+
+def _draw_codes(
+    probs: np.ndarray, n_sites: int, d: int, num_shots: int, seed: int
+) -> np.ndarray:
+    """Draw ``num_shots`` flat outcomes from ``probs`` as (shots, n_sites) codes.
+
+    Shots come in blocks of ``SHOT_BLOCK``; block b draws its uniforms from
+    SeedSequence(seed, spawn_key=(b,)) and inverts the CDF, which is built
+    once.  Per block this draws exactly what ``Generator.choice(p=probs)``
+    draws, without rebuilding the CDF and re-validating ``probs`` per call.
+    The uniforms are looked up in sorted order, which walks the CDF once
+    front to back instead of jumping through it (about half the lookup time
+    at 2^20 outcomes), and each outcome is stored at its uniform's place.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    flat = np.empty(num_shots, dtype=np.intp)
+    for b, start in enumerate(range(0, num_shots, SHOT_BLOCK)):
+        stop = min(start + SHOT_BLOCK, num_shots)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        uniforms = rng.random(stop - start)
+        order = uniforms.argsort()
+        flat[start + order] = cdf.searchsorted(uniforms[order], side="right")
+    codes = np.empty((num_shots, n_sites), dtype=np.uint8)
+    for j in range(n_sites - 1, -1, -1):
+        flat, codes[:, j] = np.divmod(flat, d * d)
+    return codes
+
+
 def sample_bell_shots(
     state: DenseState,
     num_shots: int,
     seed: int,
     workers: int = 1,
 ) -> BellShotStream:
-    """Draw ``num_shots`` joint Bell outcomes from the exact distribution.
+    """Draw ``num_shots`` joint Bell outcomes of a register's site pairs from
+    the exact distribution.
 
     Shots are produced in blocks of ``SHOT_BLOCK``; block b derives its RNG
     from SeedSequence(seed, spawn_key=(b,)), so the result is a pure
     function of (state, num_shots, seed); ``workers`` (>= 1) never changes it.
     """
-    if num_shots < 1:
-        raise ValueError(f"need at least one shot, got {num_shots}")
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
+    _check_sampling(num_shots, workers)
     n_pairs = _paired(state)
     d = state.local_dim
-    probs = bell_outcome_distribution(state)
-    digits_weights = (d * d) ** np.arange(n_pairs - 1, -1, -1, dtype=np.int64)
-    codes = np.empty((num_shots, n_pairs), dtype=np.uint8)
-    for b, start in enumerate(range(0, num_shots, SHOT_BLOCK)):
-        stop = min(start + SHOT_BLOCK, num_shots)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        flat = rng.choice(probs.shape[0], size=stop - start, p=probs)
-        for j in range(n_pairs):
-            codes[start:stop, j] = (flat // digits_weights[j]) % (d * d)
+    codes = _draw_codes(bell_outcome_distribution(state), n_pairs, d, num_shots, seed)
     return BellShotStream(local_dim=d, num_pairs=n_pairs, codes=codes, seed=seed)
+
+
+def sample_povm_shots(
+    system: DenseState,
+    num_shots: int,
+    seed: int,
+    ancilla: DenseState | None = None,
+    workers: int = 1,
+) -> BellShotStream:
+    """The stream of ``sample_bell_shots(attach_ancillas(system, ancilla), ...)``
+    drawn from the system state alone (``povm_outcome_distribution``).
+
+    The ancilla defaults to the tetrahedral state.  The stream is a pure
+    function of (system, ancilla, num_shots, seed); ``workers`` (>= 1)
+    never changes it.
+    """
+    _check_sampling(num_shots, workers)
+    probs = povm_outcome_distribution(system, ancilla)
+    n, d = system.num_sites, system.local_dim
+    codes = _draw_codes(probs, n, d, num_shots, seed)
+    return BellShotStream(local_dim=d, num_pairs=n, codes=codes, seed=seed)

@@ -365,12 +365,22 @@ def test_tomograph_worker_count_does_not_change_output(tmp_path):
 
 
 def test_tomograph_register_too_large(capsys):
-    # 11 system qubits need 22 sites with ancillas, past the dense limit
+    # 11 system qubits with one ancilla each have 4^11 Bell outcomes, past
+    # the dense limit
     code = main(
         ["tomograph", "--qubits", "11", "--shots", "10", "--seed", "0"]
     )
     assert code == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_tomograph_fermionic_register_too_large(capsys):
+    # the ternary tree of 11 modes has 11 qubits, so 4^11 Bell outcomes
+    code = main(
+        ["tomograph", "--fermionic", "--modes", "11", "--shots", "10", "--seed", "0"]
+    )
+    assert code == 3
+    assert "Bell outcomes" in capsys.readouterr().err
 
 
 def test_tomograph_fermionic_needs_modes(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermitree.pauli import PAULI_MATRICES, PauliString
+from fermitree.qudit import qutrit_fiducial
 from fermitree.statesim import (
     CAPACITY_AMPLITUDES,
     QUBIT_BELL_LABELS,
+    SHOT_BLOCK,
     BellShotStream,
     CapacityError,
     DenseState,
+    _draw_codes,
     apply_pauli,
     attach_ancillas,
     bell_basis_matrix,
@@ -24,9 +28,11 @@ from fermitree.statesim import (
     generalized_bell_state,
     hw_operator,
     pauli_matvec,
+    povm_outcome_distribution,
     prepare_xi,
     random_state,
     sample_bell_shots,
+    sample_povm_shots,
 )
 
 
@@ -57,6 +63,19 @@ def test_from_amplitudes_normalize():
         DenseState.from_amplitudes(np.array([0.0, 0.0]), normalize=True)
     with pytest.raises(ValueError):
         DenseState.from_amplitudes(np.zeros(6), local_dim=2)
+
+
+def test_nan_amplitudes_are_rejected():
+    # a NaN norm compares False against any tolerance, so the check must
+    # accept only norms within it
+    with pytest.raises(ValueError):
+        DenseState(2, 2, [math.nan, 0, 0, 0])
+    with pytest.raises(ValueError):
+        DenseState(2, 1, [math.nan + 1j, 0])
+    with pytest.raises(ValueError):
+        DenseState.from_amplitudes(np.array([math.nan, 1.0]), normalize=True)
+    with pytest.raises(ValueError):
+        DenseState.from_amplitudes(np.array([1.0, math.nan, 0.0, 0.0]), normalize=True)
 
 
 def test_apply_single_site():
@@ -297,6 +316,125 @@ def test_sample_guards():
         sample_bell_shots(joint, 10, seed=1, workers=0)
     with pytest.raises(ValueError):
         bell_measure_all_pairs(random_state(3, 2, np.random.default_rng(1)))
+
+
+# -- the ancilla-free product-POVM sampler against the register path ------
+
+
+def _random_ancilla(d, seed):
+    rng = np.random.default_rng(seed)
+    vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return DenseState(d, 1, vec / np.linalg.norm(vec))
+
+
+POVM_CASES = [
+    (d, n, ancilla)
+    for d, named in ((2, "xi"), (3, "fiducial"))
+    for n in range(1, 6)
+    for ancilla in (named, "random")
+]
+
+
+def _povm_case(d, n, ancilla):
+    state = random_state(n, d, np.random.default_rng(10 * n + d))
+    anc = {
+        "xi": prepare_xi,
+        "fiducial": lambda: qutrit_fiducial().as_state(),
+        "random": lambda: _random_ancilla(d, 100 + n),
+    }[ancilla]()
+    return state, anc
+
+
+@pytest.mark.parametrize("d,n,ancilla", POVM_CASES)
+def test_povm_distribution_matches_register_oracle(d, n, ancilla):
+    state, anc = _povm_case(d, n, ancilla)
+    before = state.amplitudes.copy()
+    want = bell_outcome_distribution(attach_ancillas(state, anc))
+    got = povm_outcome_distribution(state, anc)
+    assert got.shape == want.shape == (d ** (2 * n),)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert np.array_equal(state.amplitudes, before)
+
+
+def test_povm_distribution_defaults_to_xi():
+    state = random_state(3, 2, np.random.default_rng(4))
+    assert np.array_equal(
+        povm_outcome_distribution(state), povm_outcome_distribution(state, prepare_xi())
+    )
+
+
+def _choice_codes(probs, n_sites, d, num_shots, seed):
+    """Per-block ``Generator.choice(p=probs)``, which the shared-CDF kernel
+    must reproduce draw for draw."""
+    weights = (d * d) ** np.arange(n_sites - 1, -1, -1, dtype=np.int64)
+    codes = np.empty((num_shots, n_sites), dtype=np.uint8)
+    for b, start in enumerate(range(0, num_shots, SHOT_BLOCK)):
+        stop = min(start + SHOT_BLOCK, num_shots)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        flat = rng.choice(probs.shape[0], size=stop - start, p=probs)
+        for j in range(n_sites):
+            codes[start:stop, j] = (flat // weights[j]) % (d * d)
+    return codes
+
+
+@pytest.mark.parametrize("num_shots", [1, 4095, 4096, 4097, 24576])
+def test_draw_codes_matches_generator_choice(num_shots):
+    for d, n, seed in [(2, 4, 31), (3, 3, 32)]:
+        ancilla = prepare_xi() if d == 2 else qutrit_fiducial().as_state()
+        probs = povm_outcome_distribution(random_state(n, d, np.random.default_rng(seed)), ancilla)
+        want = _choice_codes(probs, n, d, num_shots, seed)
+        assert np.array_equal(_draw_codes(probs, n, d, num_shots, seed), want)
+
+
+@pytest.mark.parametrize("d,n,ancilla", [(2, 1, "xi"), (2, 5, "xi"), (2, 4, "random"),
+                                         (3, 3, "fiducial"), (3, 2, "random")])
+def test_povm_shots_equal_register_shots(d, n, ancilla):
+    state, anc = _povm_case(d, n, ancilla)
+    for num_shots, seed in [(1, 3), (5000, 7), (9000, 8)]:
+        got = sample_povm_shots(state, num_shots, seed, ancilla=anc)
+        want = sample_bell_shots(attach_ancillas(state, anc), num_shots, seed)
+        assert (got.local_dim, got.num_pairs, got.seed) == (d, n, seed)
+        assert np.array_equal(got.codes, want.codes)
+
+
+def test_povm_shots_on_ghz_equal_register_shots():
+    state = DenseState.ghz(8)
+    got = sample_povm_shots(state, 10_000, seed=2)
+    want = sample_bell_shots(attach_ancillas(state), 10_000, seed=2)
+    assert np.array_equal(got.codes, want.codes)
+
+
+def test_povm_shots_workers_and_prefix():
+    state = random_state(3, 2, np.random.default_rng(9))
+    a = sample_povm_shots(state, 10_000, seed=123, workers=1)
+    b = sample_povm_shots(state, 10_000, seed=123, workers=4)
+    assert np.array_equal(a.codes, b.codes)
+    short = sample_povm_shots(state, 5000, seed=123)
+    assert np.array_equal(short.codes, a.codes[:5000])
+    with pytest.raises(ValueError):
+        sample_povm_shots(state, 0, seed=1)
+    with pytest.raises(ValueError):
+        sample_povm_shots(state, 10, seed=1, workers=0)
+    with pytest.raises(ValueError):
+        sample_povm_shots(state, 10, seed=1, ancilla=DenseState.zero_state(2))
+    with pytest.raises(ValueError):
+        sample_povm_shots(state, 10, seed=1, ancilla=qutrit_fiducial().as_state())
+
+
+@pytest.mark.parametrize("n,d", [(11, 2), (7, 3)])
+def test_povm_capacity_error_before_allocation(n, d):
+    state = DenseState.zero_state(n, d)
+    ancilla = prepare_xi() if d == 2 else qutrit_fiducial().as_state()
+    assert d ** (2 * n) > CAPACITY_AMPLITUDES >= d ** (2 * n - 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            sample_povm_shots(state, 10, seed=1, ancilla=ancilla)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the D^(2n) float64 distribution alone would take 8 * d^(2n) bytes
+    assert peak < 64 * 1024
 
 
 def test_shot_stream_jsonl_round_trip(tmp_path):

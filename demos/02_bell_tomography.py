@@ -50,14 +50,10 @@ def main():
         )
 
     # shot blocks are seeded independently, so a shorter run is a prefix of
-    # a longer one and the worker count never changes the outcomes
+    # a longer one
     half = sample_povm_shots(state, SHOTS // 2, seed=17)
     assert np.array_equal(half.codes, stream.codes[: SHOTS // 2])
     print(f"\na {SHOTS // 2}-shot run prefixes the {SHOTS}-shot run exactly")
-
-    parallel = sample_povm_shots(state, SHOTS, seed=17, workers=4)
-    assert np.array_equal(parallel.codes, stream.codes)
-    print("workers=4 reproduces the workers=1 stream exactly")
 
     # estimates are integer tallies underneath: concatenating the two halves
     # of a stream reproduces the full-stream estimates bit for bit

@@ -245,8 +245,10 @@ def cmd_qudit_sic(args: argparse.Namespace) -> int:
                 "built-in fiducials exist for D=2,3; otherwise pass --fiducial"
             )
 
-    report = validate_fiducial(fiducial)
+    # first, so a dimension past the Bell-basis budget exits before the
+    # D^2 calibration factors are computed
     elements = hw_sic_elements(fiducial)
+    report = validate_fiducial(fiducial)
     d = fiducial.dimension
     total = sum(elements)
     sum_residual = float(np.max(np.abs(total - np.eye(d))))
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tomo.add_argument("--seed", type=int, required=True)
     p_tomo.add_argument(
         "--workers", type=int, default=1,
-        help="sampling worker count (at least 1); never changes the output",
+        help="at least 1; has no effect on the output or the speed",
     )
     p_tomo.add_argument("--state", choices=("random", "zero", "ghz"), default="random")
     p_tomo.add_argument("--fermionic", action="store_true")

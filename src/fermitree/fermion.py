@@ -36,8 +36,6 @@ from .tomography import LETTERS, _sign_mean, joint_outcomes
 
 MappingLike = Union[TernaryTreeMapping, Sequence[PauliString]]
 
-_PHASES = (1, 1j, -1, -1j)
-
 
 def majorana_table(mapping: MappingLike) -> tuple[PauliString, ...]:
     """Majorana tables of any mapping kind, entry u-1 for operator u."""
@@ -53,55 +51,6 @@ def mode_count(mapping: MappingLike) -> int:
     return len(majorana_table(mapping)) // 2
 
 
-@dataclass(frozen=True)
-class MajoranaMonomial:
-    """Ordered product of distinct Majorana operators times a coefficient."""
-
-    indices: tuple[int, ...]
-    coefficient: complex = 1.0
-
-    def __post_init__(self) -> None:
-        if any(u < 1 for u in self.indices):
-            raise ValueError("Majorana indices are 1-based")
-        if list(self.indices) != sorted(set(self.indices)):
-            raise ValueError(
-                f"indices must be strictly increasing, got {self.indices}; "
-                "use from_unordered to normalize"
-            )
-
-    @classmethod
-    def from_unordered(
-        cls, indices: Sequence[int], coefficient: complex = 1.0
-    ) -> "MajoranaMonomial":
-        """Sort the factors, folding the permutation sign into the coefficient.
-
-        Distinct Majorana operators anticommute, so each transposition
-        flips the sign.  Repeated indices are rejected rather than
-        cancelled.
-        """
-        order = list(indices)
-        if len(set(order)) != len(order):
-            raise ValueError(f"repeated Majorana index in {order}")
-        swaps = 0
-        for i in range(1, len(order)):
-            j = i
-            while j > 0 and order[j - 1] > order[j]:
-                order[j - 1], order[j] = order[j], order[j - 1]
-                swaps += 1
-                j -= 1
-        sign = -1.0 if swaps % 2 else 1.0
-        return cls(tuple(order), coefficient * sign)
-
-    @property
-    def degree(self) -> int:
-        return len(self.indices)
-
-
-def hermitization_phase(num_factors: int) -> complex:
-    """Exact phase i**(m(m-1)/2) making a degree-m Majorana monomial Hermitian."""
-    return _PHASES[(num_factors * (num_factors - 1) // 2) % 4]
-
-
 def _masks_product(factors: Sequence[Masks]) -> Masks:
     out = (0, 0, 0)
     for masks in factors:
@@ -109,16 +58,12 @@ def _masks_product(factors: Sequence[Masks]) -> Masks:
     return out
 
 
-def encode_monomial(
-    indices: Sequence[int] | MajoranaMonomial, mapping: MappingLike
-) -> PauliString:
-    """Pauli string of the index-ordered Majorana product, phase included.
+def encode_monomial(indices: Sequence[int], mapping: MappingLike) -> PauliString:
+    """Pauli string of the Majorana product in the given order, phase included.
 
-    Coefficients of a MajoranaMonomial are not folded in; the string phase
-    comes purely from the Pauli algebra of the table entries.
+    The string phase comes purely from the Pauli algebra of the table
+    entries.
     """
-    if isinstance(indices, MajoranaMonomial):
-        indices = indices.indices
     table = majorana_table(mapping)
     out = PauliString.identity()
     for u in indices:
@@ -170,9 +115,7 @@ def encoded_vacuum(mapping: MappingLike, num_qubits: int | None = None) -> Dense
     raise ValueError("no vacuum component found in the computational basis")
 
 
-def encode_fock_state(
-    mapping: MappingLike, occupations: Sequence[int], num_qubits: int | None = None
-) -> DenseState:
+def encode_fock_state(mapping: MappingLike, occupations: Sequence[int]) -> DenseState:
     """Encoded Fock state with the given 0/1 occupation per mode.
 
     Creation operators (gamma_{2j-1} - i gamma_{2j})/2 are applied to the
@@ -184,19 +127,17 @@ def encode_fock_state(
         raise ValueError(f"expected {n} occupations, got {len(occupations)}")
     if any(occ not in (0, 1) for occ in occupations):
         raise ValueError("occupations must be 0 or 1")
-    if num_qubits is None:
-        num_qubits = n
     table = majorana_table(mapping)
-    vec = encoded_vacuum(mapping, num_qubits).amplitudes
+    vec = encoded_vacuum(mapping).amplitudes
     for j in sorted((j for j, occ in enumerate(occupations) if occ), reverse=True):
-        raised = pauli_matvec(table[2 * j], vec, num_qubits)
-        raised = raised - 1j * pauli_matvec(table[2 * j + 1], vec, num_qubits)
+        raised = pauli_matvec(table[2 * j], vec, n)
+        raised = raised - 1j * pauli_matvec(table[2 * j + 1], vec, n)
         vec = 0.5 * raised
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > 1e-8:
             raise AssertionError(f"creation on mode {j + 1} changed the norm to {norm}")
         vec = vec / norm
-    return DenseState(2, num_qubits, vec)
+    return DenseState(2, n, vec)
 
 
 # -- exact oracle --------------------------------------------------------------
@@ -208,7 +149,7 @@ def exact_fermionic_rdm(
     """<gamma_{u1} ... gamma_{u2k}> for every increasing 2k-subset of indices.
 
     Values carry the algebraic phase of the encoded product; multiply by
-    hermitization_phase(2k) for the real-valued Hermitian convention.
+    i**(k(2k-1)) for the real-valued Hermitian convention.
     Each monomial is the mask product of its table entries, applied to the
     state with one gather; a table entry outside the register raises
     ValueError.
@@ -297,7 +238,9 @@ def sampled_fermionic_rdm(
     same stream.  Monomials are
     mask products of the table entries, turned into a PauliString only for
     their support, letters and text; a table entry outside the register
-    raises ValueError before any shot is drawn.
+    raises ValueError before any shot is drawn.  ``workers`` is passed to
+    ``sample_povm_shots``: it must be at least 1 and has no effect on the
+    output or the speed.
     """
     table = majorana_table(mapping)
     if not 1 <= k <= len(table) // 2:

@@ -98,10 +98,6 @@ class PauliString:
     def phase(self) -> complex:
         return _PHASES[self.phase_power]
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def letter_map(self) -> dict[int, str]:
         return dict(self.letters)
 

@@ -40,16 +40,8 @@ class FiducialState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if self.dimension < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dimension}")
-        if amps.shape != (self.dimension,):
-            raise ValueError(
-                f"expected {self.dimension} amplitudes, got {amps.shape[0]}"
-            )
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
-            raise ValueError("fiducial state must be normalized")
-        object.__setattr__(self, "amplitudes", amps)
+        state = DenseState(self.dimension, 1, self.amplitudes)
+        object.__setattr__(self, "amplitudes", state.amplitudes)
 
     def density(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
@@ -99,10 +91,10 @@ class FiducialReport:
     informationally_complete: bool
 
 
-def validate_fiducial(fiducial: FiducialState, tol: float = 1e-9) -> FiducialReport:
+def validate_fiducial(fiducial: FiducialState) -> FiducialReport:
     """Check |tr(X^f Z^{-g} xi)| = 1/sqrt(D+1) for all (f, g) != (0, 0).
 
-    ``exact_sic`` requires every magnitude within ``tol`` of the target;
+    ``exact_sic`` requires every magnitude within 1e-9 of the target;
     ``informationally_complete`` only requires them all nonzero, which is
     what correlator estimation needs direction by direction.
     """
@@ -114,7 +106,7 @@ def validate_fiducial(fiducial: FiducialState, tol: float = 1e-9) -> FiducialRep
         target_magnitude=target,
         min_magnitude=min(mags),
         max_magnitude=max(mags),
-        exact_sic=all(abs(m - target) <= tol for m in mags),
+        exact_sic=all(abs(m - target) <= 1e-9 for m in mags),
         informationally_complete=all(m > 1e-12 for m in mags),
     )
 

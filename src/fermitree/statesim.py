@@ -20,9 +20,8 @@ and three ways to draw Bell-basis measurement outcomes, all returning a
       site to the D^n system amplitudes, with no D^(2n)-amplitude register.
 
 The two bulk samplers share one blocked RNG layout (``_draw_codes``) that
-makes a stream depend only on the distribution and the seed, never on the
-worker count; the capacity budget bounds the D^(2n) outcome distribution
-in both.
+makes a stream depend only on the distribution and the seed; the capacity
+budget bounds the D^(2n) outcome distribution in both.
 """
 
 from __future__ import annotations
@@ -130,9 +129,6 @@ class DenseState:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    def copy(self) -> "DenseState":
-        return DenseState(self.local_dim, self.num_sites, self.amplitudes.copy())
-
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape([self.local_dim] * self.num_sites)
 
@@ -208,13 +204,6 @@ def pauli_matvec(pauli: PauliString, amplitudes: np.ndarray, num_sites: int) -> 
     the register raises ValueError before any mask or array is built.
     """
     return masks_matvec(to_masks(pauli, num_sites), amplitudes, num_sites)
-
-
-def apply_pauli(state: DenseState, pauli: PauliString) -> DenseState:
-    """Apply a phase-tracked Pauli string to a qubit register."""
-    if state.local_dim != 2:
-        raise ValueError("Pauli strings act on qubit registers only")
-    return DenseState(2, state.num_sites, pauli_matvec(pauli, state.amplitudes, state.num_sites))
 
 
 def expectation(state: DenseState, pauli: PauliString) -> complex:
@@ -314,8 +303,17 @@ def generalized_bell_state(local_dim: int, h: int, ell: int) -> DenseState:
 
 
 def bell_basis_matrix(local_dim: int) -> np.ndarray:
-    """Unitary whose column h*D+ell is the (h, ell) generalized Bell state."""
+    """Unitary whose column h*D+ell is the (h, ell) generalized Bell state.
+
+    Raises CapacityError before allocating when its D^4 entries exceed the
+    budget, i.e. for D >= 33.
+    """
     d = local_dim
+    if d ** 4 > CAPACITY_AMPLITUDES:
+        raise CapacityError(
+            f"the Bell basis of dimension {d} has {d ** 4} entries, "
+            f"budget is {CAPACITY_AMPLITUDES}"
+        )
     cols = np.empty((d * d, d * d), dtype=complex)
     for h in range(d):
         for ell in range(d):
@@ -550,7 +548,9 @@ def sample_bell_shots(
 
     Shots are produced in blocks of ``SHOT_BLOCK``; block b derives its RNG
     from SeedSequence(seed, spawn_key=(b,)), so the result is a pure
-    function of (state, num_shots, seed); ``workers`` (>= 1) never changes it.
+    function of (state, num_shots, seed).  ``workers`` must be at least 1
+    and has no effect on the output or the speed: shots are drawn in one
+    thread.
     """
     _check_sampling(num_shots, workers)
     n_pairs = _paired(state)
@@ -570,8 +570,9 @@ def sample_povm_shots(
     drawn from the system state alone (``povm_outcome_distribution``).
 
     The ancilla defaults to the tetrahedral state.  The stream is a pure
-    function of (system, ancilla, num_shots, seed); ``workers`` (>= 1)
-    never changes it.
+    function of (system, ancilla, num_shots, seed).  ``workers`` must be at
+    least 1 and has no effect on the output or the speed: shots are drawn
+    in one thread.
     """
     _check_sampling(num_shots, workers)
     probs = povm_outcome_distribution(system, ancilla)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PAULI_MATRICES
 from .statesim import BellShotStream, bell_povm_elements, prepare_xi
 
 LETTERS = ("x", "y", "z")
@@ -109,10 +108,6 @@ class RdmEstimate:
     std_error: float
     num_shots: int
 
-    @property
-    def k(self) -> int:
-        return len(self.qubits)
-
 
 def _letter_columns(letters: tuple[str, ...]) -> list[int]:
     cols = []
@@ -186,28 +181,6 @@ def merge_streams(parts: list[BellShotStream]) -> BellShotStream:
     if any(p.local_dim != d or p.num_pairs != n for p in parts):
         raise ValueError("streams disagree on register shape")
     return BellShotStream(d, n, np.concatenate([p.codes for p in parts]))
-
-
-# -- single-qubit state reconstruction ---------------------------------------
-
-
-def reconstruct_qubit_state(stream: BellShotStream, qubit: int = 0) -> np.ndarray:
-    """Physical single-qubit density matrix from the three axis estimates.
-
-    The raw Bloch vector estimate may leave the Bloch ball at finite shot
-    count; eigenvalues are clipped to [0, 1] and renormalized.
-    """
-    rho = np.eye(2, dtype=complex)
-    for letter in LETTERS:
-        est = estimate_rdm_element(stream, (qubit,), (letter,))
-        rho += est.value * PAULI_MATRICES[letter.upper()]
-    rho /= 2.0
-    vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals.real, 0.0, None)
-    if vals.sum() == 0:
-        raise ValueError("degenerate reconstruction")
-    vals /= vals.sum()
-    return (vecs * vals) @ vecs.conj().T
 
 
 # -- the qubit SIC POVM -------------------------------------------------------

@@ -455,6 +455,22 @@ def test_qudit_sic_needs_fiducial_for_other_dims(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("dimension,code", [(32, 1), (33, 3)])
+def test_qudit_sic_bell_basis_capacity(dimension, code, tmp_path, capsys):
+    # a basis-state fiducial is not informationally complete, so D = 32
+    # runs to the report and exits 1; D = 33 is past the Bell-basis budget
+    amplitudes = [[1, 0]] + [[0, 0]] * (dimension - 1)
+    path = tmp_path / "fid.json"
+    path.write_text(json.dumps({"dimension": dimension, "amplitudes": amplitudes}))
+    assert main(["qudit-sic", "--fiducial", str(path)]) == code
+    captured = capsys.readouterr()
+    if code == 3:
+        assert captured.out == ""
+        assert "budget" in captured.err
+    else:
+        assert json.loads(captured.out)["informationally_complete"] is False
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "fermitree", "map", "--modes", "2"],

@@ -10,14 +10,12 @@ import pytest
 
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
 from fermitree.fermion import (
-    MajoranaMonomial,
     attenuation_bound,
     encode_fock_state,
     encode_monomial,
     encoded_vacuum,
     estimate_monomial,
     exact_fermionic_rdm,
-    hermitization_phase,
     majorana_table,
     number_operator_strings,
     sampled_fermionic_rdm,
@@ -39,34 +37,11 @@ ALL_MAPPINGS = [
 ]
 
 
-def test_monomial_normalization():
-    m = MajoranaMonomial.from_unordered((2, 1))
-    assert m.indices == (1, 2)
-    assert m.coefficient == -1.0
-    m = MajoranaMonomial.from_unordered((3, 1, 2), coefficient=2.0)
-    assert m.indices == (1, 2, 3)
-    assert m.coefficient == 2.0  # two transpositions, even permutation
-    with pytest.raises(ValueError):
-        MajoranaMonomial((2, 1))
-    with pytest.raises(ValueError):
-        MajoranaMonomial.from_unordered((1, 1))
-    with pytest.raises(ValueError):
-        MajoranaMonomial((0, 1))
-
-
-def test_hermitization_phase():
-    assert hermitization_phase(1) == 1
-    assert hermitization_phase(2) == 1j
-    assert hermitization_phase(3) == -1j
-    assert hermitization_phase(4) == -1
-
-
 def test_encode_monomial_jw():
     table = jordan_wigner(2)
     assert str(encode_monomial((1, 2), table)) == "+i Z0"
     assert str(encode_monomial((1, 3), table)) == "-i Y0 X1"
     assert encode_monomial((), table) == PauliString.identity()
-    assert encode_monomial(MajoranaMonomial((1, 2)), table) == encode_monomial((1, 2), table)
     with pytest.raises(ValueError):
         encode_monomial((5,), table)
 

@@ -44,7 +44,6 @@ def test_weight_and_support():
     assert p.weight == 2
     assert p.support() == (1, 5)
     assert PauliString.identity().weight == 0
-    assert PauliString.identity().is_identity
 
 
 def test_known_anticommutation():

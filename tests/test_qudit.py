@@ -37,6 +37,10 @@ def test_fiducial_state_validation():
         FiducialState(3, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         FiducialState(1, np.array([1.0]))
+    # a NaN norm compares False against any tolerance
+    for amplitudes in ([math.nan, 0, 0], [math.inf, 0, 0], [0, 0, 0]):
+        with pytest.raises(ValueError):
+            FiducialState(3, np.array(amplitudes))
 
 
 def test_qubit_fiducial_is_sic():

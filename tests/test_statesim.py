@@ -19,7 +19,6 @@ from fermitree.statesim import (
     CapacityError,
     DenseState,
     _draw_codes,
-    apply_pauli,
     attach_ancillas,
     bell_basis_matrix,
     bell_measure_all_pairs,
@@ -153,14 +152,6 @@ def test_pauli_matvec_rejects_labels_outside_register(label):
 def test_pauli_matvec_rejects_wrong_vector_length():
     with pytest.raises(ValueError):
         pauli_matvec(PauliString.single(0, "X"), np.ones(6), 3)
-
-
-def test_apply_pauli_does_not_mutate_input():
-    s = DenseState.zero_state(1)
-    before = s.amplitudes.copy()
-    apply_pauli(s, PauliString.single(0, "X"))
-    apply_pauli(s, PauliString.identity(2))
-    assert np.array_equal(s.amplitudes, before)
 
 
 def test_expectation_ghz():
@@ -434,6 +425,19 @@ def test_povm_capacity_error_before_allocation(n, d):
     finally:
         tracemalloc.stop()
     # the D^(2n) float64 distribution alone would take 8 * d^(2n) bytes
+    assert peak < 64 * 1024
+
+
+def test_bell_basis_capacity_error_before_allocation():
+    assert 33 ** 4 > CAPACITY_AMPLITUDES >= 32 ** 4
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            bell_basis_matrix(33)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the D^2 x D^2 complex matrix alone would take 16 * 33^4 bytes
     assert peak < 64 * 1024
 
 

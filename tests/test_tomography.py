@@ -15,7 +15,6 @@ from fermitree.statesim import (
     bell_outcome_distribution,
     expectation,
     generalized_bell_state,
-    prepare_xi,
     random_state,
     sample_bell_shots,
 )
@@ -25,7 +24,6 @@ from fermitree.tomography import (
     estimate_rdm_element,
     estimates_to_rows,
     merge_streams,
-    reconstruct_qubit_state,
     sic_povm_elements,
 )
 
@@ -152,17 +150,6 @@ def test_variance_grows_with_k():
         v2.append(estimate_rdm_element(stream, (0, 1), ("z", "z")).value)
     ratio = np.std(v2, ddof=1) / np.std(v1, ddof=1)
     assert 1.2 < ratio < 2.4
-
-
-def test_reconstruct_qubit_state():
-    xi = prepare_xi()
-    stream = sample_bell_shots(attach_ancillas(xi), 150_000, seed=33)
-    rho = reconstruct_qubit_state(stream)
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-    vals = np.linalg.eigvalsh(rho)
-    assert vals.min() >= -1e-12
-    amps = xi.amplitudes
-    assert np.max(np.abs(rho - np.outer(amps, amps.conj()))) < 0.02
 
 
 def test_sic_povm_completeness_and_overlaps():

@@ -9,17 +9,18 @@ are representation independent.
 
 The sampled pipeline reuses the qubit Bell-measurement scheme: a k-RDM
 monomial of 2k Majorana operators encodes to a single Pauli string, whose
-expectation is read off the common shot stream with attenuation
-sqrt(3)^weight, at most (2n+1)^k for the ternary-tree mapping.  The full
-RDM counts outcomes once per string support with the shared kernel.
+expectation the qubit estimator ``tomography.sign_means`` reads off the
+common shot stream with attenuation sqrt(3)^weight, at most (2n+1)^k for
+the ternary-tree mapping.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .statesim import (
     sample_povm_shots,
 )
 from .ternary import TernaryTreeMapping
-from .tomography import LETTERS, _sign_mean, joint_outcomes
+from .tomography import sign_means
 
 MappingLike = Union[TernaryTreeMapping, Sequence[PauliString]]
 
@@ -51,11 +52,18 @@ def mode_count(mapping: MappingLike) -> int:
     return len(majorana_table(mapping)) // 2
 
 
-def _masks_product(factors: Sequence[Masks]) -> Masks:
-    out = (0, 0, 0)
-    for masks in factors:
-        out = mask_product(out, masks)
-    return out
+def _monomials(mapping: MappingLike, k: int, n: int) -> Iterator[tuple[tuple[int, ...], Masks]]:
+    """Each increasing 2k-subset of Majorana indices with the n-qubit masks
+    of its product, built lazily; k outside 1..modes or a table entry
+    outside the register raises ValueError at the call."""
+    table = majorana_table(mapping)
+    if not 1 <= k <= len(table) // 2:
+        raise ValueError(f"k must be in 1..{len(table) // 2}, got {k}")
+    masks = [to_masks(op, n) for op in table]
+    return (
+        (indices, functools.reduce(mask_product, [masks[u - 1] for u in indices], (0, 0, 0)))
+        for indices in itertools.combinations(range(1, len(table) + 1), 2 * k)
+    )
 
 
 def encode_monomial(indices: Sequence[int], mapping: MappingLike) -> PauliString:
@@ -154,19 +162,14 @@ def exact_fermionic_rdm(
     state with one gather; a table entry outside the register raises
     ValueError.
     """
-    table = majorana_table(mapping)
-    if not 1 <= k <= len(table) // 2:
-        raise ValueError(f"k must be in 1..{len(table) // 2}, got {k}")
     if state.local_dim != 2:
         raise ValueError("Pauli strings act on qubit registers only")
     n = state.num_sites
-    masks = [to_masks(op, n) for op in table]
     amplitudes = state.amplitudes
-    out: dict[tuple[int, ...], complex] = {}
-    for indices in itertools.combinations(range(1, len(table) + 1), 2 * k):
-        product = _masks_product([masks[u - 1] for u in indices])
-        out[indices] = complex(np.vdot(amplitudes, masks_matvec(product, amplitudes, n)))
-    return out
+    return {
+        indices: complex(np.vdot(amplitudes, masks_matvec(product, amplitudes, n)))
+        for indices, product in _monomials(mapping, k, n)
+    }
 
 
 # -- sampled pipeline ----------------------------------------------------------
@@ -185,9 +188,7 @@ class FermionEstimate:
     attenuation: float
 
 
-def _monomial_estimate(outcomes, indices, pauli: PauliString, s: int) -> FermionEstimate:
-    columns = [LETTERS.index(letter.lower()) for _, letter in pauli.letters]
-    mean, scale, std_error = _sign_mean(outcomes, columns, s)
+def _monomial_estimate(indices, pauli: PauliString, mean, scale, std_error, s) -> FermionEstimate:
     return FermionEstimate(
         indices=tuple(indices),
         value=pauli.phase * scale * mean,
@@ -208,13 +209,9 @@ def estimate_monomial(
     RDM element; its phase is reattached afterwards, so the returned value
     is complex with a fixed phase direction.
     """
-    if stream.local_dim != 2:
-        raise ValueError("fermionic sampling runs on qubit streams")
     pauli = encode_monomial(indices, mapping)
-    if pauli.letters and pauli.letters[-1][0] >= stream.num_pairs:
-        raise ValueError("encoded string leaves the measured register")
-    outcomes = joint_outcomes(stream, pauli.support())
-    return _monomial_estimate(outcomes, indices, pauli, stream.num_shots)
+    [sign_mean] = sign_means(stream, [pauli.letters])
+    return _monomial_estimate(indices, pauli, *sign_mean, stream.num_shots)
 
 
 def attenuation_bound(mapping: MappingLike, k: int) -> float:
@@ -235,24 +232,18 @@ def sampled_fermionic_rdm(
     Each qubit is measured ``num_shots`` times in the Bell basis with a
     tetrahedral ancilla, the shots drawn from the system state alone by
     ``sample_povm_shots``; every degree-2k monomial is then evaluated on the
-    same stream.  Monomials are
-    mask products of the table entries, turned into a PauliString only for
-    their support, letters and text; a table entry outside the register
-    raises ValueError before any shot is drawn.  ``workers`` is passed to
-    ``sample_povm_shots``: it must be at least 1 and has no effect on the
-    output or the speed.
+    same stream.  Monomials are mask products of the table entries, turned
+    into a PauliString only for their letters and text; a table entry
+    outside the register raises ValueError before any shot is drawn.
+    ``workers`` is passed to ``sample_povm_shots``: it must be at least 1
+    and has no effect on the output or the speed.
     """
-    table = majorana_table(mapping)
-    if not 1 <= k <= len(table) // 2:
-        raise ValueError(f"k must be in 1..{len(table) // 2}, got {k}")
     n = system_state.num_sites
-    masks = [to_masks(op, n) for op in table]
+    monomials = _monomials(mapping, k, n)
     stream = sample_povm_shots(system_state, num_shots, seed, workers=workers)
-    tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-    out = []
-    for indices in itertools.combinations(range(1, len(table) + 1), 2 * k):
-        pauli = from_masks(_masks_product([masks[u - 1] for u in indices]), n)
-        if pauli.support() not in tables:
-            tables[pauli.support()] = joint_outcomes(stream, pauli.support())
-        out.append(_monomial_estimate(tables[pauli.support()], indices, pauli, num_shots))
-    return out
+    paulis = [(indices, from_masks(product, n)) for indices, product in monomials]
+    means = sign_means(stream, (pauli.letters for _, pauli in paulis))
+    return [
+        _monomial_estimate(indices, pauli, *sign_mean, num_shots)
+        for (indices, pauli), sign_mean in zip(paulis, means)
+    ]

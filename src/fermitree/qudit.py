@@ -231,7 +231,10 @@ def load_fiducial(path: str) -> FiducialState:
     if not isinstance(payload, dict) or type(payload.get("dimension")) is not int:
         raise ValueError(f"fiducial file {path} needs an integer dimension")
     pairs = np.array(payload.get("amplitudes", []))
-    if pairs.dtype.kind not in "iuf" or pairs.ndim != 2 or pairs.shape[1] != 2:
+    # numpy reads a JSON true or false among numbers as 1 or 0
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != 2 or pairs.shape[1] != 2 or any(
+        type(v) is bool for pair in payload["amplitudes"] for v in pair
+    ):
         raise ValueError("fiducial amplitudes must be a list of [re, im] number pairs")
     amps = np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(-1)
     return FiducialState(payload["dimension"], amps)

@@ -103,6 +103,8 @@ class DenseState:
         local_dim: int = 2,
         normalize: bool = False,
     ) -> "DenseState":
+        if local_dim < 2:
+            raise ValueError(f"local dimension must be >= 2, got {local_dim}")
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         num_sites = round(math.log(amps.shape[0], local_dim))
         if local_dim ** num_sites != amps.shape[0]:

@@ -16,7 +16,7 @@ The qubit, fermionic and qudit estimators share one outcome-counting
 kernel: ``joint_outcomes`` counts the joint outcomes on a set of sites once,
 and ``residue_counts`` turns them into exact shot counts per eigenvalue of
 any observable there, so estimates are bit-identical under any partition
-of the shots.
+of the shots.  ``sign_means`` reads all qubit and fermionic strings.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -89,13 +90,35 @@ def residue_counts(digits: np.ndarray, counts: np.ndarray, exponents: list, d: i
     return out
 
 
-def _sign_mean(outcomes, columns: list[int], s: int) -> tuple[float, float, float]:
-    """Mean eigenvalue product (one letter column per site) over ``s`` shots,
-    with its sqrt(3)^k attenuation scale and the scaled plug-in std error."""
-    c = residue_counts(*outcomes, [_SIGN_EXPONENTS[:, col] for col in columns], 2)
-    mean = int(c[0] - c[1]) / s
-    scale = math.sqrt(3.0) ** len(columns)
-    return mean, scale, scale * math.sqrt(max(0.0, 1.0 - mean * mean)) / math.sqrt(s)
+def sign_means(stream: BellShotStream, strings: Iterable) -> list[tuple[float, float, float]]:
+    """Mean eigenvalue product of each Pauli string over the shots of ``stream``.
+
+    A string is a sequence of (qubit, letter) pairs, letters x, y, z in
+    either case, as in ``PauliString.letters``.  Returns, in input order,
+    each mean with its sqrt(3)^weight attenuation scale and the scaled
+    plug-in std error; outcomes are counted once per distinct support.  An
+    empty or non-qubit stream, a qubit outside the register or an unknown
+    letter raises ValueError.
+    """
+    if stream.local_dim != 2:
+        raise ValueError("Pauli-string estimation needs a qubit stream")
+    s = stream.num_shots
+    if s == 0:
+        raise ValueError("empty shot stream")
+    tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+    out = []
+    for string in strings:
+        support = tuple(q for q, _ in string)
+        if support not in tables:
+            if any(not 0 <= q < stream.num_pairs for q in support):
+                raise ValueError(f"qubit outside 0..{stream.num_pairs - 1} in {support}")
+            tables[support] = joint_outcomes(stream, support)
+        exponents = [_SIGN_EXPONENTS[:, LETTERS.index(letter.lower())] for _, letter in string]
+        c = residue_counts(*tables[support], exponents, 2)
+        mean = int(c[0] - c[1]) / s
+        scale = math.sqrt(3.0) ** len(support)
+        out.append((mean, scale, scale * math.sqrt(max(0.0, 1.0 - mean * mean)) / math.sqrt(s)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,27 +132,6 @@ class RdmEstimate:
     num_shots: int
 
 
-def _letter_columns(letters: tuple[str, ...]) -> list[int]:
-    cols = []
-    for letter in letters:
-        if letter not in LETTERS:
-            raise ValueError(f"invalid letter {letter!r}, need one of {LETTERS}")
-        cols.append(LETTERS.index(letter))
-    return cols
-
-
-def _check_qubit_stream(stream: BellShotStream) -> None:
-    if stream.local_dim != 2:
-        raise ValueError("qubit RDM estimation needs a qubit stream")
-    if stream.num_shots == 0:
-        raise ValueError("empty shot stream")
-
-
-def _rdm_estimate(outcomes, qubits, letters, s: int) -> RdmEstimate:
-    mean, scale, std_error = _sign_mean(outcomes, _letter_columns(tuple(letters)), s)
-    return RdmEstimate(tuple(qubits), tuple(letters), scale * mean, std_error, s)
-
-
 def estimate_rdm_element(
     stream: BellShotStream,
     qubits: tuple[int, ...],
@@ -139,23 +141,23 @@ def estimate_rdm_element(
 
     Args:
         stream: qubit Bell shot stream (one pair per system qubit).
-        qubits: distinct system qubit indices, ascending.
+        qubits: distinct system qubit indices.
         letters: one of 'x', 'y', 'z' per qubit.
 
     Returns:
         RdmEstimate with the attenuation-corrected value and the plug-in
         standard error sqrt(3)^k * sqrt(1 - mean^2) / sqrt(S).
     """
-    _check_qubit_stream(stream)
     if not qubits:
         raise ValueError("need at least one qubit")
     if len(qubits) != len(letters):
         raise ValueError("one letter per qubit required")
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"repeated qubit in {qubits}")
-    if any(not 0 <= q < stream.num_pairs for q in qubits):
-        raise ValueError(f"qubit outside 0..{stream.num_pairs - 1}")
-    return _rdm_estimate(joint_outcomes(stream, tuple(qubits)), qubits, letters, stream.num_shots)
+    if any(letter not in LETTERS for letter in letters):
+        raise ValueError(f"invalid letter in {letters}, need one of {LETTERS}")
+    [(mean, scale, std_error)] = sign_means(stream, [tuple(zip(qubits, letters))])
+    return RdmEstimate(tuple(qubits), tuple(letters), scale * mean, std_error, stream.num_shots)
 
 
 def estimate_all_k_rdms(stream: BellShotStream, k: int) -> list[RdmEstimate]:
@@ -163,13 +165,13 @@ def estimate_all_k_rdms(stream: BellShotStream, k: int) -> list[RdmEstimate]:
     n = stream.num_pairs
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    _check_qubit_stream(stream)
-    out = []
-    for qubits in itertools.combinations(range(n), k):
-        outcomes = joint_outcomes(stream, qubits)
-        for letters in itertools.product(LETTERS, repeat=k):
-            out.append(_rdm_estimate(outcomes, qubits, letters, stream.num_shots))
-    return out
+    letters = list(itertools.product(LETTERS, repeat=k))
+    keys = [(q, a) for q in itertools.combinations(range(n), k) for a in letters]
+    means = sign_means(stream, (tuple(zip(q, a)) for q, a in keys))
+    return [
+        RdmEstimate(q, a, scale * mean, err, stream.num_shots)
+        for (q, a), (mean, scale, err) in zip(keys, means)
+    ]
 
 
 def merge_streams(parts: list[BellShotStream]) -> BellShotStream:

@@ -450,6 +450,15 @@ def test_qudit_sic_rejects_malformed_fiducial(payload, tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+def test_qudit_sic_rejects_boolean_amplitudes(tmp_path, capsys):
+    path = tmp_path / "fid.json"
+    path.write_text('{"dimension": 2, "amplitudes": [[true, 0.0], [0.0, 0.0]]}')
+    assert main(["qudit-sic", "--fiducial", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_qudit_sic_needs_fiducial_for_other_dims(capsys):
     assert main(["qudit-sic", "--dimension", "5"]) == 2
     capsys.readouterr()

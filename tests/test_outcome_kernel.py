@@ -35,6 +35,7 @@ from fermitree.tomography import (
     estimate_rdm_element,
     joint_outcomes,
     residue_counts,
+    sign_means,
 )
 
 
@@ -219,3 +220,62 @@ def test_keys_beyond_int64_are_compacted():
     targets = [(site, 1, 1) for site in range(24)]
     est = estimate_hw_correlator(qutrits, targets, qutrit_fiducial())
     assert (est.value, est.std_error) == reference_hw(qutrits, targets, qutrit_fiducial())
+
+
+def test_sign_means_follow_input_order():
+    # supports come shuffled, repeated and overlapping, qubits unsorted and
+    # letters in both cases, as no estimator passes them
+    stream = random_stream(2, 5, 3000, seed=80, distinct=200)
+    rng = np.random.default_rng(81)
+    strings = []
+    for _ in range(60):
+        qubits = rng.choice(5, size=int(rng.integers(1, 4)), replace=False).tolist()
+        strings.append(tuple(zip(qubits, rng.choice(list("xyzXYZ"), size=len(qubits)).tolist())))
+    strings += strings[:7]
+    got = sign_means(stream, strings)
+    assert len(got) == len(strings)
+    for string, (mean, scale, std_error) in zip(strings, got):
+        columns = [LETTERS.index(a.lower()) for _, a in string]
+        want = reference_sign_mean(stream, [q for q, _ in string], columns)
+        assert (mean, scale) == (want, math.sqrt(3.0) ** len(string))
+        assert std_error == scale * math.sqrt(max(0.0, 1.0 - want * want)) / math.sqrt(3000)
+    assert sign_means(stream, strings[::-1]) == got[::-1]
+
+
+def test_sign_means_check_every_qubit():
+    stream = random_stream(2, 3, 100, seed=82)
+    with pytest.raises(ValueError):
+        sign_means(stream, [((0, "x"),), ((5, "z"), (1, "x"))])
+    with pytest.raises(ValueError):
+        sign_means(stream, [((0, "x"), (-1, "y"))])
+    with pytest.raises(ValueError):
+        sign_means(stream, [((0, "q"),)])
+
+
+ESTIMATORS = {
+    "rdm_element": lambda stream: estimate_rdm_element(stream, (0,), ("x",)),
+    "all_k_rdms": lambda stream: estimate_all_k_rdms(stream, 1),
+    "monomial": lambda stream: estimate_monomial(stream, (1, 2), jordan_wigner(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+@pytest.mark.parametrize("kind", ["empty", "qutrit"])
+def test_estimators_reject_bad_streams(name, kind):
+    if kind == "empty":
+        stream = BellShotStream(2, 2, np.empty((0, 2), dtype=np.uint8))
+    else:
+        stream = random_stream(3, 2, 100, seed=83)
+    with pytest.raises(ValueError):
+        ESTIMATORS[name](stream)
+
+
+def test_estimators_reject_qubits_beyond_register():
+    stream = random_stream(2, 2, 100, seed=84)
+    # gamma_6 of three Jordan-Wigner modes is Z0 Z1 Y2
+    with pytest.raises(ValueError):
+        estimate_monomial(stream, (1, 6), jordan_wigner(3))
+    with pytest.raises(ValueError):
+        estimate_rdm_element(stream, (3, 0), ("x", "y"))
+    with pytest.raises(ValueError):
+        estimate_rdm_element(stream, (-1,), ("z",))

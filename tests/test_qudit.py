@@ -1,6 +1,7 @@
 """Tests for qudit Heisenberg-Weyl correlators and SIC POVMs."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -199,6 +200,15 @@ def test_variance_grows_with_dimension_factor():
     std1 = np.std(np.abs(np.array(v1) - np.mean(v1)), ddof=1)
     std2 = np.std(np.abs(np.array(v2) - np.mean(v2)), ddof=1)
     assert 1.4 < std2 / std1 < 2.8
+
+
+@pytest.mark.parametrize("amplitudes", [[[True, 0.0], [0.0, 0.0]], [[1, 0], [0, False]]])
+def test_load_fiducial_rejects_booleans(amplitudes, tmp_path):
+    # numpy would read true as 1, so the first file used to load as |0>
+    path = tmp_path / "fiducial.json"
+    path.write_text(json.dumps({"dimension": 2, "amplitudes": amplitudes}))
+    with pytest.raises(ValueError):
+        load_fiducial(str(path))
 
 
 def test_fiducial_file_round_trip(tmp_path):

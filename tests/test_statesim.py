@@ -64,6 +64,13 @@ def test_from_amplitudes_normalize():
         DenseState.from_amplitudes(np.zeros(6), local_dim=2)
 
 
+def test_from_amplitudes_rejects_local_dim_below_two():
+    # log base 1 would divide by zero before DenseState saw the dimension
+    for local_dim in (1, 0, -2):
+        with pytest.raises(ValueError):
+            DenseState.from_amplitudes(np.array([1.0]), local_dim=local_dim)
+
+
 def test_nan_amplitudes_are_rejected():
     # a NaN norm compares False against any tolerance, so the check must
     # accept only norms within it

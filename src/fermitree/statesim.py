@@ -426,7 +426,7 @@ def povm_outcome_distribution(
 
 @dataclass
 class BellShotStream:
-    """Batch of Bell measurement outcomes, shaped (num_shots, num_pairs)."""
+    """Bell outcome codes 0..D^2-1 (D >= 2) as uint8, shaped (num_shots, num_pairs)."""
 
     local_dim: int
     num_pairs: int
@@ -434,13 +434,20 @@ class BellShotStream:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        self.codes = np.asarray(self.codes, dtype=np.uint8)
-        if self.codes.ndim != 2 or self.codes.shape[1] != self.num_pairs:
-            raise ValueError(f"codes shape {self.codes.shape} does not match pairs")
+        if self.local_dim < 2:
+            raise ValueError(f"local_dim must be at least 2, got {self.local_dim}")
+        # checked before the uint8 cast, which would wrap 256 to 0 and 1.7 to 1
+        codes = np.asarray(self.codes)
+        if codes.dtype.kind not in "iu":
+            raise ValueError(f"outcome codes must be integers, not {codes.dtype}")
+        if codes.ndim != 2 or codes.shape[1] != self.num_pairs:
+            raise ValueError(f"codes shape {codes.shape} does not match pairs")
         if self.local_dim ** 2 > 256:
             raise ValueError("outcome codes exceed uint8 range")
-        if self.codes.size and int(self.codes.max()) >= self.local_dim ** 2:
+        negative = codes.dtype.kind == "i" and codes.size and int(codes.min()) < 0
+        if negative or codes.size and int(codes.max()) >= self.local_dim ** 2:
             raise ValueError("outcome code outside the Bell basis")
+        self.codes = codes.astype(np.uint8, copy=False)
 
     @property
     def num_shots(self) -> int:
@@ -462,8 +469,8 @@ class BellShotStream:
         """Read a shot stream; qudit streams may need ``local_dim`` since the
         record format stores (h, ell) pairs, not the dimension.  A record
         without ``shot_index`` or ``outcomes``, an unknown label, an h or
-        ell that is not an integer in 0..D-1 (a JSON boolean included)
-        raises ValueError."""
+        ell that is not an integer in 0..D-1 (a JSON boolean included) or a
+        ``local_dim`` below 2 raises ValueError."""
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         rows = [json.loads(line) for line in text.split("\n") if line.strip()]
@@ -496,8 +503,8 @@ class BellShotStream:
             ):
                 raise ValueError("qudit Bell outcomes must be [h, ell] integer pairs")
             if local_dim is None:
-                local_dim = int(pairs.max()) + 1
-            d = max(local_dim, 2)
+                local_dim = max(int(pairs.max()) + 1, 2)
+            d = local_dim
             if pairs.min() < 0 or pairs.max() >= d:
                 raise ValueError(f"Bell outcome (h, ell) outside 0..{d - 1}")
             codes = pairs[..., 0] * d + pairs[..., 1]

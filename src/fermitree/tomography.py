@@ -12,11 +12,10 @@ price is a per-shot variance amplified by 3^k, so a standard error that
 grows as sqrt(3)^k, uniform over all C(n,k) 3^k elements of the k-RDM
 (acceptance criterion 08 checks the k=2 / k=1 standard-error ratio).
 
-The qubit, fermionic and qudit estimators share one outcome-counting
-kernel: ``joint_outcomes`` counts the joint outcomes on a set of sites once,
-and ``residue_counts`` turns them into exact shot counts per eigenvalue of
-any observable there, so estimates are bit-identical under any partition
-of the shots.  ``sign_means`` reads all qubit and fermionic strings.
+The estimators share one outcome-counting kernel, ``joint_outcomes``.
+``sign_means`` reads every qubit and fermionic Pauli string as one Bell
+eigenvalue product per distinct outcome, ``residue_counts`` the qudit phases;
+the sums are exact, so estimates are bit-identical under any shot partition.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ BELL_EIGENVALUES = np.array(
     ],
     dtype=np.int8,
 )
-
-
-# Sign exponent e of each eigenvalue (-1)**e, laid out like BELL_EIGENVALUES.
-_SIGN_EXPONENTS = (1 - BELL_EIGENVALUES.astype(np.int64)) // 2
 
 
 def joint_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -81,6 +76,7 @@ def residue_counts(digits: np.ndarray, counts: np.ndarray, exponents: list, d: i
 
     ``exponents[j][code]`` is the integer exponent that ``code`` in column
     j of ``digits`` contributes; entry r counts the shots summing to r.
+    Only the qudit correlators use it; ``sign_means`` reads Pauli strings.
     """
     residues = np.zeros(len(counts), dtype=np.int64)
     for column, table in zip(digits.T, exponents):
@@ -96,29 +92,33 @@ def sign_means(stream: BellShotStream, strings: Iterable) -> list[tuple[float, f
     A string is a sequence of (qubit, letter) pairs, letters x, y, z in
     either case, as in ``PauliString.letters``.  Returns, in input order,
     each mean with its sqrt(3)^weight attenuation scale and the scaled
-    plug-in std error; outcomes are counted once per distinct support.  An
-    empty or non-qubit stream, a qubit outside the register or an unknown
-    letter raises ValueError.
+    plug-in std error, reading each support's counts once as one eigenvalue
+    product per distinct outcome.  An empty or non-qubit stream, a qubit
+    outside the register or an unknown letter raises ValueError.
     """
     if stream.local_dim != 2:
         raise ValueError("Pauli-string estimation needs a qubit stream")
     s = stream.num_shots
     if s == 0:
         raise ValueError("empty shot stream")
-    tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-    out = []
-    for string in strings:
-        support = tuple(q for q, _ in string)
-        if support not in tables:
-            if any(not 0 <= q < stream.num_pairs for q in support):
-                raise ValueError(f"qubit outside 0..{stream.num_pairs - 1} in {support}")
-            tables[support] = joint_outcomes(stream, support)
-        exponents = [_SIGN_EXPONENTS[:, LETTERS.index(letter.lower())] for _, letter in string]
-        c = residue_counts(*tables[support], exponents, 2)
-        mean = int(c[0] - c[1]) / s
-        scale = math.sqrt(3.0) ** len(support)
-        out.append((mean, scale, scale * math.sqrt(max(0.0, 1.0 - mean * mean)) / math.sqrt(s)))
-    return out
+    groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+    for index, string in enumerate(strings):
+        positions, columns = groups.setdefault(tuple(q for q, _ in string), ([], []))
+        positions.append(index)
+        columns.extend(LETTERS.index(letter.lower()) for _, letter in string)
+    out = np.empty((sum(len(positions) for positions, _ in groups.values()), 3))
+    for support, (positions, columns) in groups.items():
+        if any(not 0 <= q < stream.num_pairs for q in support):
+            raise ValueError(f"qubit outside 0..{stream.num_pairs - 1} in {support}")
+        digits, counts = joint_outcomes(stream, support)
+        signs = np.ones((len(counts), len(positions)), dtype=np.int8)
+        for j in range(len(support)):
+            signs *= BELL_EIGENVALUES[:, columns[j :: len(support)]][digits[:, j]]
+        out[positions, 0] = counts @ signs / s
+        out[positions, 1] = math.sqrt(3.0) ** len(support)
+    mean, scale, std_error = out.T
+    std_error[:] = scale * np.sqrt(np.maximum(0.0, 1.0 - mean * mean)) / math.sqrt(s)
+    return list(zip(*out.T.tolist()))
 
 
 @dataclass(frozen=True)

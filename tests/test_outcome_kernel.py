@@ -279,3 +279,48 @@ def test_estimators_reject_qubits_beyond_register():
         estimate_rdm_element(stream, (3, 0), ("x", "y"))
     with pytest.raises(ValueError):
         estimate_rdm_element(stream, (-1,), ("z",))
+
+
+def reference_sign_means(stream, strings):
+    s = stream.num_shots
+    out = []
+    for string in strings:
+        columns = [LETTERS.index(a.lower()) for _, a in string]
+        mean = reference_sign_mean(stream, [q for q, _ in string], columns)
+        scale = math.sqrt(3.0) ** len(string)
+        out.append((mean, scale, scale * math.sqrt(max(0.0, 1.0 - mean * mean)) / math.sqrt(s)))
+    return out
+
+
+def test_sign_means_read_identity_strings():
+    # an empty string is the identity: mean 1, scale 1, no error
+    stream = random_stream(2, 4, 500, seed=85)
+    strings = [(), ((2, "x"),), (), ((0, "Z"), (3, "y")), ()]
+    got = sign_means(stream, strings)
+    assert got == reference_sign_means(stream, strings)
+    assert [got[i] for i in (0, 2, 4)] == [(1.0, 1.0, 0.0)] * 3
+    assert sign_means(stream, [()]) == [(1.0, 1.0, 0.0)]
+    assert sign_means(stream, []) == []
+
+
+@pytest.mark.parametrize("width", [7, 9])
+def test_sign_means_on_wide_support_sorts_byte_rows(width):
+    # 4^width possible rows against 300 shots: joint_outcomes sorts byte rows
+    stream = random_stream(2, 10, 300, seed=86 + width, distinct=120)
+    rng = np.random.default_rng(88 + width)
+    support = rng.choice(10, size=width, replace=False).tolist()
+    assert 4 ** width > stream.num_shots
+    strings = [tuple(zip(support, rng.choice(list("xyzXYZ"), size=width).tolist())) for _ in range(40)]
+    strings += [tuple(zip(support[::-1], "xyz" * 3)), ((support[0], "y"),)]
+    assert sign_means(stream, strings) == reference_sign_means(stream, strings)
+
+
+def test_sign_means_read_generators_like_lists():
+    stream = random_stream(2, 5, 2000, seed=89, distinct=150)
+    letters = list(itertools.product("xyz", repeat=3))
+    keys = [(q, a) for q in itertools.combinations(range(5), 3) for a in letters]
+    strings = [tuple(zip(q, a)) for q, a in keys]
+    got = sign_means(stream, (tuple(zip(q, a)) for q, a in keys))
+    assert got == sign_means(stream, strings)
+    assert got == reference_sign_means(stream, strings)
+    assert all(type(value) is float for triple in got for value in triple)

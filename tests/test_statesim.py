@@ -538,6 +538,50 @@ def test_from_jsonl_infers_dimension_but_rejects_negatives(tmp_path):
         BellShotStream.from_jsonl(str(path))
 
 
+@pytest.mark.parametrize("local_dim", [1, 0, -3])
+def test_from_jsonl_rejects_local_dim_below_two(tmp_path, local_dim):
+    path = tmp_path / "shots.jsonl"
+    path.write_text('{"shot_index": 0, "outcomes": [[1, 1]]}\n')
+    with pytest.raises(ValueError):
+        BellShotStream.from_jsonl(str(path), local_dim=local_dim)
+    with pytest.raises(ValueError):
+        BellShotStream(local_dim, 1, np.zeros((1, 1), dtype=np.uint8))
+    path.write_text('{"shot_index": 0, "outcomes": [[0, 0], [0, 0]]}\n')
+    with pytest.raises(ValueError):
+        BellShotStream.from_jsonl(str(path), local_dim=local_dim)
+    # with no local_dim, an all-zero file still reads as a qubit stream
+    again = BellShotStream.from_jsonl(str(path))
+    assert (again.local_dim, again.codes.tolist()) == (2, [[0, 0]])
+
+
+@pytest.mark.parametrize(
+    "d,codes",
+    [
+        (2, np.array([[256]])),
+        (2, np.array([[-256]])),
+        (2, np.array([[259]])),
+        (2, np.array([[1.7]])),
+        (2, np.array([[True, False]])),
+        (2, np.array([[4]], dtype=np.uint16)),
+        (2, [[0, 2**64]]),
+        (16, np.array([[256]])),
+    ],
+    ids=["256", "-256", "259", "1.7", "bool", "uint16", "2**64", "256-at-D16"],
+)
+def test_shot_stream_rejects_codes_that_would_wrap(d, codes):
+    # a uint8 cast would load 256 and -256 as 0, 259 as 3 and 1.7 as 1
+    with pytest.raises(ValueError):
+        BellShotStream(d, np.shape(codes)[1], codes)
+
+
+def test_shot_stream_keeps_uint8_codes_and_casts_integers():
+    codes = np.array([[0, 3], [2, 1]], dtype=np.uint8)
+    assert BellShotStream(2, 2, codes).codes is codes
+    wide = BellShotStream(16, 2, np.array([[255, 0], [17, 9]], dtype=np.int64))
+    assert wide.codes.dtype == np.uint8
+    assert wide.codes.tolist() == [[255, 0], [17, 9]]
+
+
 def test_from_jsonl_rejects_unknown_qubit_label(tmp_path):
     path = tmp_path / "shots.jsonl"
     path.write_text(

@@ -28,7 +28,6 @@ from .fermion import (
 )
 from .pauli import PauliString
 from .qudit import (
-    fiducial_overlaps,
     hw_sic_elements,
     load_fiducial,
     qubit_fiducial,
@@ -252,7 +251,6 @@ def cmd_qudit_sic(args: argparse.Namespace) -> int:
     d = fiducial.dimension
     total = sum(elements)
     sum_residual = float(np.max(np.abs(total - np.eye(d))))
-    overlaps = fiducial_overlaps(fiducial)
     payload = {
         "command": "qudit-sic",
         "tool_version": __version__,
@@ -264,7 +262,7 @@ def cmd_qudit_sic(args: argparse.Namespace) -> int:
         "informationally_complete": report.informationally_complete,
         "povm_sum_residual": sum_residual,
         "calibration_factors": {
-            f"{f},{g}": [v.real, v.imag] for (f, g), v in sorted(overlaps.items())
+            f"{f},{g}": [v.real, v.imag] for (f, g), v in sorted(fiducial.overlaps.items())
         },
     }
     _emit(payload, args.output)

@@ -5,8 +5,9 @@ ancilla in a fiducial state xi, measure pairs in the generalized Bell
 basis, and read off displacement-operator correlators.  The (h, ell)
 outcome on a pair contributes the exact eigenvalue exp(2*pi*i*(g*h -
 f*ell)/D) of X^f Z^g (x) X^f Z^{-g}, and each ancilla attenuates the
-signal by its calibration factor tr(X^f Z^{-g} xi).  Shots are counted
-per residue g*h - f*ell mod D with the kernel in ``fermitree.tomography``.
+signal by its calibration factor tr(X^f Z^{-g} xi), computed once per
+fiducial.  Shots are counted per residue g*h - f*ell mod D with the kernel
+in ``fermitree.tomography``; the exact oracle is one gather per target.
 
 A fiducial whose calibration factors all have magnitude 1/sqrt(D+1) makes
 the induced POVM symmetric informationally complete; the attenuation is
@@ -18,7 +19,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,14 +37,28 @@ from .tomography import joint_outcomes, residue_counts
 
 @dataclass(frozen=True)
 class FiducialState:
-    """Single-qudit ancilla state used for every pair."""
+    """Single-qudit ancilla state used for every pair; the amplitudes are a read-only copy."""
 
     dimension: int
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        state = DenseState(self.dimension, 1, self.amplitudes)
-        object.__setattr__(self, "amplitudes", state.amplitudes)
+        amps = DenseState(self.dimension, 1, self.amplitudes).amplitudes.copy()
+        amps.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amps)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FiducialState):
+            return NotImplemented
+        return self.dimension == other.dimension and np.array_equal(self.amplitudes, other.amplitudes)
+
+    def __hash__(self) -> int:
+        return hash((self.dimension, *self.amplitudes.tolist()))
+
+    @cached_property
+    def overlaps(self) -> Mapping[tuple[int, int], complex]:
+        """``fiducial_overlaps(self)``, computed once; the read-only amplitudes keep it fresh."""
+        return MappingProxyType(fiducial_overlaps(self))
 
     def density(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
@@ -100,7 +117,7 @@ def validate_fiducial(fiducial: FiducialState) -> FiducialReport:
     """
     d = fiducial.dimension
     target = 1 / math.sqrt(d + 1)
-    mags = [abs(v) for v in fiducial_overlaps(fiducial).values()]
+    mags = [abs(v) for v in fiducial.overlaps.values()]
     return FiducialReport(
         dimension=d,
         target_magnitude=target,
@@ -155,6 +172,13 @@ def _checked_targets(
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _hw_exponents(d: int) -> np.ndarray:
+    """(f, g, code) -> (g*h - f*ell) mod d for the Bell code h*d + ell; d <= 16."""
+    f, g, h, ell = np.ix_(*[np.arange(d)] * 4)
+    return ((g * h - f * ell) % d).reshape(d, d, d * d)
+
+
 def estimate_hw_correlator(
     stream: BellShotStream,
     targets: Sequence[tuple[int, int, int]],
@@ -181,14 +205,13 @@ def estimate_hw_correlator(
     if stream.num_shots == 0:
         raise ValueError("empty shot stream")
 
-    h, ell = np.divmod(np.arange(d * d), d)
-    exponents = [(g * h - f * ell) % d for _, f, g in checked]
+    exponents = [_hw_exponents(d)[f, g] for _, f, g in checked]
     counts = residue_counts(*joint_outcomes(stream, tuple(t[0] for t in checked)), exponents, d)
     omega = np.exp(2j * np.pi / d)
     s = stream.num_shots
     mean = sum(int(c) * omega ** r for r, c in enumerate(counts)) / s
 
-    calibration = complex(np.prod([calibration_factor(fiducial, f, g) for _, f, g in checked]))
+    calibration = complex(np.prod([fiducial.overlaps[f, g] for _, f, g in checked]))
     if abs(calibration) < 1e-12:
         raise ValueError("fiducial is blind to a targeted displacement")
     return HwEstimate(
@@ -203,12 +226,18 @@ def estimate_hw_correlator(
 def exact_hw_correlator(
     state: DenseState, targets: Sequence[tuple[int, int, int]]
 ) -> complex:
-    """Oracle <prod_i X^{f_i} Z^{g_i}> on a bare system register."""
-    checked = _checked_targets(targets, state.local_dim, state.num_sites)
-    applied = state
+    """Oracle <prod_i X^{f_i} Z^{g_i}> on a bare system register.
+
+    X^f Z^g sends digit x to x + f with phase w^(g*x): one gather per target.
+    """
+    d, n = state.local_dim, state.num_sites
+    checked = _checked_targets(targets, d, n)
+    applied = state.as_tensor()
     for site, f, g in checked:
-        applied = applied.apply_single_site(hw_operator(state.local_dim, f, g), site)
-    return complex(np.vdot(state.amplitudes, applied.amplitudes))
+        source = (np.arange(d) - f) % d
+        phases = np.exp(2j * np.pi * g * source / d).reshape((d,) + (1,) * (n - 1 - site))
+        applied = np.take(applied, source, axis=site) * phases
+    return complex(np.vdot(state.amplitudes, applied))
 
 
 # -- fiducial file format ------------------------------------------------------

@@ -134,21 +134,6 @@ class DenseState:
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape([self.local_dim] * self.num_sites)
 
-    def apply_single_site(self, matrix: np.ndarray, site: int) -> "DenseState":
-        """Return the state with a local_dim x local_dim matrix applied at ``site``."""
-        if not 0 <= site < self.num_sites:
-            raise ValueError(f"site {site} outside 0..{self.num_sites - 1}")
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (self.local_dim, self.local_dim):
-            raise ValueError(f"matrix shape {matrix.shape} does not match site")
-        tensor = np.tensordot(matrix, self.as_tensor(), axes=([1], [site]))
-        tensor = np.moveaxis(tensor, 0, site)
-        out = DenseState.__new__(DenseState)
-        out.local_dim = self.local_dim
-        out.num_sites = self.num_sites
-        out.amplitudes = np.ascontiguousarray(tensor).reshape(-1)
-        return out
-
 
 def random_state(
     num_sites: int, local_dim: int = 2, rng: np.random.Generator | int | None = None
@@ -459,10 +444,13 @@ class BellShotStream:
     def to_jsonl(self, path: str) -> None:
         d = self.local_dim
         outcome_of = QUBIT_BELL_LABELS if d == 2 else [list(divmod(c, d)) for c in range(d * d)]
+        # the JSON text of each code once; the rows are what json.dumps writes
+        text = [json.dumps(outcome) for outcome in outcome_of]
         with open(path, "w", encoding="utf-8") as fh:
-            for i, row in enumerate(self.codes.tolist()):
-                outcomes = [outcome_of[c] for c in row]
-                fh.write(json.dumps({"shot_index": i, "outcomes": outcomes}) + "\n")
+            fh.writelines(
+                f'{{"shot_index": {i}, "outcomes": [{", ".join(map(text.__getitem__, row))}]}}\n'
+                for i, row in enumerate(self.codes.tolist())
+            )
 
     @classmethod
     def from_jsonl(cls, path: str, local_dim: int | None = None) -> "BellShotStream":

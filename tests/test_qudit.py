@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from fermitree import qudit
 from fermitree.qudit import (
     FiducialState,
     calibration_factor,
@@ -22,6 +23,7 @@ from fermitree.qudit import (
 )
 from fermitree.statesim import (
     BellShotStream,
+    DenseState,
     attach_ancillas,
     bell_outcome_distribution,
     hw_operator,
@@ -42,6 +44,36 @@ def test_fiducial_state_validation():
     for amplitudes in ([math.nan, 0, 0], [math.inf, 0, 0], [0, 0, 0]):
         with pytest.raises(ValueError):
             FiducialState(3, np.array(amplitudes))
+
+
+def test_fiducial_state_owns_its_amplitudes():
+    # the calibration table is cached, so a later write to the source array
+    # must not reach the fiducial
+    amps = np.array([0.0, 1.0, -1.0], dtype=complex) / math.sqrt(2)
+    fid = FiducialState(3, amps)
+    before = dict(fid.overlaps)
+    amps[:] = [1, 0, 0]
+    assert np.array_equal(fid.amplitudes, qutrit_fiducial().amplitudes)
+    assert fid.overlaps == before
+    with pytest.raises(ValueError):
+        fid.amplitudes[0] = 1.0
+    with pytest.raises(TypeError):
+        fid.overlaps[1, 0] = 0j
+    assert fid.overlaps == fiducial_overlaps(fid)
+    for (f, g), value in fid.overlaps.items():
+        assert value == calibration_factor(fid, f, g)
+
+
+def test_fiducial_state_equality_and_hash():
+    assert qutrit_fiducial() == qutrit_fiducial()
+    assert hash(qutrit_fiducial()) == hash(qutrit_fiducial())
+    assert qutrit_fiducial() != qubit_fiducial()
+    assert qutrit_fiducial() != FiducialState(3, np.array([1.0, 0.0, 0.0]))
+    assert qutrit_fiducial() != qutrit_fiducial().amplitudes.tolist()
+    assert len({qubit_fiducial(), qubit_fiducial(), qutrit_fiducial()}) == 2
+    # -0.0 equals 0.0, so the two must hash alike
+    plus, minus = FiducialState(2, np.array([1.0, 0.0])), FiducialState(2, np.array([1.0, -0.0]))
+    assert plus == minus and hash(plus) == hash(minus)
 
 
 def test_qubit_fiducial_is_sic():
@@ -147,6 +179,73 @@ def test_estimator_validation():
     blind = FiducialState(3, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         estimate_hw_correlator(stream, [(0, 1, 0)], blind)
+
+
+def apply_single_site(state: DenseState, matrix: np.ndarray, site: int) -> DenseState:
+    """Oracle: the state with a local_dim x local_dim matrix applied at ``site``."""
+    if not 0 <= site < state.num_sites:
+        raise ValueError(f"site {site} outside 0..{state.num_sites - 1}")
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (state.local_dim, state.local_dim):
+        raise ValueError(f"matrix shape {matrix.shape} does not match site")
+    tensor = np.tensordot(matrix, state.as_tensor(), axes=([1], [site]))
+    tensor = np.moveaxis(tensor, 0, site)
+    out = DenseState.__new__(DenseState)
+    out.local_dim = state.local_dim
+    out.num_sites = state.num_sites
+    out.amplitudes = np.ascontiguousarray(tensor).reshape(-1)
+    return out
+
+
+def reference_exact_hw(state: DenseState, targets) -> complex:
+    """Oracle <prod_i X^{f_i} Z^{g_i}>: one D x D matrix and tensordot per target."""
+    applied = state
+    for site, f, g in targets:
+        applied = apply_single_site(applied, hw_operator(state.local_dim, f, g), site)
+    return complex(np.vdot(state.amplitudes, applied.amplitudes))
+
+
+def test_apply_single_site():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    s = apply_single_site(DenseState.computational((0, 1)), x, 0)
+    assert s.amplitudes[3] == 1.0
+    with pytest.raises(ValueError):
+        apply_single_site(DenseState.zero_state(2), x, 2)
+    with pytest.raises(ValueError):
+        apply_single_site(DenseState.zero_state(2, local_dim=3), x, 0)
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (4, 3), (5, 3)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_exact_correlator_matches_reference(d, n, k):
+    # unsorted sites, and labels f, g outside 0..D-1 that the oracle's
+    # matrices take as they are
+    rng = np.random.default_rng(10 * d + k)
+    labels = [(f, g) for f in range(-d, 2 * d) for g in range(-d, 2 * d) if (f % d, g % d) != (0, 0)]
+    for _ in range(4):
+        state = random_state(n, d, rng)
+        for _ in range(15):
+            sites = rng.permutation(n)[:k].tolist()
+            choice = rng.choice(len(labels), size=k)
+            targets = [(site, *labels[c]) for site, c in zip(sites, choice)]
+            got = exact_hw_correlator(state, targets)
+            assert abs(got - reference_exact_hw(state, targets)) <= 1e-13
+
+
+def test_correlators_build_no_matrix_per_call(monkeypatch):
+    fid = qutrit_fiducial()
+    state = random_state(3, 3, np.random.default_rng(12))
+    stream = BellShotStream(3, 3, np.random.default_rng(13).integers(0, 9, size=(500, 3)))
+    want = [fid.overlaps[1, 2] * fid.overlaps[2, 0], exact_hw_correlator(state, [(2, 1, 2), (0, 2, 0)])]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a D x D matrix was built per call")
+
+    for owner, name in [(qudit, "hw_operator"), (qudit, "calibration_factor"), (np, "tensordot")]:
+        monkeypatch.setattr(owner, name, refuse)
+    est = estimate_hw_correlator(stream, [(1, 1, 2), (0, 2, 0)], fid)
+    assert est.calibration == want[0]
+    assert exact_hw_correlator(state, [(2, 1, 2), (0, 2, 0)]) == want[1]
 
 
 def test_exact_correlator_matches_kron_oracle():

@@ -84,16 +84,6 @@ def test_nan_amplitudes_are_rejected():
         DenseState.from_amplitudes(np.array([1.0, math.nan, 0.0, 0.0]), normalize=True)
 
 
-def test_apply_single_site():
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    s = DenseState.computational((0, 1)).apply_single_site(x, 0)
-    assert s.amplitudes[3] == 1.0
-    with pytest.raises(ValueError):
-        DenseState.zero_state(2).apply_single_site(x, 2)
-    with pytest.raises(ValueError):
-        DenseState.zero_state(2, local_dim=3).apply_single_site(x, 0)
-
-
 def test_pauli_matvec_matches_dense_oracle():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -495,6 +485,32 @@ def test_shot_stream_jsonl_bytes(tmp_path, stream, text):
     path = tmp_path / "shots.jsonl"
     stream.to_jsonl(str(path))
     assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        BellShotStream(2, 5, np.random.default_rng(3).integers(0, 4, size=(300, 5))),
+        BellShotStream(3, 6, np.random.default_rng(4).integers(0, 9, size=(300, 6))),
+        BellShotStream(16, 2, np.array([[15, 15], [255, 0], [16, 17]])),
+        BellShotStream(3, 2, np.empty((0, 2), dtype=np.uint8)),
+    ],
+    ids=["qubit", "qutrit", "d16", "empty"],
+)
+def test_to_jsonl_writes_what_json_dumps_writes(tmp_path, stream):
+    d = stream.local_dim
+    outcome_of = QUBIT_BELL_LABELS if d == 2 else [list(divmod(c, d)) for c in range(d * d)]
+    want = "".join(
+        json.dumps({"shot_index": i, "outcomes": [outcome_of[c] for c in row]}) + "\n"
+        for i, row in enumerate(stream.codes.tolist())
+    )
+    path = tmp_path / "shots.jsonl"
+    stream.to_jsonl(str(path))
+    assert path.read_bytes() == want.encode()
+    if stream.num_shots:
+        again = BellShotStream.from_jsonl(str(path), local_dim=d)
+        assert (again.local_dim, again.num_pairs) == (d, stream.num_pairs)
+        assert np.array_equal(again.codes, stream.codes)
 
 
 @pytest.mark.parametrize(

@@ -98,12 +98,6 @@ class PauliString:
     def phase(self) -> complex:
         return _PHASES[self.phase_power]
 
-    def letter_map(self) -> dict[int, str]:
-        return dict(self.letters)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.letters)
-
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other: "PauliString") -> "PauliString":
@@ -155,7 +149,7 @@ class PauliString:
                 f"qubit index {self.letters[-1][0]} out of range for {num_qubits} qubits"
             )
         mat = np.array([[self.phase]], dtype=complex)
-        lookup = self.letter_map()
+        lookup = dict(self.letters)
         for qubit in range(num_qubits):
             mat = np.kron(mat, PAULI_MATRICES[lookup.get(qubit, "I")])
         return mat

@@ -86,39 +86,6 @@ class DenseState:
         return cls(local_dim, num_sites, amps)
 
     @classmethod
-    def computational(cls, digits: tuple[int, ...], local_dim: int = 2) -> "DenseState":
-        index = 0
-        for d in digits:
-            if not 0 <= d < local_dim:
-                raise ValueError(f"digit {d} outside 0..{local_dim - 1}")
-            index = index * local_dim + d
-        amps = np.zeros(local_dim ** len(digits), dtype=complex)
-        amps[index] = 1.0
-        return cls(local_dim, len(digits), amps)
-
-    @classmethod
-    def from_amplitudes(
-        cls,
-        amplitudes: np.ndarray,
-        local_dim: int = 2,
-        normalize: bool = False,
-    ) -> "DenseState":
-        if local_dim < 2:
-            raise ValueError(f"local dimension must be >= 2, got {local_dim}")
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        num_sites = round(math.log(amps.shape[0], local_dim))
-        if local_dim ** num_sites != amps.shape[0]:
-            raise ValueError(
-                f"{amps.shape[0]} amplitudes is not a power of {local_dim}"
-            )
-        if normalize:
-            norm = np.linalg.norm(amps)
-            if not 0 < norm < math.inf:
-                raise ValueError(f"cannot normalize a vector of norm {norm}")
-            amps = amps / norm
-        return cls(local_dim, num_sites, amps)
-
-    @classmethod
     def ghz(cls, num_sites: int, local_dim: int = 2) -> "DenseState":
         amps = np.zeros(local_dim ** num_sites, dtype=complex)
         amps[0] = 1 / math.sqrt(2)

@@ -94,7 +94,8 @@ def sign_means(stream: BellShotStream, strings: Iterable) -> list[tuple[float, f
     each mean with its sqrt(3)^weight attenuation scale and the scaled
     plug-in std error, reading each support's counts once as one eigenvalue
     product per distinct outcome.  An empty or non-qubit stream, a qubit
-    outside the register or an unknown letter raises ValueError.
+    outside the register, a qubit repeated within one string or an unknown
+    letter raises ValueError.
     """
     if stream.local_dim != 2:
         raise ValueError("Pauli-string estimation needs a qubit stream")
@@ -110,6 +111,8 @@ def sign_means(stream: BellShotStream, strings: Iterable) -> list[tuple[float, f
     for support, (positions, columns) in groups.items():
         if any(not 0 <= q < stream.num_pairs for q in support):
             raise ValueError(f"qubit outside 0..{stream.num_pairs - 1} in {support}")
+        if len(set(support)) < len(support):
+            raise ValueError(f"repeated qubit in {support}")
         digits, counts = joint_outcomes(stream, support)
         signs = np.ones((len(counts), len(positions)), dtype=np.int8)
         for j in range(len(support)):
@@ -130,34 +133,6 @@ class RdmEstimate:
     value: float
     std_error: float
     num_shots: int
-
-
-def estimate_rdm_element(
-    stream: BellShotStream,
-    qubits: tuple[int, ...],
-    letters: tuple[str, ...],
-) -> RdmEstimate:
-    """Estimate <sigma_{a1} ... sigma_{ak}> on the given system qubits.
-
-    Args:
-        stream: qubit Bell shot stream (one pair per system qubit).
-        qubits: distinct system qubit indices.
-        letters: one of 'x', 'y', 'z' per qubit.
-
-    Returns:
-        RdmEstimate with the attenuation-corrected value and the plug-in
-        standard error sqrt(3)^k * sqrt(1 - mean^2) / sqrt(S).
-    """
-    if not qubits:
-        raise ValueError("need at least one qubit")
-    if len(qubits) != len(letters):
-        raise ValueError("one letter per qubit required")
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"repeated qubit in {qubits}")
-    if any(letter not in LETTERS for letter in letters):
-        raise ValueError(f"invalid letter in {letters}, need one of {LETTERS}")
-    [(mean, scale, std_error)] = sign_means(stream, [tuple(zip(qubits, letters))])
-    return RdmEstimate(tuple(qubits), tuple(letters), scale * mean, std_error, stream.num_shots)
 
 
 def estimate_all_k_rdms(stream: BellShotStream, k: int) -> list[RdmEstimate]:

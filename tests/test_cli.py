@@ -338,6 +338,23 @@ def test_tomograph_fermionic_payload(capsys):
         assert row["abs_error"] < 1.0
 
 
+@pytest.mark.parametrize("state", ["zero", "ghz"])
+def test_tomograph_named_state_payload(state, capsys):
+    # on |0000> and on the 4-qubit GHZ state every ZZ pair is 1 and every
+    # two-qubit string with an x or a y is 0
+    code, payload = run_json(
+        capsys,
+        ["tomograph", "--qubits", "4", "--k", "2", "--shots", "2000", "--seed", "1", "--state", state],
+    )
+    assert code == 0
+    assert payload["state"] == state
+    assert len(payload["estimates"]) == 6 * 9
+    for row in payload["estimates"]:
+        want = 1.0 if row["letters"] == ["z", "z"] else 0.0
+        assert row["exact"] == pytest.approx(want, abs=1e-12)
+        assert abs(row["value"] - row["exact"]) <= 5 * row["std_error"]
+
+
 def test_tomograph_worker_count_does_not_change_output(tmp_path):
     paths = []
     for workers in ("1", "4"):

@@ -8,6 +8,7 @@ errors must agree exactly, not within a tolerance.
 
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -31,8 +32,8 @@ from fermitree.ternary import build_mapping
 from fermitree.tomography import (
     BELL_EIGENVALUES,
     LETTERS,
+    RdmEstimate,
     estimate_all_k_rdms,
-    estimate_rdm_element,
     joint_outcomes,
     residue_counts,
     sign_means,
@@ -122,8 +123,8 @@ def test_counting_branches_at_key_range_threshold(d, fiducial, extra):
         assert (est.value, est.std_error) == reference_hw(stream, targets, fiducial)
     if d == 2:
         for letters in itertools.product(LETTERS, repeat=len(sites)):
-            est = estimate_rdm_element(stream, sites, letters)
-            assert (est.value, est.std_error) == reference_rdm(stream, sites, letters)
+            [(mean, scale, std_error)] = sign_means(stream, [tuple(zip(sites, letters))])
+            assert (scale * mean, std_error) == reference_rdm(stream, sites, letters)
 
 
 def test_residue_counts_sums_exponents():
@@ -139,8 +140,8 @@ def test_qubit_estimator_is_bit_identical(k):
     stream = random_stream(2, 5, 4000, seed=10 + k, distinct=300)
     for qubits in itertools.combinations(range(5), k):
         for letters in itertools.product(LETTERS, repeat=k):
-            est = estimate_rdm_element(stream, qubits, letters)
-            assert (est.value, est.std_error) == reference_rdm(stream, qubits, letters)
+            [(mean, scale, std_error)] = sign_means(stream, [tuple(zip(qubits, letters))])
+            assert (scale * mean, std_error) == reference_rdm(stream, qubits, letters)
 
 
 @pytest.mark.parametrize("d,fiducial", [(2, qubit_fiducial()), (3, qutrit_fiducial())])
@@ -168,11 +169,11 @@ def test_fermion_estimator_is_bit_identical(table, degree):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_all_k_rdms_equals_per_element(k):
     stream = random_stream(2, 5, 4000, seed=40 + k, distinct=300)
-    want = [
-        estimate_rdm_element(stream, qubits, letters)
-        for qubits in itertools.combinations(range(5), k)
-        for letters in itertools.product(LETTERS, repeat=k)
-    ]
+    want = []
+    for qubits in itertools.combinations(range(5), k):
+        for letters in itertools.product(LETTERS, repeat=k):
+            [(mean, scale, std_error)] = sign_means(stream, [tuple(zip(qubits, letters))])
+            want.append(RdmEstimate(qubits, letters, scale * mean, std_error, stream.num_shots))
     assert estimate_all_k_rdms(stream, k) == want
 
 
@@ -209,8 +210,8 @@ def test_keys_beyond_int64_are_compacted():
     sites = tuple(range(40))
     rng = np.random.default_rng(61)
     letters = tuple(rng.choice(LETTERS, size=40))
-    est = estimate_rdm_element(stream, sites, letters)
-    assert (est.value, est.std_error) == reference_rdm(stream, sites, letters)
+    [(mean, scale, std_error)] = sign_means(stream, [tuple(zip(sites, letters))])
+    assert (scale * mean, std_error) == reference_rdm(stream, sites, letters)
 
     table = jordan_wigner(40)
     assert encode_monomial((1, 80), table).weight == 40
@@ -252,8 +253,26 @@ def test_sign_means_check_every_qubit():
         sign_means(stream, [((0, "q"),)])
 
 
+@pytest.mark.parametrize(
+    "string",
+    [
+        ((0, "x"), (0, "y")),
+        ((0, "z"), (2, "x"), (2, "y")),
+        ((1, "X"), (2, "y"), (1, "Z")),
+    ],
+    ids=["first", "later", "mixed-case"],
+)
+def test_sign_means_reject_a_repeated_qubit(string):
+    # X0 Y0 = i Z0 is one operator on qubit 0, not a product of two
+    # eigenvalues, so a repeated qubit has no sign mean to report
+    stream = random_stream(2, 3, 100, seed=87)
+    support = tuple(q for q, _ in string)
+    with pytest.raises(ValueError, match=re.escape(str(support))):
+        sign_means(stream, [((1, "z"),), string])
+
+
 ESTIMATORS = {
-    "rdm_element": lambda stream: estimate_rdm_element(stream, (0,), ("x",)),
+    "rdm_element": lambda stream: sign_means(stream, [((0, "x"),)]),
     "all_k_rdms": lambda stream: estimate_all_k_rdms(stream, 1),
     "monomial": lambda stream: estimate_monomial(stream, (1, 2), jordan_wigner(2)),
 }
@@ -276,9 +295,9 @@ def test_estimators_reject_qubits_beyond_register():
     with pytest.raises(ValueError):
         estimate_monomial(stream, (1, 6), jordan_wigner(3))
     with pytest.raises(ValueError):
-        estimate_rdm_element(stream, (3, 0), ("x", "y"))
+        sign_means(stream, [((3, "x"), (0, "y"))])
     with pytest.raises(ValueError):
-        estimate_rdm_element(stream, (-1,), ("z",))
+        sign_means(stream, [((-1, "z"),)])
 
 
 def reference_sign_means(stream, strings):

@@ -34,7 +34,7 @@ def test_disjoint_supports_merge():
     a = PauliString.from_map({0: "X", 2: "Z"})
     b = PauliString.from_map({1: "Y", 3: "X"})
     ab = a * b
-    assert ab.letter_map() == {0: "X", 1: "Y", 2: "Z", 3: "X"}
+    assert ab.letters == ((0, "X"), (1, "Y"), (2, "Z"), (3, "X"))
     assert ab.phase_power == 0
     assert ab.weight == 4
 
@@ -42,7 +42,7 @@ def test_disjoint_supports_merge():
 def test_weight_and_support():
     p = PauliString.from_map({5: "X", 1: "Y"})
     assert p.weight == 2
-    assert p.support() == (1, 5)
+    assert p.letters == ((1, "Y"), (5, "X"))
     assert PauliString.identity().weight == 0
 
 
@@ -117,7 +117,7 @@ def test_dense_guards():
 def test_text_format_examples():
     p = PauliString.parse("+i X0 Z3 Y7")
     assert str(p) == "+i X0 Z3 Y7"
-    assert p.letter_map() == {0: "X", 3: "Z", 7: "Y"}
+    assert p.letters == ((0, "X"), (3, "Z"), (7, "Y"))
     assert p.phase_power == 1
     assert str(PauliString.identity()) == "+ I"
     assert PauliString.parse("- I") == PauliString.identity(2)

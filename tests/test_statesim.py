@@ -36,11 +36,13 @@ from fermitree.statesim import (
 
 
 def test_computational_state_indexing():
-    s = DenseState.computational((0, 1))
-    assert s.amplitudes[1] == 1.0
-    # site 0 is the leftmost factor
-    t = DenseState.computational((1, 0))
-    assert t.amplitudes[2] == 1.0
+    s = DenseState(2, 2, [0, 1, 0, 0])
+    assert s.as_tensor()[0, 1] == 1.0
+    # site 0 is the leftmost factor: qubit 0 is the top index bit
+    t = DenseState(2, 2, [0, 0, 1, 0])
+    assert t.as_tensor()[1, 0] == 1.0
+    assert expectation(t, PauliString.single(0, "Z")) == -1.0
+    assert expectation(t, PauliString.single(1, "Z")) == 1.0
 
 
 def test_state_validation():
@@ -55,22 +57,6 @@ def test_state_validation():
     assert 2 ** 20 == CAPACITY_AMPLITUDES
 
 
-def test_from_amplitudes_normalize():
-    s = DenseState.from_amplitudes(np.array([3.0, 4.0]), normalize=True)
-    assert s.amplitudes[0] == pytest.approx(0.6)
-    with pytest.raises(ValueError):
-        DenseState.from_amplitudes(np.array([0.0, 0.0]), normalize=True)
-    with pytest.raises(ValueError):
-        DenseState.from_amplitudes(np.zeros(6), local_dim=2)
-
-
-def test_from_amplitudes_rejects_local_dim_below_two():
-    # log base 1 would divide by zero before DenseState saw the dimension
-    for local_dim in (1, 0, -2):
-        with pytest.raises(ValueError):
-            DenseState.from_amplitudes(np.array([1.0]), local_dim=local_dim)
-
-
 def test_nan_amplitudes_are_rejected():
     # a NaN norm compares False against any tolerance, so the check must
     # accept only norms within it
@@ -79,9 +65,9 @@ def test_nan_amplitudes_are_rejected():
     with pytest.raises(ValueError):
         DenseState(2, 1, [math.nan + 1j, 0])
     with pytest.raises(ValueError):
-        DenseState.from_amplitudes(np.array([math.nan, 1.0]), normalize=True)
+        DenseState(2, 1, [math.nan, 1.0])
     with pytest.raises(ValueError):
-        DenseState.from_amplitudes(np.array([1.0, math.nan, 0.0, 0.0]), normalize=True)
+        DenseState(2, 2, [1.0, math.nan, 0.0, 0.0])
 
 
 def test_pauli_matvec_matches_dense_oracle():
@@ -172,14 +158,14 @@ def test_xi_state():
 
 
 def test_attach_ancillas_layout():
-    system = DenseState.computational((0, 1))
-    anc = DenseState.computational((1,))
+    system = DenseState(2, 2, [0, 1, 0, 0])
+    anc = DenseState(2, 1, [0, 1])
     joint = attach_ancillas(system, anc)
     # sites read (s0, a0, s1, a1) = (0, 1, 1, 1)
     assert joint.num_sites == 4
     assert joint.amplitudes[0b0111] == 1.0
     with pytest.raises(ValueError):
-        attach_ancillas(system, DenseState.computational((1, 0)))
+        attach_ancillas(system, DenseState(2, 2, [0, 0, 1, 0]))
 
 
 def test_attach_ancillas_default_is_xi():
@@ -241,7 +227,7 @@ def test_bell_measurement_on_product_of_bell_states():
     # a product of Bell pairs gives deterministic outcomes
     f_minus = generalized_bell_state(2, 0, 1).amplitudes
     p_plus = generalized_bell_state(2, 1, 0).amplitudes
-    state = DenseState.from_amplitudes(np.kron(f_minus, p_plus))
+    state = DenseState(2, 4, np.kron(f_minus, p_plus))
     rec = bell_measure_all_pairs(state, np.random.default_rng(0))
     assert rec.codes.tolist() == [[1, 2]]
     assert [QUBIT_BELL_LABELS[c] for c in rec.codes[0]] == ["F-", "P+"]

@@ -99,7 +99,7 @@ def test_structure_bookkeeping(n):
     # qubit labels are exactly 0..n-1
     used = set()
     for op in m.majorana_table:
-        used.update(op.support())
+        used.update(q for q, _ in op.letters)
     assert used == set(range(n))
     # extension count matches the incomplete-tree arithmetic
     internal = (3 ** m.base_height - 1) // 2

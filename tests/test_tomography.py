@@ -21,10 +21,10 @@ from fermitree.statesim import (
 from fermitree.tomography import (
     BELL_EIGENVALUES,
     estimate_all_k_rdms,
-    estimate_rdm_element,
     estimates_to_rows,
     merge_streams,
     sic_povm_elements,
+    sign_means,
 )
 
 
@@ -47,34 +47,30 @@ def _stream(codes):
 def test_estimate_on_crafted_stream():
     # all F+ outcomes: x eigenvalue +1 every shot
     stream = _stream([[0], [0], [0], [0]])
-    est = estimate_rdm_element(stream, (0,), ("x",))
-    assert est.value == pytest.approx(math.sqrt(3))
-    assert est.std_error == 0.0
+    [(mean, scale, std_error)] = sign_means(stream, [((0, "x"),)])
+    assert scale * mean == pytest.approx(math.sqrt(3))
+    assert std_error == 0.0
     # alternating F+ / F- gives zero mean and maximal spread
     stream = _stream([[0], [1], [0], [1]])
-    est = estimate_rdm_element(stream, (0,), ("x",))
-    assert est.value == 0.0
-    assert est.std_error == pytest.approx(math.sqrt(3) / 2)
+    [(mean, scale, std_error)] = sign_means(stream, [((0, "x"),)])
+    assert scale * mean == 0.0
+    assert std_error == pytest.approx(math.sqrt(3) / 2)
     # k=2 product on one crafted shot: F- x-eig -1, P- x-eig -1
-    est = estimate_rdm_element(_stream([[1, 3]]), (0, 1), ("x", "x"))
-    assert est.value == pytest.approx(3.0)
+    [(mean, scale, _)] = sign_means(_stream([[1, 3]]), [((0, "x"), (1, "x"))])
+    assert scale * mean == pytest.approx(3.0)
 
 
 def test_estimate_validation():
     stream = _stream([[0, 1]])
     with pytest.raises(ValueError):
-        estimate_rdm_element(stream, (), ())
+        sign_means(stream, [((0, "x"), (0, "y"))])
     with pytest.raises(ValueError):
-        estimate_rdm_element(stream, (0, 0), ("x", "y"))
+        sign_means(stream, [((2, "x"),)])
     with pytest.raises(ValueError):
-        estimate_rdm_element(stream, (2,), ("x",))
-    with pytest.raises(ValueError):
-        estimate_rdm_element(stream, (0,), ("q",))
-    with pytest.raises(ValueError):
-        estimate_rdm_element(stream, (0,), ("x", "y"))
+        sign_means(stream, [((0, "q"),)])
     empty = BellShotStream(2, 2, np.empty((0, 2), dtype=np.uint8))
     with pytest.raises(ValueError):
-        estimate_rdm_element(empty, (0,), ("x",))
+        sign_means(empty, [((0, "x"),)])
     with pytest.raises(ValueError):
         estimate_all_k_rdms(stream, 3)
 
@@ -109,11 +105,8 @@ def test_merge_invariance_is_exact():
     ]
     merged = merge_streams(parts)
     assert np.array_equal(merged.codes, stream.codes)
-    for qubits, letters in [((0,), ("y",)), ((0, 1), ("z", "x"))]:
-        a = estimate_rdm_element(stream, qubits, letters)
-        b = estimate_rdm_element(merged, qubits, letters)
-        assert a.value == b.value
-        assert a.std_error == b.std_error
+    strings = [((0, "y"),), ((0, "z"), (1, "x"))]
+    assert sign_means(stream, strings) == sign_means(merged, strings)
 
 
 def test_merge_guards():
@@ -146,8 +139,9 @@ def test_variance_grows_with_k():
     v1, v2 = [], []
     for s in range(120):
         stream = sample_bell_shots(joint, 1500, seed=5000 + s)
-        v1.append(estimate_rdm_element(stream, (0,), ("z",)).value)
-        v2.append(estimate_rdm_element(stream, (0, 1), ("z", "z")).value)
+        (mean1, scale1, _), (mean2, scale2, _) = sign_means(stream, [((0, "z"),), ((0, "z"), (1, "z"))])
+        v1.append(scale1 * mean1)
+        v2.append(scale2 * mean2)
     ratio = np.std(v2, ddof=1) / np.std(v1, ddof=1)
     assert 1.2 < ratio < 2.4
 

@@ -19,9 +19,11 @@ and three ways to draw Bell-basis measurement outcomes, all returning a
       outcome amplitudes come from applying the D^2 x D rows a_c site by
       site to the D^n system amplitudes, with no D^(2n)-amplitude register.
 
-The two bulk samplers share one blocked RNG layout (``_draw_codes``) that
-makes a stream depend only on the distribution and the seed; the capacity
-budget bounds the D^(2n) outcome distribution in both.
+The two bulk samplers share one outcome kernel (``_outcome_distribution``:
+one contiguous matrix product per register pair or system site, then the
+squared moduli) and one blocked RNG layout (``_draw_codes``) that makes a
+stream depend only on the distribution and the seed; the capacity budget
+bounds the D^(2n) outcome distribution in both.
 """
 
 from __future__ import annotations
@@ -80,17 +82,17 @@ class DenseState:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero_state(cls, num_sites: int, local_dim: int = 2) -> "DenseState":
-        amps = np.zeros(local_dim ** num_sites, dtype=complex)
+    def zero_state(cls, num_sites: int) -> "DenseState":
+        amps = np.zeros(2 ** num_sites, dtype=complex)
         amps[0] = 1.0
-        return cls(local_dim, num_sites, amps)
+        return cls(2, num_sites, amps)
 
     @classmethod
-    def ghz(cls, num_sites: int, local_dim: int = 2) -> "DenseState":
-        amps = np.zeros(local_dim ** num_sites, dtype=complex)
+    def ghz(cls, num_sites: int) -> "DenseState":
+        amps = np.zeros(2 ** num_sites, dtype=complex)
         amps[0] = 1 / math.sqrt(2)
         amps[-1] = 1 / math.sqrt(2)
-        return cls(local_dim, num_sites, amps)
+        return cls(2, num_sites, amps)
 
     # -- basic operations --------------------------------------------------
 
@@ -214,15 +216,12 @@ def attach_ancillas(system: DenseState, ancilla: DenseState | None = None) -> De
     the same local dimension is accepted.
     """
     ancilla = _ancilla_for(system, ancilla)
-    n = system.num_sites
-    d = system.local_dim
-    tensor = system.as_tensor()
-    for _ in range(n):
-        tensor = np.multiply.outer(tensor, ancilla.amplitudes)
-    # axes currently (s0..s_{n-1}, a0..a_{n-1}); interleave to (s0, a0, s1, a1, ...)
-    perm = [axis for j in range(n) for axis in (j, n + j)]
-    tensor = np.transpose(tensor, perm)
-    return DenseState(d, 2 * n, np.ascontiguousarray(tensor).reshape(-1))
+    n, d = system.num_sites, system.local_dim
+    amps = system.amplitudes
+    for j in range(n):
+        # a_j goes right after s_j, so no transpose or contiguous copy follows
+        amps = amps.reshape(d ** (2 * j + 1), 1, -1) * ancilla.amplitudes.reshape(1, d, 1)
+    return DenseState(d, 2 * n, amps.reshape(-1))
 
 
 # -- Heisenberg-Weyl operators and generalized Bell states -------------------
@@ -331,22 +330,36 @@ def bell_measure_all_pairs(
     return BellShotStream(d, n_pairs, [codes])
 
 
+def _outcome_distribution(amps: np.ndarray, rows_t: np.ndarray, steps: int) -> np.ndarray:
+    """Normalized |amplitudes|^2 after ``steps`` products with ``rows_t``.
+
+    Each step turns the leading ``rows_t.shape[0]`` axis of ``amps`` into a
+    trailing ``rows_t.shape[1]`` axis by one contiguous matrix product, so
+    after the steps the outcome axes read in the order of the input axes.
+    """
+    in_dim = rows_t.shape[0]
+    for _ in range(steps):
+        amps = amps.reshape(in_dim, -1).T @ rows_t
+    # square real and imaginary parts in place (amps is the last product,
+    # never the caller's array): a fresh 2^20-entry temporary costs page
+    # faults comparable to the products above
+    parts = amps.reshape(-1).view(np.float64)
+    np.square(parts, out=parts)
+    probs = parts[0::2] + parts[1::2]
+    probs /= probs.sum()
+    return probs
+
+
 def bell_outcome_distribution(state: DenseState) -> np.ndarray:
     """Exact joint outcome probabilities, flat index base D^2, pair 0 first.
 
     Equals the joint distribution of the sequential pairwise collapses,
-    because the pair projectors commute.
+    because the pair projectors commute.  The adjacent axes (s_j, a_j) of a
+    pair form one D^2 axis, which ``_outcome_distribution`` takes to the
+    Bell basis by the product with conj(B) = (B^dag)^T, pair 0 first.
     """
-    n_pairs = _paired(state)
-    d = state.local_dim
-    basis_h = bell_basis_matrix(d).conj().T
-    # site axes (s0, a0, s1, a1, ...) are adjacent per pair, so pair axes
-    # group into one base-D^2 axis each without any transpose.
-    tensor = state.amplitudes.reshape([d * d] * n_pairs)
-    for p in range(n_pairs):
-        tensor = np.moveaxis(np.tensordot(basis_h, tensor, axes=([1], [p])), 0, p)
-    probs = np.abs(tensor.reshape(-1)) ** 2
-    return probs / probs.sum()
+    n_pairs, d = _paired(state), state.local_dim
+    return _outcome_distribution(state.amplitudes, bell_basis_matrix(d).conj(), n_pairs)
 
 
 def povm_outcome_distribution(
@@ -355,25 +368,12 @@ def povm_outcome_distribution(
     """``bell_outcome_distribution(attach_ancillas(system, ancilla))`` without
     the register: p(c_0 ... c_{n-1}) = |(a_{c_0} (x) ... (x) a_{c_{n-1}}) psi|^2.
 
-    Each step turns the leading D axis (the next system site) into a
-    trailing D^2 axis by one matrix product, so after n steps the axes
-    read (c_0, ..., c_{n-1}), site 0 first.  CapacityError is raised
-    before any allocation when the D^(2n) outcomes exceed the budget.
+    ``_outcome_distribution`` turns each system site, site 0 first, into a
+    D^2 outcome axis with the rows a_c.  CapacityError is raised before any
+    allocation when the D^(2n) outcomes exceed the budget.
     """
     ancilla = _ancilla_for(system, ancilla)
-    d = system.local_dim
-    rows_t = _bell_povm_rows(ancilla).T
-    amps = system.amplitudes
-    for _ in range(system.num_sites):
-        amps = amps.reshape(d, -1).T @ rows_t
-    # square real and imaginary parts in place (amps is the last product,
-    # never the state's own array): a fresh 2^20-entry temporary costs
-    # page faults comparable to the products above
-    parts = amps.reshape(-1).view(np.float64)
-    np.square(parts, out=parts)
-    probs = parts[0::2] + parts[1::2]
-    probs /= probs.sum()
-    return probs
+    return _outcome_distribution(system.amplitudes, _bell_povm_rows(ancilla).T, system.num_sites)
 
 
 @dataclass

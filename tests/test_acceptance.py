@@ -100,7 +100,7 @@ def test_criterion_03_asymptotic_ratio():
     n = (3 ** 8 - 1) // 2
     assert n == 3280
     ternary_max = max_weight_bound(n)
-    binary_max = math.ceil(math.log2(n)) + 1
+    binary_max = bravyi_kitaev_max_weight_bound(n)
     ratio = binary_max / ternary_max
     rel = abs(ratio - math.log2(3)) / math.log2(3)
     built = verify_mapping(build_mapping(n)).max_weight

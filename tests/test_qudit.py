@@ -212,7 +212,7 @@ def test_apply_single_site():
     with pytest.raises(ValueError):
         apply_single_site(DenseState.zero_state(2), x, 2)
     with pytest.raises(ValueError):
-        apply_single_site(DenseState.zero_state(2, local_dim=3), x, 0)
+        apply_single_site(DenseState(3, 2, np.eye(9, 1)), x, 0)
 
 
 @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (4, 3), (5, 3)])

@@ -143,7 +143,7 @@ def test_expectation_ghz():
     assert expectation(ghz, PauliString.from_map({0: "X", 1: "X", 2: "X"})).real == pytest.approx(1.0)
     assert expectation(ghz, PauliString.single(0, "Z")).real == pytest.approx(0.0)
     with pytest.raises(ValueError):
-        expectation(DenseState.zero_state(1, local_dim=3), PauliString.single(0, "X"))
+        expectation(DenseState(3, 1, [1, 0, 0]), PauliString.single(0, "X"))
 
 
 def test_xi_state():
@@ -166,6 +166,25 @@ def test_attach_ancillas_layout():
     assert joint.amplitudes[0b0111] == 1.0
     with pytest.raises(ValueError):
         attach_ancillas(system, DenseState(2, 2, [0, 0, 1, 0]))
+
+
+def reference_attach_ancillas(system, ancilla):
+    """Oracle: n outer products with the ancilla, then one interleaving transpose."""
+    n = system.num_sites
+    tensor = system.as_tensor()
+    for _ in range(n):
+        tensor = np.multiply.outer(tensor, ancilla.amplitudes)
+    perm = [axis for j in range(n) for axis in (j, n + j)]
+    return np.ascontiguousarray(np.transpose(tensor, perm)).reshape(-1)
+
+
+@pytest.mark.parametrize("n", [1, 5, 6])
+def test_attach_ancillas_equals_transpose_oracle(n):
+    fiducial = qutrit_fiducial().as_state()
+    state = random_state(n, 3, np.random.default_rng(200 + n))
+    joint = attach_ancillas(state, fiducial)
+    assert (joint.local_dim, joint.num_sites) == (3, 2 * n)
+    assert np.array_equal(joint.amplitudes, reference_attach_ancillas(state, fiducial))
 
 
 def test_attach_ancillas_default_is_xi():
@@ -250,6 +269,31 @@ def test_outcome_distribution_matches_collapse_chain():
     for idx in range(16):
         sigma = math.sqrt(probs[idx] * (1 - probs[idx]) * shots)
         assert abs(counts[idx] - shots * probs[idx]) <= 5 * sigma + 1
+
+
+def reference_bell_distribution(state):
+    """Oracle: one tensordot + moveaxis per pair into the Bell basis."""
+    n_pairs = state.num_sites // 2
+    d = state.local_dim
+    basis_h = bell_basis_matrix(d).conj().T
+    tensor = state.amplitudes.reshape([d * d] * n_pairs)
+    for p in range(n_pairs):
+        tensor = np.moveaxis(np.tensordot(basis_h, tensor, axes=([1], [p])), 0, p)
+    probs = np.abs(tensor.reshape(-1)) ** 2
+    return probs / probs.sum()
+
+
+@pytest.mark.parametrize("d,n_pairs", [(2, 1), (2, 4), (2, 10), (3, 1), (3, 3), (3, 6),
+                                       (4, 1), (4, 3), (4, 5)])
+def test_bell_distribution_matches_tensordot_oracle(d, n_pairs):
+    # random registers, not system-times-ancilla products
+    state = random_state(2 * n_pairs, d, np.random.default_rng(300 + 10 * d + n_pairs))
+    before = state.amplitudes.copy()
+    got = bell_outcome_distribution(state)
+    want = reference_bell_distribution(state)
+    assert got.shape == want.shape == (d ** (2 * n_pairs),)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert np.array_equal(state.amplitudes, before)
 
 
 def test_sample_bell_shots_matches_distribution():
@@ -361,10 +405,12 @@ def test_draw_codes_matches_generator_choice(num_shots):
 
 
 @pytest.mark.parametrize("d,n,ancilla", [(2, 1, "xi"), (2, 5, "xi"), (2, 4, "random"),
-                                         (3, 3, "fiducial"), (3, 2, "random")])
+                                         (3, 3, "fiducial"), (3, 2, "random"), (3, 6, "fiducial")])
 def test_povm_shots_equal_register_shots(d, n, ancilla):
     state, anc = _povm_case(d, n, ancilla)
-    for num_shots, seed in [(1, 3), (5000, 7), (9000, 8)]:
+    # 6 qutrits is the qutrit-hw benchmark pass: two 2000-shot streams on consecutive seeds
+    runs = [(2000, 7), (2000, 8)] if (d, n) == (3, 6) else [(1, 3), (5000, 7), (9000, 8)]
+    for num_shots, seed in runs:
         got = sample_povm_shots(state, num_shots, seed, ancilla=anc)
         want = sample_bell_shots(attach_ancillas(state, anc), num_shots, seed)
         assert (got.local_dim, got.num_pairs, got.seed) == (d, n, seed)
@@ -397,7 +443,7 @@ def test_povm_shots_workers_and_prefix():
 
 @pytest.mark.parametrize("n,d", [(11, 2), (7, 3)])
 def test_povm_capacity_error_before_allocation(n, d):
-    state = DenseState.zero_state(n, d)
+    state = DenseState(d, n, np.eye(d ** n, 1))
     ancilla = prepare_xi() if d == 2 else qutrit_fiducial().as_state()
     assert d ** (2 * n) > CAPACITY_AMPLITUDES >= d ** (2 * n - 2)
     tracemalloc.start()

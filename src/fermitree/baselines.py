@@ -30,8 +30,8 @@ class FenwickTree:
     """Binary index tree over n modes, built by recursive interval halving.
 
     Node j stores the cumulative structure of the interval it owns; the
-    root is node n-1 and owns [0, n-1].  update/parity/children sets drive
-    the Bravyi-Kitaev operator construction.
+    root is node n-1 and owns [0, n-1].  The update, parity and remainder
+    sets drive the Bravyi-Kitaev operator construction.
     """
 
     def __init__(self, n_modes: int):
@@ -65,10 +65,6 @@ class FenwickTree:
             out.append(node)
             node = self._parent[node]
         return tuple(sorted(out))
-
-    def children_set(self, j: int) -> tuple[int, ...]:
-        self._check(j)
-        return tuple(sorted(self._children[j]))
 
     def parity_set(self, j: int) -> tuple[int, ...]:
         """Nodes whose intervals tile [0, j-1]; their Z product reads the parity."""

@@ -15,8 +15,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 _PHASES: tuple[complex, ...] = (1, 1j, -1, -1j)
 _PHASE_TOKENS = {"+": 0, "+i": 1, "-": 2, "-i": 3}
 _TOKENS_BY_POWER = {v: k for k, v in _PHASE_TOKENS.items()}
@@ -34,16 +32,7 @@ _LETTER_PRODUCT: dict[tuple[str, str], tuple[str | None, int]] = {
     ("X", "Z"): ("Y", 3),
 }
 
-PAULI_MATRICES: dict[str, np.ndarray] = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 _LETTER_TOKEN = re.compile(r"^([XYZ])(\d+)$")
-
-DENSE_QUBIT_LIMIT = 14
 
 
 @dataclass(frozen=True)
@@ -131,28 +120,6 @@ class PauliString:
             if qubit in mine and mine[qubit] != letter
         )
         return differing % 2 == 1
-
-    # -- densification -----------------------------------------------------
-
-    def to_dense(self, num_qubits: int) -> np.ndarray:
-        """Dense 2**num_qubits matrix, qubit 0 as the leftmost tensor factor.
-
-        Intended as a brute-force oracle; refuses registers beyond
-        ``DENSE_QUBIT_LIMIT`` qubits.
-        """
-        if num_qubits > DENSE_QUBIT_LIMIT:
-            raise ValueError(
-                f"dense form limited to {DENSE_QUBIT_LIMIT} qubits, got {num_qubits}"
-            )
-        if self.letters and self.letters[-1][0] >= num_qubits:
-            raise ValueError(
-                f"qubit index {self.letters[-1][0]} out of range for {num_qubits} qubits"
-            )
-        mat = np.array([[self.phase]], dtype=complex)
-        lookup = dict(self.letters)
-        for qubit in range(num_qubits):
-            mat = np.kron(mat, PAULI_MATRICES[lookup.get(qubit, "I")])
-        return mat
 
     # -- text format -------------------------------------------------------
 

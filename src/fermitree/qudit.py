@@ -32,7 +32,7 @@ from .statesim import (
     hw_operator,
     prepare_xi,
 )
-from .tomography import joint_outcomes, residue_counts
+from .tomography import joint_outcomes
 
 
 @dataclass(frozen=True)
@@ -158,6 +158,9 @@ def _checked_targets(
     seen = set()
     out = []
     for site, f, g in targets:
+        # bool is an int, and 1.0 or "1" would fail inside numpy later
+        if not all(type(v) is int or isinstance(v, np.integer) for v in (site, f, g)):
+            raise ValueError(f"target {(site, f, g)!r} needs integer site, f and g")
         if not 0 <= site < num_pairs:
             raise ValueError(f"site {site} outside 0..{num_pairs - 1}")
         if site in seen:
@@ -205,11 +208,16 @@ def estimate_hw_correlator(
     if stream.num_shots == 0:
         raise ValueError("empty shot stream")
 
-    exponents = [_hw_exponents(d)[f, g] for _, f, g in checked]
-    counts = residue_counts(*joint_outcomes(stream, tuple(t[0] for t in checked)), exponents, d)
+    digits, counts = joint_outcomes(stream, tuple(t[0] for t in checked))
+    exponents = _hw_exponents(d)
+    residues = np.zeros(len(counts), dtype=np.int64)
+    for column, (_, f, g) in zip(digits.T, checked):
+        residues += exponents[f, g][column]
+    by_residue = np.zeros(d, dtype=np.int64)
+    np.add.at(by_residue, residues % d, counts)
     omega = np.exp(2j * np.pi / d)
     s = stream.num_shots
-    mean = sum(int(c) * omega ** r for r, c in enumerate(counts)) / s
+    mean = sum(int(c) * omega ** r for r, c in enumerate(by_residue)) / s
 
     calibration = complex(np.prod([fiducial.overlaps[f, g] for _, f, g in checked]))
     if abs(calibration) < 1e-12:

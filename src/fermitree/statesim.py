@@ -6,11 +6,9 @@ qubit 0 is the top bit of the state index.  A Pauli string acts by one
 gather over index ^ x, a sign per index and one factor i**(phase + #Y)
 (``pauli_matvec``).  The module also provides the tetrahedral ancilla
 state, Heisenberg-Weyl displacement operators, generalized Bell states,
-and three ways to draw Bell-basis measurement outcomes, all returning a
-``BellShotStream`` whose shots are rows of uint8 codes h * D + ell:
+and two bulk samplers of Bell-basis measurement outcomes, both returning
+a ``BellShotStream`` whose shots are rows of uint8 codes h * D + ell:
 
-    * ``bell_measure_all_pairs`` collapses one site pair of a register at
-      a time (reference semantics, a one-shot stream per call);
     * ``sample_bell_shots`` samples the exact joint outcome distribution
       of a register whose ancillas are attached (``attach_ancillas``);
     * ``sample_povm_shots`` draws the same stream from the system state
@@ -23,7 +21,8 @@ The two bulk samplers share one outcome kernel (``_outcome_distribution``:
 one contiguous matrix product per register pair or system site, then the
 squared moduli) and one blocked RNG layout (``_draw_codes``) that makes a
 stream depend only on the distribution and the seed; the capacity budget
-bounds the D^(2n) outcome distribution in both.
+bounds the D^(2n) outcome distribution in both.  The collapse reference,
+which measures one site pair at a time, lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -298,36 +297,6 @@ def _paired(state: DenseState) -> int:
     if state.num_sites % 2 != 0:
         raise ValueError(f"need an even number of sites, got {state.num_sites}")
     return state.num_sites // 2
-
-
-def bell_measure_all_pairs(
-    state: DenseState, rng: np.random.Generator | int | None = None
-) -> BellShotStream:
-    """Measure each (2p, 2p+1) pair in the Bell basis by sequential collapse.
-
-    Returns a one-shot stream.  The input state is not modified; collapses
-    happen on an internal copy.
-    """
-    rng = np.random.default_rng(rng)
-    n_pairs = _paired(state)
-    d = state.local_dim
-    basis = bell_basis_matrix(d)
-    basis_h = basis.conj().T
-    tensor = state.as_tensor().copy()
-    codes = []
-    for p in range(n_pairs):
-        moved = np.moveaxis(tensor, (2 * p, 2 * p + 1), (0, 1))
-        flat = moved.reshape(d * d, -1)
-        in_bell = basis_h @ flat
-        probs = np.sum(np.abs(in_bell) ** 2, axis=1)
-        probs = probs / probs.sum()
-        code = int(rng.choice(d * d, p=probs))
-        post = np.zeros_like(in_bell)
-        post[code] = in_bell[code] / math.sqrt(probs[code])
-        collapsed = (basis @ post).reshape(moved.shape)
-        tensor = np.moveaxis(collapsed, (0, 1), (2 * p, 2 * p + 1))
-        codes.append(code)
-    return BellShotStream(d, n_pairs, [codes])
 
 
 def _outcome_distribution(amps: np.ndarray, rows_t: np.ndarray, steps: int) -> np.ndarray:

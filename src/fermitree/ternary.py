@@ -92,16 +92,6 @@ class TernaryTreeMapping:
     majorana_table: tuple[PauliString, ...] = field(repr=False)
 
     @property
-    def base_height(self) -> int:
-        """Height h of the underlying complete ternary tree."""
-        return _tree_shape(self.n_modes)[0]
-
-    @property
-    def extended_leaves(self) -> tuple[TreePath, ...]:
-        """Base-tree leaves grown by one level to reach 2n+1 paths."""
-        return _tree_shape(self.n_modes)[1]
-
-    @property
     def num_qubits(self) -> int:
         """Qubit count, always equal to n_modes."""
         return self.n_modes

@@ -14,8 +14,9 @@ grows as sqrt(3)^k, uniform over all C(n,k) 3^k elements of the k-RDM
 
 The estimators share one outcome-counting kernel, ``joint_outcomes``.
 ``sign_means`` reads every qubit and fermionic Pauli string as one Bell
-eigenvalue product per distinct outcome, ``residue_counts`` the qudit phases;
-the sums are exact, so estimates are bit-identical under any shot partition.
+eigenvalue product per distinct outcome, and ``qudit.estimate_hw_correlator``
+reads the qudit phase residues; the sums are exact, so estimates are
+bit-identical under any shot partition.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from .statesim import BellShotStream, bell_povm_elements, prepare_xi
 
 LETTERS = ("x", "y", "z")
+_LETTER_COLUMNS = {a: j for j, letter in enumerate(LETTERS) for a in (letter, letter.upper())}
 
 # Eigenvalue table, rows indexed by Bell outcome code (F+, F-, P+, P-),
 # columns by letter (x, y, z).
@@ -71,21 +73,6 @@ def joint_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.n
     return digits, counts
 
 
-def residue_counts(digits: np.ndarray, counts: np.ndarray, exponents: list, d: int) -> np.ndarray:
-    """Exact shot counts per residue mod ``d`` of the summed exponents.
-
-    ``exponents[j][code]`` is the integer exponent that ``code`` in column
-    j of ``digits`` contributes; entry r counts the shots summing to r.
-    Only the qudit correlators use it; ``sign_means`` reads Pauli strings.
-    """
-    residues = np.zeros(len(counts), dtype=np.int64)
-    for column, table in zip(digits.T, exponents):
-        residues += np.asarray(table, dtype=np.int64)[column]
-    out = np.zeros(d, dtype=np.int64)
-    np.add.at(out, residues % d, counts)
-    return out
-
-
 def sign_means(stream: BellShotStream, strings: Iterable) -> list[tuple[float, float, float]]:
     """Mean eigenvalue product of each Pauli string over the shots of ``stream``.
 
@@ -94,23 +81,29 @@ def sign_means(stream: BellShotStream, strings: Iterable) -> list[tuple[float, f
     each mean with its sqrt(3)^weight attenuation scale and the scaled
     plug-in std error, reading each support's counts once as one eigenvalue
     product per distinct outcome.  An empty or non-qubit stream, a qubit
-    outside the register, a qubit repeated within one string or an unknown
-    letter raises ValueError.
+    that is not an integer (a bool included) or lies outside the register,
+    a qubit repeated within one string or an unknown letter raises
+    ValueError.
     """
     if stream.local_dim != 2:
         raise ValueError("Pauli-string estimation needs a qubit stream")
-    s = stream.num_shots
+    s, n = stream.num_shots, stream.num_pairs
     if s == 0:
         raise ValueError("empty shot stream")
     groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     for index, string in enumerate(strings):
-        positions, columns = groups.setdefault(tuple(q for q, _ in string), ([], []))
+        support = tuple(q for q, _ in string)
+        # bool is an int, and 1.0 or True would share the group of qubit 1
+        if not all((type(q) is int or isinstance(q, np.integer)) and 0 <= q < n for q in support):
+            raise ValueError(f"qubits of {string!r} are not all integers in 0..{n - 1}")
+        positions, columns = groups.setdefault(support, ([], []))
         positions.append(index)
-        columns.extend(LETTERS.index(letter.lower()) for _, letter in string)
+        try:
+            columns.extend(_LETTER_COLUMNS[letter] for _, letter in string)
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown Pauli letter in {string!r}") from None
     out = np.empty((sum(len(positions) for positions, _ in groups.values()), 3))
     for support, (positions, columns) in groups.items():
-        if any(not 0 <= q < stream.num_pairs for q in support):
-            raise ValueError(f"qubit outside 0..{stream.num_pairs - 1} in {support}")
         if len(set(support)) < len(support):
             raise ValueError(f"repeated qubit in {support}")
         digits, counts = joint_outcomes(stream, support)

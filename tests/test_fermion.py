@@ -29,6 +29,7 @@ from fermitree.statesim import (
     sample_bell_shots,
 )
 from fermitree.ternary import build_mapping
+from oracles import to_dense
 
 ALL_MAPPINGS = [
     ("ternary", lambda n: build_mapping(n)),
@@ -64,10 +65,10 @@ def test_encode_monomial_matches_dense_oracle():
     # the encoded product must equal the matrix product of encoded factors
     mapping = build_mapping(2)
     for indices in [(1, 2), (2, 3), (1, 4), (1, 2, 3, 4)]:
-        lhs = encode_monomial(indices, mapping).to_dense(2)
+        lhs = to_dense(encode_monomial(indices, mapping), 2)
         rhs = np.eye(4, dtype=complex)
         for u in indices:
-            rhs = rhs @ mapping.majorana_table[u - 1].to_dense(2)
+            rhs = rhs @ to_dense(mapping.majorana_table[u - 1], 2)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 

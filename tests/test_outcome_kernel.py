@@ -35,9 +35,9 @@ from fermitree.tomography import (
     RdmEstimate,
     estimate_all_k_rdms,
     joint_outcomes,
-    residue_counts,
     sign_means,
 )
+from test_qudit import _complex_fiducial
 
 
 def random_stream(d, num_pairs, num_shots, seed, distinct=None):
@@ -127,14 +127,6 @@ def test_counting_branches_at_key_range_threshold(d, fiducial, extra):
             assert (scale * mean, std_error) == reference_rdm(stream, sites, letters)
 
 
-def test_residue_counts_sums_exponents():
-    digits = np.array([[0, 1], [2, 2], [1, 0]], dtype=np.uint8)
-    counts = np.array([5, 7, 11])
-    exponents = [np.array([0, 1, 2]), np.array([2, 2, 1])]
-    # residues (0+2, 2+1, 1+2) mod 3 = (2, 0, 0)
-    assert residue_counts(digits, counts, exponents, 3).tolist() == [18, 0, 5]
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_qubit_estimator_is_bit_identical(k):
     stream = random_stream(2, 5, 4000, seed=10 + k, distinct=300)
@@ -144,8 +136,24 @@ def test_qubit_estimator_is_bit_identical(k):
             assert (scale * mean, std_error) == reference_rdm(stream, qubits, letters)
 
 
-@pytest.mark.parametrize("d,fiducial", [(2, qubit_fiducial()), (3, qutrit_fiducial())])
-@pytest.mark.parametrize("k", [1, 2, 3])
+HW_FIDUCIALS = [
+    (2, qubit_fiducial()),
+    (3, qutrit_fiducial()),
+    (4, _complex_fiducial(4, 4)),
+    (5, _complex_fiducial(5, 5)),
+]
+
+
+# D = 4 (a power of two) and D = 5 (a prime) stop at k = 2: k = 3 would be
+# 13500 and 55296 estimator calls
+@pytest.mark.parametrize(
+    "d,fiducial,k",
+    [
+        pytest.param(d, fiducial, k, id=f"{k}-{d}-fiducial{j}")
+        for j, (d, fiducial) in enumerate(HW_FIDUCIALS)
+        for k in ((1, 2, 3) if d <= 3 else (1, 2))
+    ],
+)
 def test_hw_estimator_is_bit_identical(d, fiducial, k):
     stream = random_stream(d, 4, 3000, seed=20 + k, distinct=200)
     labels = [(f, g) for f in range(d) for g in range(d) if (f, g) != (0, 0)]
@@ -251,6 +259,14 @@ def test_sign_means_check_every_qubit():
         sign_means(stream, [((0, "x"), (-1, "y"))])
     with pytest.raises(ValueError):
         sign_means(stream, [((0, "q"),)])
+    # every bad letter or qubit label raises a ValueError that names its string
+    for string in [((0, 1),), ((0, None),), ((0, "q"),), ((1.0, "x"),), ((True, "x"),), (("1", "x"),)]:
+        with pytest.raises(ValueError, match=re.escape(repr(string))):
+            sign_means(stream, [((2, "z"),), string])
+    # numpy integers are qubit labels like any other integer
+    assert sign_means(stream, [((np.int64(1), "x"), (np.uint8(2), "z"))]) == sign_means(
+        stream, [((1, "x"), (2, "z"))]
+    )
 
 
 @pytest.mark.parametrize(

@@ -26,17 +26,17 @@ def test_every_public_package_attribute_is_exported():
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Exported names that nothing outside tests/ calls, each with its reason.
+# Public names that nothing outside tests/ calls, each with its reason.
 UNCALLED_EXPORTS = {
     "save_mapping": "writes the mapping files that `fermitree verify --input` reads",
     "save_fiducial": "writes the fiducial files that `fermitree qudit-sic --fiducial` reads",
 }
 
 
-def _names_used(path):
-    """Names that a Python file loads, reads as attributes or imports."""
+def _names_used(source):
+    """Names that Python source loads, reads as attributes or imports."""
     used = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -46,13 +46,55 @@ def _names_used(path):
     return used
 
 
-def test_every_export_is_used_outside_the_tests():
-    # a name whose only caller is its own unit test is deleted, not exported;
-    # the package's own export list and definitions do not count as use
+def _names_used_outside_the_tests():
+    """Names loaded by the package modules (not its export list), the
+    benchmark, the demos and the criteria tests."""
     files = [p for p in (ROOT / "src" / "fermitree").glob("*.py") if p.name != "__init__.py"]
     files += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     files.append(ROOT / "tests" / "test_acceptance.py")
-    used = set().union(*map(_names_used, files))
+    return set().union(*(_names_used(p.read_text(encoding="utf-8")) for p in files))
+
+
+def test_every_export_is_used_outside_the_tests():
+    # a name whose only caller is its own unit test is deleted, not exported;
+    # the package's own export list and definitions do not count as use
+    used = _names_used_outside_the_tests()
     used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
     assert set(UNCALLED_EXPORTS) <= set(fermitree.__all__)
     assert sorted(set(fermitree.__all__) - used - set(UNCALLED_EXPORTS)) == []
+
+
+def _public_definitions():
+    """Qualified names of the package's public module-level functions,
+    classes and constants and of its classes' public methods and properties."""
+    defined = []
+    for path in sorted((ROOT / "src" / "fermitree").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path.stem, t.id) for t in targets if isinstance(t, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+    return [(owner, name) for owner, name in defined if not name.startswith("_")]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a function, class, constant, method or property whose only caller is
+    # a unit test is deleted or moved into the test oracles; README prose
+    # does not count as use, its python code blocks do
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    used = _names_used_outside_the_tests()
+    for block in re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S):
+        used |= _names_used(block)
+    unused = sorted(
+        f"{owner}.{name}"
+        for owner, name in _public_definitions()
+        if name not in used and name not in UNCALLED_EXPORTS
+    )
+    assert not unused, f"reached only by tests: {', '.join(unused)}"

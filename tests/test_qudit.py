@@ -179,6 +179,13 @@ def test_estimator_validation():
     blind = FiducialState(3, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         estimate_hw_correlator(stream, [(0, 1, 0)], blind)
+    # non-integer and bool labels are rejected before any array is read
+    for bad in (1.5, 1.0, "1", True):
+        for target in [(bad, 1, 0), (0, bad, 0), (0, 1, bad)]:
+            with pytest.raises(ValueError):
+                estimate_hw_correlator(stream, [target], fid)
+    with pytest.raises(ValueError):
+        exact_hw_correlator(random_state(2, 3, np.random.default_rng(0)), [(True, 1, 0)])
 
 
 def apply_single_site(state: DenseState, matrix: np.ndarray, site: int) -> DenseState:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermitree.pauli import PAULI_MATRICES, PauliString
+from fermitree.pauli import PauliString
 from fermitree.qudit import qutrit_fiducial
 from fermitree.statesim import (
     CAPACITY_AMPLITUDES,
@@ -21,7 +21,6 @@ from fermitree.statesim import (
     _draw_codes,
     attach_ancillas,
     bell_basis_matrix,
-    bell_measure_all_pairs,
     bell_outcome_distribution,
     expectation,
     generalized_bell_state,
@@ -33,6 +32,7 @@ from fermitree.statesim import (
     sample_bell_shots,
     sample_povm_shots,
 )
+from oracles import PAULI_MATRICES, bell_measure_all_pairs, to_dense
 
 
 def test_computational_state_indexing():
@@ -80,7 +80,7 @@ def test_pauli_matvec_matches_dense_oracle():
             if c != "I":
                 letters[q] = c
         p = PauliString.from_map(letters, int(rng.integers(0, 4)))
-        assert np.allclose(pauli_matvec(p, vec, 3), p.to_dense(3) @ vec, atol=1e-12)
+        assert np.allclose(pauli_matvec(p, vec, 3), to_dense(p, 3) @ vec, atol=1e-12)
 
 
 def tensordot_matvec(pauli: PauliString, amplitudes: np.ndarray, num_sites: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from fermitree import ternary
 from fermitree.pauli import PauliString
 from fermitree.ternary import (
     build_mapping,
@@ -61,7 +62,7 @@ def test_mapping_n1():
     m = build_mapping(1)
     assert [str(op) for op in m.majorana_table] == ["+ X0", "+ Y0"]
     assert m.dropped_path == (2,)
-    assert m.extended_leaves == ()
+    assert ternary._tree_shape(1)[1] == ()
     assert m.num_qubits == 1
 
 
@@ -73,7 +74,7 @@ def test_mapping_n2():
         "+ X0 Z1",
         "+ Y0",
     ]
-    assert m.extended_leaves == ((0,),)
+    assert ternary._tree_shape(2)[1] == ((0,),)
     assert m.dropped_path == (2,)
 
 
@@ -94,16 +95,16 @@ def test_structure_bookkeeping(n):
     m = build_mapping(n)
     assert len(m.majorana_table) == 2 * n
     assert len(all_paths(m)) == 2 * n + 1
-    assert m.dropped_path == (2,) * m.base_height
-    assert m.dropped_path not in m.extended_leaves
+    assert m.dropped_path == (2,) * ternary._tree_shape(n)[0]
+    assert m.dropped_path not in ternary._tree_shape(n)[1]
     # qubit labels are exactly 0..n-1
     used = set()
     for op in m.majorana_table:
         used.update(q for q, _ in op.letters)
     assert used == set(range(n))
     # extension count matches the incomplete-tree arithmetic
-    internal = (3 ** m.base_height - 1) // 2
-    assert len(m.extended_leaves) == n - internal
+    internal = (3 ** ternary._tree_shape(n)[0] - 1) // 2
+    assert len(ternary._tree_shape(n)[1]) == n - internal
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13, 20, 40])

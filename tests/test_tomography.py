@@ -11,7 +11,6 @@ from fermitree.statesim import (
     BellShotStream,
     DenseState,
     attach_ancillas,
-    bell_measure_all_pairs,
     bell_outcome_distribution,
     expectation,
     generalized_bell_state,
@@ -26,6 +25,7 @@ from fermitree.tomography import (
     sic_povm_elements,
     sign_means,
 )
+from oracles import bell_measure_all_pairs
 
 
 def test_eigenvalue_table_against_simulator():

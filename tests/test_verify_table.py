@@ -50,9 +50,10 @@ def reference_verify_table(table):
 
 def all_paths(mapping):
     """All 2n+1 tree paths in lexicographic order, the dropped one included."""
-    grown = set(mapping.extended_leaves)
+    h, extended, _ = ternary._tree_shape(mapping.n_modes)
+    grown = set(extended)
     paths = []
-    for leaf in itertools.product((0, 1, 2), repeat=mapping.base_height):
+    for leaf in itertools.product((0, 1, 2), repeat=h):
         if leaf in grown:
             paths.extend(leaf + (c,) for c in (0, 1, 2))
         else:

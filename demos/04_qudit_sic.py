@@ -11,10 +11,9 @@ tetrahedral ancilla does for qubits at D = 2.
 import numpy as np
 
 from fermitree import (
+    bell_povm_elements,
     estimate_hw_correlator,
     exact_hw_correlator,
-    fiducial_overlaps,
-    hw_sic_elements,
     qutrit_fiducial,
     random_state,
     sample_povm_shots,
@@ -32,11 +31,11 @@ def main():
           f" .. {report.max_magnitude:.6f} (target {report.target_magnitude})")
     print(f"  exact SIC: {report.exact_sic}")
 
-    total = sum(hw_sic_elements(fid))
+    total = sum(bell_povm_elements(fid.as_state()))
     print(f"  POVM sum residual: {np.max(np.abs(total - np.eye(3))):.2e}")
 
     print("\ncalibration factors tr(X^f Z^-g xi):")
-    for (f, g), value in sorted(fiducial_overlaps(fid).items()):
+    for (f, g), value in sorted(fid.overlaps.items()):
         print(f"  ({f},{g}): {value.real:+.4f}{value.imag:+.4f}i")
 
     state = random_state(2, 3, np.random.default_rng(12))

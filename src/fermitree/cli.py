@@ -27,16 +27,11 @@ from .fermion import (
     sampled_fermionic_rdm,
 )
 from .pauli import PauliString
-from .qudit import (
-    hw_sic_elements,
-    load_fiducial,
-    qubit_fiducial,
-    qutrit_fiducial,
-    validate_fiducial,
-)
+from .qudit import load_fiducial, qubit_fiducial, qutrit_fiducial, validate_fiducial
 from .statesim import (
     CapacityError,
     DenseState,
+    bell_povm_elements,
     expectation,
     random_state,
     sample_povm_shots,
@@ -246,7 +241,7 @@ def cmd_qudit_sic(args: argparse.Namespace) -> int:
 
     # first, so a dimension past the Bell-basis budget exits before the
     # D^2 calibration factors are computed
-    elements = hw_sic_elements(fiducial)
+    elements = bell_povm_elements(fiducial.as_state())
     report = validate_fiducial(fiducial)
     d = fiducial.dimension
     total = sum(elements)

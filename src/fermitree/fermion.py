@@ -91,11 +91,12 @@ def number_operator_strings(mapping: MappingLike) -> tuple[PauliString, ...]:
     return tuple(out)
 
 
-def encoded_vacuum(mapping: MappingLike, num_qubits: int | None = None) -> DenseState:
+def encoded_vacuum(mapping: MappingLike) -> DenseState:
     """The state annihilated by every mode, i.e. N_j = -1 for all j.
 
-    Returns the first nonzero image of a computational basis state under
-    the projector P = prod_j (I - N_j)/2, normalised.  No later image is
+    The register holds one qubit per mode.  Returns the first nonzero image
+    of a computational basis state under the projector
+    P = prod_j (I - N_j)/2, normalised.  No later image is
     larger: the N_j are commuting Hermitian Pauli strings, so P averages
     the stabiliser group they generate and <b|P|b> is 0 or one common value
     for every basis state b (Aaronson and Gottesman, PRA 2004).  Tables
@@ -103,10 +104,7 @@ def encoded_vacuum(mapping: MappingLike, num_qubits: int | None = None) -> Dense
     phase is whatever the projection produces; expectations never see it.
     """
     numbers = number_operator_strings(mapping)
-    if num_qubits is None:
-        num_qubits = mode_count(mapping)
-    if len(numbers) > num_qubits:
-        raise ValueError(f"{len(numbers)} modes cannot fit on {num_qubits} qubits")
+    num_qubits = len(numbers)
     if any(n_op.phase_power % 2 for n_op in numbers) or any(
         a.anticommutes_with(b) for a, b in itertools.combinations(numbers, 2)
     ):

@@ -1,4 +1,4 @@
-"""Heisenberg-Weyl correlator estimation and SIC POVMs for qudits.
+"""Heisenberg-Weyl correlator estimation and fiducial states for qudits.
 
 The qubit scheme generalizes verbatim: pair every system qudit with an
 ancilla in a fiducial state xi, measure pairs in the generalized Bell
@@ -6,12 +6,16 @@ basis, and read off displacement-operator correlators.  The (h, ell)
 outcome on a pair contributes the exact eigenvalue exp(2*pi*i*(g*h -
 f*ell)/D) of X^f Z^g (x) X^f Z^{-g}, and each ancilla attenuates the
 signal by its calibration factor tr(X^f Z^{-g} xi), computed once per
-fiducial.  Shots are counted per residue g*h - f*ell mod D with the kernel
-in ``fermitree.tomography``; the exact oracle is one gather per target.
+fiducial (``FiducialState.overlaps``).  Shots are counted per residue
+g*h - f*ell mod D with the kernel in ``fermitree.tomography``; the exact
+oracle is one gather per target.
 
 A fiducial whose calibration factors all have magnitude 1/sqrt(D+1) makes
-the induced POVM symmetric informationally complete; the attenuation is
-then uniform and the shot cost grows as (D+1)^k for degree-k correlators.
+the POVM that the Bell measurement realizes on a system site
+(``statesim.bell_povm_elements(fiducial.as_state())``) symmetric
+informationally complete (Renes et al., J. Math. Phys. 2004); the
+attenuation is then uniform and the shot cost grows as (D+1)^k for
+degree-k correlators.  The tetrahedral qubit ancilla is the D = 2 case.
 """
 
 from __future__ import annotations
@@ -25,17 +29,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .statesim import (
-    BellShotStream,
-    DenseState,
-    bell_povm_elements,
-    hw_operator,
-    prepare_xi,
-)
+from .statesim import BellShotStream, DenseState, hw_operator, prepare_xi
 from .tomography import joint_outcomes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiducialState:
     """Single-qudit ancilla state used for every pair; the amplitudes are a read-only copy."""
 
@@ -47,21 +45,19 @@ class FiducialState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FiducialState):
-            return NotImplemented
-        return self.dimension == other.dimension and np.array_equal(self.amplitudes, other.amplitudes)
-
-    def __hash__(self) -> int:
-        return hash((self.dimension, *self.amplitudes.tolist()))
-
     @cached_property
     def overlaps(self) -> Mapping[tuple[int, int], complex]:
-        """``fiducial_overlaps(self)``, computed once; the read-only amplitudes keep it fresh."""
-        return MappingProxyType(fiducial_overlaps(self))
-
-    def density(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
+        """Calibration factors tr(X^f Z^{-g} xi), the per-ancilla attenuation when
+        targeting X^f Z^g, for every (f, g) != (0, 0) in 0..D-1; computed once,
+        the read-only amplitudes keep them fresh."""
+        d = self.dimension
+        density = np.outer(self.amplitudes, self.amplitudes.conj())
+        return MappingProxyType({
+            (f, g): complex(np.trace(hw_operator(d, f, (-g) % d) @ density))
+            for f in range(d)
+            for g in range(d)
+            if (f, g) != (0, 0)
+        })
 
     def as_state(self) -> DenseState:
         return DenseState(self.dimension, 1, self.amplitudes.copy())
@@ -76,24 +72,6 @@ def qutrit_fiducial() -> FiducialState:
     """(|1> - |2>)/sqrt(2), an exact SIC fiducial for D = 3."""
     amps = np.array([0.0, 1.0, -1.0]) / math.sqrt(2)
     return FiducialState(3, amps)
-
-
-def calibration_factor(fiducial: FiducialState, f: int, g: int) -> complex:
-    """tr(X^f Z^{-g} xi), the per-ancilla attenuation when targeting X^f Z^g."""
-    d = fiducial.dimension
-    op = hw_operator(d, f % d, (-g) % d)
-    return complex(np.trace(op @ fiducial.density()))
-
-
-def fiducial_overlaps(fiducial: FiducialState) -> dict[tuple[int, int], complex]:
-    """Calibration factors for every nonzero displacement label (f, g)."""
-    d = fiducial.dimension
-    return {
-        (f, g): calibration_factor(fiducial, f, g)
-        for f in range(d)
-        for g in range(d)
-        if (f, g) != (0, 0)
-    }
 
 
 @dataclass(frozen=True)
@@ -126,16 +104,6 @@ def validate_fiducial(fiducial: FiducialState) -> FiducialReport:
         exact_sic=all(abs(m - target) <= 1e-9 for m in mags),
         informationally_complete=all(m > 1e-12 for m in mags),
     )
-
-
-def hw_sic_elements(fiducial: FiducialState) -> list[np.ndarray]:
-    """POVM realized by the Bell measurement with ancilla ``fiducial``.
-
-    Element h*D + ell is (1/D) X^h Z^ell xi* Z^{-ell} X^{-h}, xi* being the
-    conjugate fiducial density.  They sum to the identity for any fiducial;
-    for an exact SIC fiducial the projector overlaps are (D*delta + 1)/(D + 1).
-    """
-    return bell_povm_elements(fiducial.as_state())
 
 
 # -- correlator estimation -----------------------------------------------------

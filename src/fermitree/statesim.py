@@ -285,7 +285,12 @@ def bell_povm_elements(ancilla: DenseState) -> list[np.ndarray]:
     """POVM that the Bell measurement with ``ancilla`` realizes on a system site.
 
     Outcome code c has probability tr(rho E_c), E_c = a_c^dag a_c, where
-    a_c = <B_c|(. (x) ancilla) is a row vector on the system site.
+    a_c = <B_c|(. (x) ancilla) is a row vector on the system site.  Element
+    h*D + ell is (1/D) X^h Z^ell xi* Z^{-ell} X^{-h}, xi* being the conjugate
+    ancilla density, so the elements sum to the identity for any ancilla.
+    With the tetrahedral ancilla (``prepare_xi``) they are the qubit SIC
+    POVM in code order (F+, F-, P+, P-); with an exact SIC fiducial of
+    dimension D the projector overlaps are (D*delta + 1)/(D + 1).
     """
     return [np.outer(a.conj(), a) for a in _bell_povm_rows(ancilla)]
 
@@ -374,9 +379,6 @@ class BellShotStream:
     def num_shots(self) -> int:
         return self.codes.shape[0]
 
-    def __len__(self) -> int:
-        return self.num_shots
-
     def to_jsonl(self, path: str) -> None:
         d = self.local_dim
         outcome_of = QUBIT_BELL_LABELS if d == 2 else [list(divmod(c, d)) for c in range(d * d)]
@@ -390,20 +392,28 @@ class BellShotStream:
 
     @classmethod
     def from_jsonl(cls, path: str, local_dim: int | None = None) -> "BellShotStream":
-        """Read a shot stream; qudit streams may need ``local_dim`` since the
-        record format stores (h, ell) pairs, not the dimension.  A record
-        without ``shot_index`` or ``outcomes``, an unknown label, an h or
-        ell that is not an integer in 0..D-1 (a JSON boolean included) or a
-        ``local_dim`` below 2 raises ValueError."""
+        """Read a shot stream in ``shot_index`` order; qudit streams may need
+        ``local_dim`` since the record format stores (h, ell) pairs, not the
+        dimension.  A record without ``shot_index`` or ``outcomes``, a
+        ``shot_index`` that is not an integer (a JSON boolean included) or
+        repeats one of another record (as in two files joined with
+        ``cat``), an unknown label, an h or ell that is not an integer in
+        0..D-1 or a ``local_dim`` below 2 raises ValueError."""
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         rows = [json.loads(line) for line in text.split("\n") if line.strip()]
         if not rows:
             raise ValueError(f"no shot records in {path}")
         try:
-            outcomes = [r["outcomes"] for r in sorted(rows, key=lambda r: r["shot_index"])]
+            # bool is an int; a null, 0.5 or repeated index would be sorted in silently
+            by_index = {
+                r["shot_index"]: r["outcomes"] for r in rows if type(r["shot_index"]) is int
+            }
         except (KeyError, TypeError):
             raise ValueError("shot records need a shot_index and outcomes") from None
+        if len(by_index) < len(rows):
+            raise ValueError("shot_index values must be distinct integers")
+        outcomes = [by_index[i] for i in sorted(by_index)]
         first = outcomes[0]
         if isinstance(first, list) and first and isinstance(first[0], str):
             if local_dim not in (None, 2):

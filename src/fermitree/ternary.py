@@ -34,27 +34,18 @@ BRANCH_LETTERS = ("X", "Y", "Z")
 TreePath = tuple[int, ...]
 
 
-def node_index(path: TreePath, level: int) -> int:
-    """Index of the node reached after ``level`` steps of ``path``.
+def path_operator(path: TreePath) -> PauliString:
+    """Pauli string of a root-to-leaf path: branch letter at each visited node.
 
-    Level l of the tree starts at node (3**l - 1)/2; within the level the
-    branch digits of the path read as a base-3 offset.
+    Nodes are numbered level by level, so branch b of node k is node 3k + 1 + b.
     """
-    if not 0 <= level <= len(path):
-        raise ValueError(f"level {level} outside path of length {len(path)}")
-    offset = 0
-    for step in path[:level]:
+    letters = {}
+    node = 0
+    for step in path:
         if step not in (0, 1, 2):
             raise ValueError(f"invalid branch {step}")
-        offset = 3 * offset + step
-    return (3 ** level - 1) // 2 + offset
-
-
-def path_operator(path: TreePath) -> PauliString:
-    """Pauli string of a root-to-leaf path: branch letter at each visited node."""
-    letters = {}
-    for level, step in enumerate(path):
-        letters[node_index(path, level)] = BRANCH_LETTERS[step]
+        letters[node] = BRANCH_LETTERS[step]
+        node = 3 * node + 1 + step
     return PauliString.from_map(letters)
 
 

@@ -7,7 +7,9 @@ Pauli observables at once: the outcome of pair j assigns an eigenvalue of
 
     <P_1 ... P_k>  ~  sqrt(3)^k * mean over shots of the eigenvalue product,
 
-because each ancilla contributes a factor tr(sigma xi) = 1/sqrt(3).  The
+because each ancilla contributes a factor tr(sigma xi) = 1/sqrt(3); per
+qubit the Bell measurement is the qubit SIC POVM
+``statesim.bell_povm_elements(prepare_xi())`` (criterion 09).  The
 price is a per-shot variance amplified by 3^k, so a standard error that
 grows as sqrt(3)^k, uniform over all C(n,k) 3^k elements of the k-RDM
 (acceptance criterion 08 checks the k=2 / k=1 standard-error ratio).
@@ -28,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .statesim import BellShotStream, bell_povm_elements, prepare_xi
+from .statesim import BellShotStream
 
 LETTERS = ("x", "y", "z")
 _LETTER_COLUMNS = {a: j for j, letter in enumerate(LETTERS) for a in (letter, letter.upper())}
@@ -80,10 +82,11 @@ def sign_means(stream: BellShotStream, strings: Iterable) -> list[tuple[float, f
     either case, as in ``PauliString.letters``.  Returns, in input order,
     each mean with its sqrt(3)^weight attenuation scale and the scaled
     plug-in std error, reading each support's counts once as one eigenvalue
-    product per distinct outcome.  An empty or non-qubit stream, a qubit
-    that is not an integer (a bool included) or lies outside the register,
-    a qubit repeated within one string or an unknown letter raises
-    ValueError.
+    product per distinct outcome.  An empty or non-qubit stream raises
+    ValueError, and so, naming the string, does a string that is not a
+    sequence of pairs, a qubit that is not an integer (a bool included) or
+    lies outside the register, a qubit repeated within one string or an
+    unknown letter.
     """
     if stream.local_dim != 2:
         raise ValueError("Pauli-string estimation needs a qubit stream")
@@ -92,10 +95,15 @@ def sign_means(stream: BellShotStream, strings: Iterable) -> list[tuple[float, f
         raise ValueError("empty shot stream")
     groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     for index, string in enumerate(strings):
-        support = tuple(q for q, _ in string)
+        try:
+            support = tuple(q for q, _ in string)
+        except (TypeError, ValueError):
+            raise ValueError(f"{string!r} is not a sequence of (qubit, letter) pairs") from None
         # bool is an int, and 1.0 or True would share the group of qubit 1
         if not all((type(q) is int or isinstance(q, np.integer)) and 0 <= q < n for q in support):
             raise ValueError(f"qubits of {string!r} are not all integers in 0..{n - 1}")
+        if len(set(support)) < len(support):
+            raise ValueError(f"repeated qubit {support} in {string!r}")
         positions, columns = groups.setdefault(support, ([], []))
         positions.append(index)
         try:
@@ -104,8 +112,6 @@ def sign_means(stream: BellShotStream, strings: Iterable) -> list[tuple[float, f
             raise ValueError(f"unknown Pauli letter in {string!r}") from None
     out = np.empty((sum(len(positions) for positions, _ in groups.values()), 3))
     for support, (positions, columns) in groups.items():
-        if len(set(support)) < len(support):
-            raise ValueError(f"repeated qubit in {support}")
         digits, counts = joint_outcomes(stream, support)
         signs = np.ones((len(counts), len(positions)), dtype=np.int8)
         for j in range(len(support)):
@@ -151,19 +157,6 @@ def merge_streams(parts: list[BellShotStream]) -> BellShotStream:
     if any(p.local_dim != d or p.num_pairs != n for p in parts):
         raise ValueError("streams disagree on register shape")
     return BellShotStream(d, n, np.concatenate([p.codes for p in parts]))
-
-
-# -- the qubit SIC POVM -------------------------------------------------------
-
-
-def sic_povm_elements() -> list[np.ndarray]:
-    """Four-outcome tetrahedral POVM realized by the Bell measurement.
-
-    Element order follows the outcome codes (F+, F-, P+, P-), with
-    p(c) = tr(rho E_c); E_c = P xi* P / 2 for P = I, Z, X, Y, where xi*
-    is the complex conjugate of the ancilla density.
-    """
-    return bell_povm_elements(prepare_xi())
 
 
 # -- reports ------------------------------------------------------------------

@@ -4,7 +4,9 @@
       Kronecker factor per qubit;
     * ``bell_measure_all_pairs`` measures a register's site pairs by
       sequential collapse, one pair at a time, the reference semantics of
-      the two bulk samplers in ``fermitree.statesim``.
+      the two bulk samplers in ``fermitree.statesim``;
+    * ``reference_calibration`` computes a fiducial's calibration factor
+      from its D x D density and displacement matrices.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import numpy as np
 
 from fermitree.pauli import PauliString
-from fermitree.statesim import BellShotStream, DenseState, _paired, bell_basis_matrix
+from fermitree.statesim import BellShotStream, DenseState, _paired, bell_basis_matrix, hw_operator
 
 PAULI_MATRICES: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
@@ -74,3 +76,11 @@ def bell_measure_all_pairs(
         tensor = np.moveaxis(collapsed, (0, 1), (2 * p, 2 * p + 1))
         codes.append(code)
     return BellShotStream(d, n_pairs, [codes])
+
+
+def reference_calibration(fiducial, f: int, g: int) -> complex:
+    """tr(X^f Z^{-g} xi) for any integers f, g, in the arithmetic of
+    ``FiducialState.overlaps``, so the two agree bit for bit."""
+    d = fiducial.dimension
+    density = np.outer(fiducial.amplitudes, fiducial.amplitudes.conj())
+    return complex(np.trace(hw_operator(d, f % d, (-g) % d) @ density))

@@ -26,10 +26,11 @@ from fermitree.fermion import (
     sampled_fermionic_rdm,
 )
 from fermitree.pauli import PauliString
-from fermitree.qudit import fiducial_overlaps, hw_sic_elements, qutrit_fiducial
+from fermitree.qudit import qutrit_fiducial
 from fermitree.statesim import (
     attach_ancillas,
     bell_basis_matrix,
+    bell_povm_elements,
     expectation,
     generalized_bell_state,
     hw_operator,
@@ -47,7 +48,6 @@ from fermitree.tomography import (
     BELL_EIGENVALUES,
     LETTERS,
     estimate_all_k_rdms,
-    sic_povm_elements,
 )
 
 
@@ -188,7 +188,7 @@ def test_criterion_08_variance_scaling():
 
 
 def test_criterion_09_qubit_sic_povm():
-    elements = sic_povm_elements()
+    elements = bell_povm_elements(prepare_xi())
     residual_sum = float(np.max(np.abs(sum(elements) - np.eye(2))))
     projectors = [2 * e for e in elements]
     worst_overlap = 0.0
@@ -269,9 +269,9 @@ def test_criterion_12_qutrit_checks():
         worst_phase = max(worst_phase, float(np.max(np.abs(op @ amps - phase * amps))))
 
     fid = qutrit_fiducial()
-    overlap_dev = max(abs(abs(v) - 0.5) for v in fiducial_overlaps(fid).values())
+    overlap_dev = max(abs(abs(v) - 0.5) for v in fid.overlaps.values())
 
-    projectors = [3 * e for e in hw_sic_elements(fid)]
+    projectors = [3 * e for e in bell_povm_elements(fid.as_state())]
     sic_dev = 0.0
     for a, b in itertools.product(range(9), repeat=2):
         got = np.trace(projectors[a] @ projectors[b]).real

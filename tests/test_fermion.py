@@ -80,7 +80,7 @@ def test_number_operator_strings_jw():
 
 
 def test_encoded_vacuum_jw_is_all_zeros():
-    vac = encoded_vacuum(jordan_wigner(3), 3)
+    vac = encoded_vacuum(jordan_wigner(3))
     want = np.zeros(8)
     want[0] = 1.0
     assert np.allclose(vac.amplitudes, want)
@@ -89,7 +89,7 @@ def test_encoded_vacuum_jw_is_all_zeros():
 @pytest.mark.parametrize("kind,factory", ALL_MAPPINGS)
 def test_vacuum_and_fock_occupations(kind, factory):
     mapping = factory(3)
-    vac = encoded_vacuum(mapping, 3)
+    vac = encoded_vacuum(mapping)
     fock = encode_fock_state(mapping, (1, 0, 1))
     for j, n_op in enumerate(number_operator_strings(mapping)):
         occ_vac = (1 + expectation(vac, n_op).real) / 2
@@ -116,8 +116,6 @@ def test_encode_fock_state_guards():
         encode_fock_state(mapping, (1,))
     with pytest.raises(ValueError):
         encode_fock_state(mapping, (2, 0))
-    with pytest.raises(ValueError):
-        encoded_vacuum(mapping, 1)
 
 
 def test_exact_rdm_jw_fock_values():

@@ -17,7 +17,6 @@ import pytest
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
 from fermitree.fermion import encode_monomial, estimate_monomial, sampled_fermionic_rdm
 from fermitree.qudit import (
-    calibration_factor,
     estimate_hw_correlator,
     qubit_fiducial,
     qutrit_fiducial,
@@ -37,6 +36,7 @@ from fermitree.tomography import (
     joint_outcomes,
     sign_means,
 )
+from oracles import reference_calibration
 from test_qudit import _complex_fiducial
 
 
@@ -85,7 +85,7 @@ def reference_hw(stream, targets, fiducial):
     counts = np.bincount(residues % d, minlength=d)
     omega = np.exp(2j * np.pi / d)
     mean = sum(int(c) * omega ** r for r, c in enumerate(counts)) / s
-    calibration = complex(np.prod([calibration_factor(fiducial, f, g) for _, f, g in targets]))
+    calibration = complex(np.prod([reference_calibration(fiducial, f, g) for _, f, g in targets]))
     return mean / calibration, math.sqrt(max(0.0, 1.0 - abs(mean) ** 2) / s) / abs(calibration)
 
 
@@ -259,8 +259,9 @@ def test_sign_means_check_every_qubit():
         sign_means(stream, [((0, "x"), (-1, "y"))])
     with pytest.raises(ValueError):
         sign_means(stream, [((0, "q"),)])
-    # every bad letter or qubit label raises a ValueError that names its string
-    for string in [((0, 1),), ((0, None),), ((0, "q"),), ((1.0, "x"),), ((True, "x"),), (("1", "x"),)]:
+    # every bad letter, qubit label or pair raises a ValueError that names its string
+    bad_labels = [((0, 1),), ((0, None),), ((0, "q"),), ((1.0, "x"),), ((True, "x"),), (("1", "x"),)]
+    for string in bad_labels + [(0, "x"), ((0, "x", 1),), ((0,),), 5]:
         with pytest.raises(ValueError, match=re.escape(repr(string))):
             sign_means(stream, [((2, "z"),), string])
     # numpy integers are qubit labels like any other integer
@@ -283,8 +284,9 @@ def test_sign_means_reject_a_repeated_qubit(string):
     # eigenvalues, so a repeated qubit has no sign mean to report
     stream = random_stream(2, 3, 100, seed=87)
     support = tuple(q for q, _ in string)
-    with pytest.raises(ValueError, match=re.escape(str(support))):
+    with pytest.raises(ValueError, match=re.escape(str(support))) as err:
         sign_means(stream, [((1, "z"),), string])
+    assert repr(string) in str(err.value)
 
 
 ESTIMATORS = {

@@ -10,11 +10,8 @@ import pytest
 from fermitree import qudit
 from fermitree.qudit import (
     FiducialState,
-    calibration_factor,
     estimate_hw_correlator,
     exact_hw_correlator,
-    fiducial_overlaps,
-    hw_sic_elements,
     load_fiducial,
     qubit_fiducial,
     qutrit_fiducial,
@@ -26,11 +23,14 @@ from fermitree.statesim import (
     DenseState,
     attach_ancillas,
     bell_outcome_distribution,
+    bell_povm_elements,
     hw_operator,
+    prepare_xi,
     random_state,
     sample_bell_shots,
 )
 from fermitree.tomography import sign_means
+from oracles import reference_calibration
 
 
 def test_fiducial_state_validation():
@@ -59,41 +59,31 @@ def test_fiducial_state_owns_its_amplitudes():
         fid.amplitudes[0] = 1.0
     with pytest.raises(TypeError):
         fid.overlaps[1, 0] = 0j
-    assert fid.overlaps == fiducial_overlaps(fid)
-    for (f, g), value in fid.overlaps.items():
-        assert value == calibration_factor(fid, f, g)
-
-
-def test_fiducial_state_equality_and_hash():
-    assert qutrit_fiducial() == qutrit_fiducial()
-    assert hash(qutrit_fiducial()) == hash(qutrit_fiducial())
-    assert qutrit_fiducial() != qubit_fiducial()
-    assert qutrit_fiducial() != FiducialState(3, np.array([1.0, 0.0, 0.0]))
-    assert qutrit_fiducial() != qutrit_fiducial().amplitudes.tolist()
-    assert len({qubit_fiducial(), qubit_fiducial(), qutrit_fiducial()}) == 2
-    # -0.0 equals 0.0, so the two must hash alike
-    plus, minus = FiducialState(2, np.array([1.0, 0.0])), FiducialState(2, np.array([1.0, -0.0]))
-    assert plus == minus and hash(plus) == hash(minus)
+    labels = [(f, g) for f in range(3) for g in range(3) if (f, g) != (0, 0)]
+    assert fid.overlaps == {(f, g): reference_calibration(fid, f, g) for f, g in labels}
 
 
 def test_qubit_fiducial_is_sic():
     report = validate_fiducial(qubit_fiducial())
     assert report.exact_sic
     assert report.target_magnitude == pytest.approx(1 / math.sqrt(3))
+    # the tetrahedral ancilla is the D = 2 fiducial: one POVM, bit for bit
+    tetrahedral = bell_povm_elements(prepare_xi())
+    assert np.array_equal(tetrahedral, bell_povm_elements(qubit_fiducial().as_state()))
 
 
 def test_qubit_calibration_factors():
     fid = qubit_fiducial()
     r = 1 / math.sqrt(3)
-    assert calibration_factor(fid, 1, 0) == pytest.approx(r)
-    assert calibration_factor(fid, 0, 1) == pytest.approx(r)
+    assert fid.overlaps[1, 0] == pytest.approx(r)
+    assert fid.overlaps[0, 1] == pytest.approx(r)
     # XZ^{-1} = XZ = -iY, so the (1,1) factor is -i/sqrt(3)
-    assert calibration_factor(fid, 1, 1) == pytest.approx(-1j * r)
+    assert fid.overlaps[1, 1] == pytest.approx(-1j * r)
 
 
 def test_qutrit_fiducial_overlaps():
     fid = qutrit_fiducial()
-    overlaps = fiducial_overlaps(fid)
+    overlaps = fid.overlaps
     assert len(overlaps) == 8
     for value in overlaps.values():
         assert abs(value) == pytest.approx(0.5, abs=1e-12)
@@ -116,14 +106,20 @@ def test_sic_elements_sum_to_identity(d):
     rng = np.random.default_rng(d)
     vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     fid = FiducialState(d, vec / np.linalg.norm(vec))
-    total = sum(hw_sic_elements(fid))
+    elements = bell_povm_elements(fid.as_state())
+    total = sum(elements)
     assert np.allclose(total, np.eye(d), atol=1e-12)
+    # element h*D + ell is (1/D) X^h Z^ell xi* Z^{-ell} X^{-h}
+    xi_conj = np.outer(fid.amplitudes, fid.amplitudes.conj()).conj()
+    for h, ell in itertools.product(range(d), repeat=2):
+        w = hw_operator(d, h, ell)
+        assert np.allclose(elements[h * d + ell], w @ xi_conj @ w.conj().T / d, atol=1e-12)
 
 
 @pytest.mark.parametrize("fid", [qubit_fiducial(), qutrit_fiducial()])
 def test_sic_projector_overlaps(fid):
     d = fid.dimension
-    projectors = [d * e for e in hw_sic_elements(fid)]
+    projectors = [d * e for e in bell_povm_elements(fid.as_state())]
     for a, b in itertools.product(range(d * d), repeat=2):
         want = 1.0 if a == b else 1 / (d + 1)
         got = np.trace(projectors[a] @ projectors[b]).real
@@ -141,7 +137,7 @@ def test_sic_elements_reproduce_bell_probabilities(fid):
     # p(h, ell) = tr(rho E_(h, ell)) for complex states and complex
     # fiducials, against the Bell outcome distribution of (system, ancilla)
     d = fid.dimension
-    elements = hw_sic_elements(fid)
+    elements = bell_povm_elements(fid.as_state())
     for seed in range(5):
         state = random_state(1, d, np.random.default_rng(seed))
         rho = np.outer(state.amplitudes, state.amplitudes.conj())
@@ -248,7 +244,7 @@ def test_correlators_build_no_matrix_per_call(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a D x D matrix was built per call")
 
-    for owner, name in [(qudit, "hw_operator"), (qudit, "calibration_factor"), (np, "tensordot")]:
+    for owner, name in [(qudit, "hw_operator"), (np, "tensordot")]:
         monkeypatch.setattr(owner, name, refuse)
     est = estimate_hw_correlator(stream, [(1, 1, 2), (0, 2, 0)], fid)
     assert est.calibration == want[0]

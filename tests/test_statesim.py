@@ -304,8 +304,8 @@ def test_sample_bell_shots_matches_distribution():
     flat = stream.codes[:, 0].astype(int) * 4 + stream.codes[:, 1].astype(int)
     counts = np.bincount(flat, minlength=16)
     for idx in range(16):
-        sigma = math.sqrt(probs[idx] * (1 - probs[idx]) * len(stream))
-        assert abs(counts[idx] - len(stream) * probs[idx]) <= 5 * sigma + 1
+        sigma = math.sqrt(probs[idx] * (1 - probs[idx]) * stream.num_shots)
+        assert abs(counts[idx] - stream.num_shots * probs[idx]) <= 5 * sigma + 1
 
 
 def test_sampling_deterministic_across_workers():
@@ -574,6 +574,38 @@ def test_from_jsonl_rejects_row_without_shot_index(tmp_path):
     )
     with pytest.raises(ValueError):
         BellShotStream.from_jsonl(str(path))
+
+
+@pytest.mark.parametrize("index", [None, True, False, 0.5, 1.0, "1", [1]])
+def test_from_jsonl_rejects_non_integer_shot_index(tmp_path, index):
+    path = tmp_path / "shots.jsonl"
+    # a single record is never compared, so it must be checked on its own
+    path.write_text(json.dumps({"shot_index": index, "outcomes": ["F+"]}) + "\n")
+    with pytest.raises(ValueError, match="shot_index"):
+        BellShotStream.from_jsonl(str(path))
+    path.write_text(
+        '{"shot_index": 0, "outcomes": ["F+"]}\n'
+        + json.dumps({"shot_index": index, "outcomes": ["P-"]}) + "\n"
+    )
+    with pytest.raises(ValueError, match="shot_index"):
+        BellShotStream.from_jsonl(str(path))
+
+
+def test_from_jsonl_rejects_repeated_shot_index(tmp_path):
+    # two files joined with cat both count from 0; sorting would interleave them
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    BellShotStream(2, 1, [[0], [1]]).to_jsonl(str(first))
+    BellShotStream(2, 1, [[2], [3]]).to_jsonl(str(second))
+    joined = tmp_path / "ab.jsonl"
+    joined.write_text(first.read_text() + second.read_text())
+    with pytest.raises(ValueError, match="shot_index"):
+        BellShotStream.from_jsonl(str(joined))
+    # the indices need not start at 0 or be consecutive, only distinct
+    joined.write_text(
+        '{"shot_index": 7, "outcomes": ["P-"]}\n'
+        '{"shot_index": -2, "outcomes": ["F-"]}\n'
+    )
+    assert BellShotStream.from_jsonl(str(joined)).codes.tolist() == [[1], [3]]
 
 
 def test_from_jsonl_infers_dimension_but_rejects_negatives(tmp_path):

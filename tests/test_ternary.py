@@ -12,7 +12,6 @@ from fermitree.ternary import (
     mapping_from_dict,
     mapping_to_dict,
     max_weight_bound,
-    node_index,
     path_operator,
     save_mapping,
     verify_mapping,
@@ -37,19 +36,21 @@ NODE_INDEX_CASES = [
 
 @pytest.mark.parametrize("path,level,expected", NODE_INDEX_CASES)
 def test_node_index(path, level, expected):
-    assert node_index(path, level) == expected
+    # the letter of the step after the first ``level`` sits on node ``expected``
+    for step, letter in enumerate("XYZ"):
+        assert dict(path_operator(path[:level] + (step,)).letters)[expected] == letter
 
 
 def test_node_index_prefix_consistency():
     # the node after l steps only depends on the first l branches
-    assert node_index((1, 0, 2), 2) == node_index((1, 0), 2)
+    assert path_operator((1, 0, 2)).letters[:2] == path_operator((1, 0)).letters
 
 
 def test_node_index_guards():
-    with pytest.raises(ValueError):
-        node_index((0,), 2)
-    with pytest.raises(ValueError):
-        node_index((3,), 1)
+    # a branch outside 0..2 at any level names no node
+    for bad in [(3,), (0, -1), (1, 2, 5)]:
+        with pytest.raises(ValueError, match="invalid branch"):
+            path_operator(bad)
 
 
 def test_path_operator_examples():

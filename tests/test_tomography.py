@@ -12,8 +12,10 @@ from fermitree.statesim import (
     DenseState,
     attach_ancillas,
     bell_outcome_distribution,
+    bell_povm_elements,
     expectation,
     generalized_bell_state,
+    prepare_xi,
     random_state,
     sample_bell_shots,
 )
@@ -22,7 +24,6 @@ from fermitree.tomography import (
     estimate_all_k_rdms,
     estimates_to_rows,
     merge_streams,
-    sic_povm_elements,
     sign_means,
 )
 from oracles import bell_measure_all_pairs
@@ -147,7 +148,7 @@ def test_variance_grows_with_k():
 
 
 def test_sic_povm_completeness_and_overlaps():
-    elements = sic_povm_elements()
+    elements = bell_povm_elements(prepare_xi())
     assert len(elements) == 4
     assert np.allclose(sum(elements), np.eye(2), atol=1e-12)
     # projector overlaps tr(Pi_a Pi_b) = (2 delta + 1)/3
@@ -166,7 +167,7 @@ def test_sic_povm_reproduces_bell_probabilities():
     # its complex conjugate, which swaps the (F+, P-) and (F-, P+) weights
     plus_y = DenseState(2, 1, np.array([1, 1j]) / math.sqrt(2))
     states = [plus_y] + [random_state(1, 2, np.random.default_rng(s)) for s in range(5)]
-    elements = sic_povm_elements()
+    elements = bell_povm_elements(prepare_xi())
     for state in states:
         rho = np.outer(state.amplitudes, state.amplitudes.conj())
         got = np.array([np.trace(rho @ e).real for e in elements])

@@ -3,12 +3,13 @@
 Both return the same shape of table as the ternary-tree construction: a
 tuple of 2n PauliStrings, entry u-1 holding Majorana operator u.  Modes
 are 1-indexed in the Majorana numbering (operators 2j-1 and 2j belong to
-mode j) and live on qubits 0..n-1.
+mode j) and live on qubits 0..n-1.  The Bravyi-Kitaev table is read off
+two index lists of the interval-halving tree, each node's parent and the
+first mode it owns; no tree object is built or exported.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .pauli import PauliString
@@ -26,83 +27,49 @@ def jordan_wigner(n_modes: int) -> tuple[PauliString, ...]:
     return tuple(table)
 
 
-class FenwickTree:
-    """Binary index tree over n modes, built by recursive interval halving.
-
-    Node j stores the cumulative structure of the interval it owns; the
-    root is node n-1 and owns [0, n-1].  The update, parity and remainder
-    sets drive the Bravyi-Kitaev operator construction.
-    """
-
-    def __init__(self, n_modes: int):
-        if n_modes < 1:
-            raise ValueError(f"need at least one mode, got {n_modes}")
-        self.n_modes = n_modes
-        self._parent = [-1] * n_modes
-        self._children: list[list[int]] = [[] for _ in range(n_modes)]
-        # _left[j] is the start of the interval owned by node j (j is its end).
-        self._left = list(range(n_modes))
-
-        def descend(left: int, right: int, parent: int) -> None:
-            if left >= right:
-                return
-            pivot = (left + right) >> 1
-            self._parent[pivot] = parent
-            self._children[parent].append(pivot)
-            self._left[pivot] = left
-            descend(left, pivot, pivot)
-            descend(pivot + 1, right, parent)
-
-        descend(0, n_modes - 1, n_modes - 1)
-        self._left[n_modes - 1] = 0
-
-    def update_set(self, j: int) -> tuple[int, ...]:
-        """Ancestors of node j (modes whose stored parity flips with j)."""
-        self._check(j)
-        out = []
-        node = self._parent[j]
-        while node != -1:
-            out.append(node)
-            node = self._parent[node]
-        return tuple(sorted(out))
-
-    def parity_set(self, j: int) -> tuple[int, ...]:
-        """Nodes whose intervals tile [0, j-1]; their Z product reads the parity."""
-        self._check(j)
-        out = []
-        end = j - 1
-        while end >= 0:
-            out.append(end)
-            end = self._left[end] - 1
-        return tuple(sorted(out))
-
-    def remainder_set(self, j: int) -> tuple[int, ...]:
-        """Parity set minus children of j."""
-        kids = set(self._children[j])
-        return tuple(q for q in self.parity_set(j) if q not in kids)
-
-    def _check(self, j: int) -> None:
-        if not 0 <= j < self.n_modes:
-            raise ValueError(f"mode {j} outside 0..{self.n_modes - 1}")
-
-
 def bravyi_kitaev(n_modes: int) -> tuple[PauliString, ...]:
     """Fenwick-tree table with weights bounded by ceil(log2 n) + 1.
 
-    gamma_{2j+1} acts as X on mode j and its update set with Z on the
-    parity set; gamma_{2j+2} swaps the local X for Y and drops the Z's
-    already covered by j's children.
+    Recursive interval halving makes node j own modes left[j]..j, the root
+    n-1 owning them all.  gamma_{2j+1} acts as X on mode j and on its
+    ancestors (the update set) and as Z on the nodes whose intervals tile
+    0..j-1 (the parity set).  gamma_{2j+2} swaps the local X for Y and
+    drops the Z's of j's children, which tile left[j]..j-1; the rest tile
+    0..left[j]-1 (the remainder set).
     """
     if n_modes < 1:
         raise ValueError(f"need at least one mode, got {n_modes}")
-    tree = FenwickTree(n_modes)
+    parent = [-1] * n_modes
+    left = list(range(n_modes))
+
+    def descend(lo: int, hi: int, up: int) -> None:
+        if lo >= hi:
+            return
+        pivot = (lo + hi) >> 1
+        parent[pivot] = up
+        left[pivot] = lo
+        descend(lo, pivot, pivot)
+        descend(pivot + 1, hi, up)
+
+    descend(0, n_modes - 1, n_modes - 1)
+    left[n_modes - 1] = 0
+
+    def tiling(end: int) -> list[tuple[int, str]]:
+        out = []
+        while end >= 0:
+            out.append((end, "Z"))
+            end = left[end] - 1
+        return out
+
     table = []
     for j in range(n_modes):
-        update = {q: "X" for q in tree.update_set(j)}
-        parity = {q: "Z" for q in tree.parity_set(j)}
-        remainder = {q: "Z" for q in tree.remainder_set(j)}
-        table.append(PauliString.from_map({**parity, **update, j: "X"}))
-        table.append(PauliString.from_map({**remainder, **update, j: "Y"}))
+        update = []
+        node = parent[j]
+        while node != -1:
+            update.append((node, "X"))
+            node = parent[node]
+        table.append(PauliString((*tiling(j - 1), *update, (j, "X"))))
+        table.append(PauliString((*tiling(left[j] - 1), *update, (j, "Y"))))
     return tuple(table)
 
 
@@ -120,7 +87,6 @@ class WeightStats:
     n_operators: int
     mean_weight: float
     max_weight: int
-    histogram: dict[int, int]
 
 
 def weight_stats(table: tuple[PauliString, ...]) -> WeightStats:
@@ -131,5 +97,4 @@ def weight_stats(table: tuple[PauliString, ...]) -> WeightStats:
         n_operators=len(table),
         mean_weight=sum(weights) / len(weights),
         max_weight=max(weights),
-        histogram=dict(sorted(Counter(weights).items())),
     )

@@ -108,7 +108,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     canonical = None  # whether an input file holds build_mapping's table
     if args.input:
+        if args.kind != "ternary":
+            raise ValueError(f"--input holds a ternary mapping, not --kind {args.kind}")
         mapping = load_mapping(args.input)
+        if args.modes is not None and args.modes != mapping.n_modes:
+            raise ValueError(f"--modes {args.modes} contradicts file ({mapping.n_modes})")
         label = f"ternary mapping from {args.input}"
         report = verify_mapping(mapping)
         n_modes = mapping.n_modes

@@ -133,7 +133,6 @@ class MappingVerification:
     square_failures: tuple[int, ...]
     identity_product_ok: bool | None
     identity_product_phase_power: int | None
-    weight_histogram: dict[int, int]
     mean_weight: float
     max_weight: int
 
@@ -213,7 +212,6 @@ def verify_table(table: tuple[PauliString, ...]) -> MappingVerification:
         square_failures=tuple(u + 1 for u, op in enumerate(table) if op.phase_power % 2),
         identity_product_ok=None,
         identity_product_phase_power=None,
-        weight_histogram=stats.histogram,
         mean_weight=stats.mean_weight,
         max_weight=stats.max_weight,
     )

@@ -6,7 +6,11 @@
       sequential collapse, one pair at a time, the reference semantics of
       the two bulk samplers in ``fermitree.statesim``;
     * ``reference_calibration`` computes a fiducial's calibration factor
-      from its D x D density and displacement matrices.
+      from its D x D density and displacement matrices;
+    * ``FenwickTree`` holds the interval-halving tree with its parent,
+      children and interval lists and its update, parity and remainder
+      sets, and ``reference_bravyi_kitaev`` builds the Bravyi-Kitaev table
+      from those sets, the reference for ``fermitree.baselines.bravyi_kitaev``.
 """
 
 from __future__ import annotations
@@ -84,3 +88,83 @@ def reference_calibration(fiducial, f: int, g: int) -> complex:
     d = fiducial.dimension
     density = np.outer(fiducial.amplitudes, fiducial.amplitudes.conj())
     return complex(np.trace(hw_operator(d, f % d, (-g) % d) @ density))
+
+
+class FenwickTree:
+    """Binary index tree over n modes, built by recursive interval halving.
+
+    Node j stores the cumulative structure of the interval it owns; the
+    root is node n-1 and owns [0, n-1].  The update, parity and remainder
+    sets drive the Bravyi-Kitaev operator construction.
+    """
+
+    def __init__(self, n_modes: int):
+        if n_modes < 1:
+            raise ValueError(f"need at least one mode, got {n_modes}")
+        self.n_modes = n_modes
+        self._parent = [-1] * n_modes
+        self._children: list[list[int]] = [[] for _ in range(n_modes)]
+        # _left[j] is the start of the interval owned by node j (j is its end).
+        self._left = list(range(n_modes))
+
+        def descend(left: int, right: int, parent: int) -> None:
+            if left >= right:
+                return
+            pivot = (left + right) >> 1
+            self._parent[pivot] = parent
+            self._children[parent].append(pivot)
+            self._left[pivot] = left
+            descend(left, pivot, pivot)
+            descend(pivot + 1, right, parent)
+
+        descend(0, n_modes - 1, n_modes - 1)
+        self._left[n_modes - 1] = 0
+
+    def update_set(self, j: int) -> tuple[int, ...]:
+        """Ancestors of node j (modes whose stored parity flips with j)."""
+        self._check(j)
+        out = []
+        node = self._parent[j]
+        while node != -1:
+            out.append(node)
+            node = self._parent[node]
+        return tuple(sorted(out))
+
+    def parity_set(self, j: int) -> tuple[int, ...]:
+        """Nodes whose intervals tile [0, j-1]; their Z product reads the parity."""
+        self._check(j)
+        out = []
+        end = j - 1
+        while end >= 0:
+            out.append(end)
+            end = self._left[end] - 1
+        return tuple(sorted(out))
+
+    def remainder_set(self, j: int) -> tuple[int, ...]:
+        """Parity set minus children of j."""
+        kids = set(self._children[j])
+        return tuple(q for q in self.parity_set(j) if q not in kids)
+
+    def _check(self, j: int) -> None:
+        if not 0 <= j < self.n_modes:
+            raise ValueError(f"mode {j} outside 0..{self.n_modes - 1}")
+
+
+def reference_bravyi_kitaev(n_modes: int) -> tuple[PauliString, ...]:
+    """Fenwick-tree table with weights bounded by ceil(log2 n) + 1.
+
+    gamma_{2j+1} acts as X on mode j and its update set with Z on the
+    parity set; gamma_{2j+2} swaps the local X for Y and drops the Z's
+    already covered by j's children.
+    """
+    if n_modes < 1:
+        raise ValueError(f"need at least one mode, got {n_modes}")
+    tree = FenwickTree(n_modes)
+    table = []
+    for j in range(n_modes):
+        update = {q: "X" for q in tree.update_set(j)}
+        parity = {q: "Z" for q in tree.parity_set(j)}
+        remainder = {q: "Z" for q in tree.remainder_set(j)}
+        table.append(PauliString.from_map({**parity, **update, j: "X"}))
+        table.append(PauliString.from_map({**remainder, **update, j: "Y"}))
+    return tuple(table)

@@ -210,6 +210,26 @@ def test_verify_file_reports_canonical_table(tmp_path, capsys):
     )
 
 
+def test_verify_file_rejects_contradicting_modes(tmp_path, capsys):
+    path = tmp_path / "mapping.json"
+    main(["map", "--modes", "13", "--output", str(path)])
+    assert main(["verify", "--input", str(path), "--modes", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --modes 5 contradicts file (13)" in captured.err
+    assert main(["verify", "--input", str(path), "--modes", "13"]) == 0
+
+
+def test_verify_file_rejects_other_kinds(tmp_path, capsys):
+    path = tmp_path / "mapping.json"
+    main(["map", "--modes", "13", "--output", str(path)])
+    for kind in ("bk", "jw"):
+        assert main(["verify", "--input", str(path), "--kind", kind]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"not --kind {kind}" in captured.err
+
+
 def test_verify_file_with_relabelled_qubits_is_not_canonical(tmp_path, capsys):
     # swapping two qubit labels off the dropped all-Z path (qubits 0 and 3)
     # keeps the algebra and the identity product, but not the canonical table

@@ -84,17 +84,51 @@ def _public_definitions():
     return [(owner, name) for owner, name in defined if not name.startswith("_")]
 
 
-def test_every_public_name_is_used_outside_the_tests():
-    # a function, class, constant, method or property whose only caller is
-    # a unit test is deleted or moved into the test oracles; README prose
-    # does not count as use, its python code blocks do
+def _names_used_by_callers():
+    """Names used outside the tests plus those in the README's python
+    blocks; README prose does not count as use."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     used = _names_used_outside_the_tests()
     for block in re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S):
         used |= _names_used(block)
+    return used
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a function, class, constant, method or property whose only caller is
+    # a unit test is deleted or moved into the test oracles
+    used = _names_used_by_callers()
     unused = sorted(
         f"{owner}.{name}"
         for owner, name in _public_definitions()
         if name not in used and name not in UNCALLED_EXPORTS
     )
     assert not unused, f"reached only by tests: {', '.join(unused)}"
+
+
+def _public_dataclass_fields():
+    """Qualified names of the public fields of the package's public dataclasses."""
+    fields = []
+    for path in sorted((ROOT / "src" / "fermitree").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                continue
+            fields += [
+                (node.name, item.target.id)
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+    return [(owner, name) for owner, name in fields if not name.startswith("_")]
+
+
+def test_every_public_dataclass_field_is_read_outside_the_tests():
+    # a field that only tests read is a value computed for nobody; passing
+    # it to the constructor by keyword does not count as a read
+    used = _names_used_by_callers()
+    fields = _public_dataclass_fields()
+    assert ("MappingVerification", "max_weight") in fields  # the scan finds fields
+    unread = sorted(f"{owner}.{name}" for owner, name in fields if name not in used)
+    assert not unread, f"read only by tests: {', '.join(unread)}"

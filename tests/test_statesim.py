@@ -608,6 +608,21 @@ def test_from_jsonl_rejects_repeated_shot_index(tmp_path):
     assert BellShotStream.from_jsonl(str(joined)).codes.tolist() == [[1], [3]]
 
 
+@pytest.mark.parametrize("separator", ["", ", "])
+def test_from_jsonl_rejects_two_records_on_one_line(tmp_path, separator):
+    # the format holds one record per line; a reader that joins the lines
+    # into one JSON array would take the ", " form as two records
+    path = tmp_path / "shots.jsonl"
+    first = '{"shot_index": 0, "outcomes": ["F+"]}'
+    second = '{"shot_index": 1, "outcomes": ["P-"]}'
+    path.write_text(first + separator + second + "\n")
+    with pytest.raises(ValueError):
+        BellShotStream.from_jsonl(str(path))
+    path.write_text(first + "\n" + second + separator + first.replace("0", "2", 1) + "\n")
+    with pytest.raises(ValueError):
+        BellShotStream.from_jsonl(str(path))
+
+
 def test_from_jsonl_infers_dimension_but_rejects_negatives(tmp_path):
     path = tmp_path / "shots.jsonl"
     path.write_text('{"shot_index": 0, "outcomes": [[0, 5]]}\n')

@@ -42,7 +42,6 @@ def reference_verify_table(table):
         square_failures=square_failures,
         identity_product_ok=None,
         identity_product_phase_power=None,
-        weight_histogram=stats.histogram,
         mean_weight=stats.mean_weight,
         max_weight=stats.max_weight,
     )

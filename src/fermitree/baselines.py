@@ -84,7 +84,6 @@ def bravyi_kitaev_max_weight_bound(n_modes: int) -> int:
 class WeightStats:
     """Weight summary of a Majorana table."""
 
-    n_operators: int
     mean_weight: float
     max_weight: int
 
@@ -94,7 +93,6 @@ def weight_stats(table: tuple[PauliString, ...]) -> WeightStats:
         raise ValueError("empty operator table")
     weights = [op.weight for op in table]
     return WeightStats(
-        n_operators=len(table),
         mean_weight=sum(weights) / len(weights),
         max_weight=max(weights),
     )

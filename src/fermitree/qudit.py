@@ -199,19 +199,30 @@ def estimate_hw_correlator(
     )
 
 
+@lru_cache(maxsize=None)
+def _hw_gather(d: int, f: int, g: int, trailing: int) -> tuple[np.ndarray, np.ndarray]:
+    """(source, phases) of X^f Z^g on a site followed by ``trailing`` axes:
+    digit x comes from x - f with phase w^(g*(x - f)); both read-only."""
+    source = (np.arange(d) - f) % d
+    phases = np.exp(2j * np.pi * g * source / d).reshape((d,) + (1,) * trailing)
+    source.flags.writeable = False
+    phases.flags.writeable = False
+    return source, phases
+
+
 def exact_hw_correlator(
     state: DenseState, targets: Sequence[tuple[int, int, int]]
 ) -> complex:
     """Oracle <prod_i X^{f_i} Z^{g_i}> on a bare system register.
 
-    X^f Z^g sends digit x to x + f with phase w^(g*x): one gather per target.
+    X^f Z^g sends digit x to x + f with phase w^(g*x): one gather per target,
+    its indices and phases taken from one table per (D, f, g, site depth).
     """
     d, n = state.local_dim, state.num_sites
     checked = _checked_targets(targets, d, n)
     applied = state.as_tensor()
     for site, f, g in checked:
-        source = (np.arange(d) - f) % d
-        phases = np.exp(2j * np.pi * g * source / d).reshape((d,) + (1,) * (n - 1 - site))
+        source, phases = _hw_gather(d, f, g, n - 1 - site)
         applied = np.take(applied, source, axis=site) * phases
     return complex(np.vdot(state.amplitudes, applied))
 

@@ -7,7 +7,8 @@ gather over index ^ x, a sign per index and one factor i**(phase + #Y)
 (``pauli_matvec``).  The module also provides the tetrahedral ancilla
 state, Heisenberg-Weyl displacement operators, generalized Bell states,
 and two bulk samplers of Bell-basis measurement outcomes, both returning
-a ``BellShotStream`` whose shots are rows of uint8 codes h * D + ell:
+a ``BellShotStream`` whose shots are rows of read-only uint8 codes
+h * D + ell, so that each support is counted once per stream:
 
     * ``sample_bell_shots`` samples the exact joint outcome distribution
       of a register whose ancillas are attached (``attach_ancillas``);
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -350,14 +351,23 @@ def povm_outcome_distribution(
     return _outcome_distribution(system.amplitudes, _bell_povm_rows(ancilla).T, system.num_sites)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BellShotStream:
-    """Bell outcome codes 0..D^2-1 (D >= 2) as uint8, shaped (num_shots, num_pairs)."""
+    """Bell outcome codes 0..D^2-1 (D >= 2) as read-only uint8, shaped (num_shots, num_pairs).
+
+    A uint8 array that owns its memory is frozen in place and kept; a view
+    or any other integer dtype is copied, so the caller's array stays
+    writable.  Writing through a view of the codes made before construction
+    is unsupported: ``tomography.joint_outcomes`` caches each support's
+    outcome counts on the stream, and such a write would leave them stale.
+    A merged or reloaded stream starts with an empty cache.
+    """
 
     local_dim: int
     num_pairs: int
     codes: np.ndarray
     seed: int | None = None
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.local_dim < 2:
@@ -373,7 +383,10 @@ class BellShotStream:
         negative = codes.dtype.kind == "i" and codes.size and int(codes.min()) < 0
         if negative or codes.size and int(codes.max()) >= self.local_dim ** 2:
             raise ValueError("outcome code outside the Bell basis")
-        self.codes = codes.astype(np.uint8, copy=False)
+        if codes.dtype != np.uint8 or not codes.flags.owndata:
+            codes = codes.astype(np.uint8)
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
 
     @property
     def num_shots(self) -> int:
@@ -398,12 +411,21 @@ class BellShotStream:
         ``shot_index`` that is not an integer (a JSON boolean included) or
         repeats one of another record (as in two files joined with
         ``cat``), an unknown label, an h or ell that is not an integer in
-        0..D-1 or a ``local_dim`` below 2 raises ValueError."""
+        0..D-1 or a ``local_dim`` below 2 raises ValueError.  The non-blank
+        lines are parsed as one JSON array, so text that is not a list of
+        JSON values, or a record count that differs from the line count
+        (two records on one line), raises ValueError too."""
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        rows = [json.loads(line) for line in text.split("\n") if line.strip()]
-        if not rows:
+        lines = [line for line in text.split("\n") if line.strip()]
+        if not lines:
             raise ValueError(f"no shot records in {path}")
+        try:
+            rows = json.loads("[" + ",".join(lines) + "]")
+        except ValueError as err:
+            raise ValueError(f"malformed shot records in {path}: {err}") from None
+        if len(rows) != len(lines):
+            raise ValueError(f"{len(rows)} shot records on {len(lines)} lines of {path}")
         try:
             # bool is an int; a null, 0.5 or repeated index would be sorted in silently
             by_index = {

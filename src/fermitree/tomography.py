@@ -14,10 +14,13 @@ price is a per-shot variance amplified by 3^k, so a standard error that
 grows as sqrt(3)^k, uniform over all C(n,k) 3^k elements of the k-RDM
 (acceptance criterion 08 checks the k=2 / k=1 standard-error ratio).
 
-The estimators share one outcome-counting kernel, ``joint_outcomes``.
-``sign_means`` reads every qubit and fermionic Pauli string as one Bell
-eigenvalue product per distinct outcome, and ``qudit.estimate_hw_correlator``
-reads the qudit phase residues; the sums are exact, so estimates are
+The estimators share one outcome-counting kernel, ``joint_outcomes``,
+which counts each support once per stream: a stream's codes are read-only,
+so the table is cached on the stream and every later caller, whatever
+string or correlator it reads, gets the same counts.  ``sign_means``
+reads every qubit and fermionic Pauli string as one Bell eigenvalue
+product per distinct outcome, and ``qudit.estimate_hw_correlator`` reads
+the qudit phase residues; the sums are exact, so estimates are
 bit-identical under any shot partition.
 """
 
@@ -55,8 +58,21 @@ def joint_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.n
     samplers return.  Returns the distinct rows on ``sites`` in
     lexicographic order and their int64 counts: sorted as byte strings, or,
     when there are no more possible rows than shots, keyed as key * D^2 +
-    code site by site and counted with ``bincount``.
+    code site by site and counted with ``bincount``.  The stream's codes are
+    read-only, so each support is counted once per stream: the two arrays
+    are cached on the stream under ``tuple(sites)`` and returned read-only.
     """
+    key = tuple(sites)
+    table = stream._tables.get(key)
+    if table is None:
+        table = _count_outcomes(stream, key)
+        for array in table:
+            array.flags.writeable = False
+        stream._tables[key] = table
+    return table
+
+
+def _count_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     base = stream.local_dim ** 2
     width = len(sites)
     if base ** width > stream.num_shots:

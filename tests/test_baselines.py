@@ -120,7 +120,7 @@ def test_jordan_wigner_algebra():
 
 def test_weight_stats():
     stats = weight_stats(jordan_wigner(2))
-    assert stats.n_operators == 4
+    assert (stats.mean_weight, stats.max_weight) == (1.5, 2)
     with pytest.raises(ValueError):
         weight_stats(())
 

@@ -14,6 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from fermitree import tomography
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
 from fermitree.fermion import encode_monomial, estimate_monomial, sampled_fermionic_rdm
 from fermitree.qudit import (
@@ -26,6 +27,7 @@ from fermitree.statesim import (
     attach_ancillas,
     random_state,
     sample_bell_shots,
+    sample_povm_shots,
 )
 from fermitree.ternary import build_mapping
 from fermitree.tomography import (
@@ -34,6 +36,7 @@ from fermitree.tomography import (
     RdmEstimate,
     estimate_all_k_rdms,
     joint_outcomes,
+    merge_streams,
     sign_means,
 )
 from oracles import reference_calibration
@@ -361,3 +364,89 @@ def test_sign_means_read_generators_like_lists():
     assert got == sign_means(stream, strings)
     assert got == reference_sign_means(stream, strings)
     assert all(type(value) is float for triple in got for value in triple)
+
+
+def counting_calls(monkeypatch):
+    """Record the supports that ``joint_outcomes`` counts rather than reads from its cache."""
+    counted = []
+    count = tomography._count_outcomes
+
+    def recorded(stream, sites):
+        counted.append(sites)
+        return count(stream, sites)
+
+    monkeypatch.setattr(tomography, "_count_outcomes", recorded)
+    return counted
+
+
+@pytest.mark.parametrize("d,num_shots", [(2, 3000), (3, 40)])
+def test_joint_outcomes_counts_each_support_once(monkeypatch, d, num_shots):
+    # 3000 shots key two qubit sites with bincount; 40 qutrit shots sort rows
+    counted = counting_calls(monkeypatch)
+    stream = random_stream(d, 4, num_shots, seed=90 + d)
+    digits, counts = joint_outcomes(stream, (3, 1))
+    assert not digits.flags.writeable and not counts.flags.writeable
+    with pytest.raises(ValueError):
+        counts[0] = 0
+    again = joint_outcomes(stream, [3, 1])
+    assert again[0] is digits and again[1] is counts
+    assert joint_outcomes(stream, (np.int64(3), np.int64(1)))[1] is counts
+    assert counted == [(3, 1)]
+    joint_outcomes(stream, (1, 3))
+    assert counted == [(3, 1), (1, 3)]
+    # a fresh stream over the same codes counts again
+    joint_outcomes(BellShotStream(d, 4, stream.codes), (3, 1))
+    assert len(counted) == 3
+
+
+def test_qutrit_hw_sized_stream_counts_fifteen_tables(monkeypatch):
+    # two 2000-shot runs on 6 qutrits, merged, read for every two-site
+    # correlator: 960 targets over C(6, 2) = 15 supports
+    fid = qutrit_fiducial()
+    state = random_state(6, 3, np.random.default_rng(95))
+    parts = [sample_povm_shots(state, 2000, 96 + r, ancilla=fid.as_state()) for r in range(2)]
+    joint_outcomes(parts[0], (0, 1))
+    counted = counting_calls(monkeypatch)
+    merged = merge_streams(parts)
+    labels = [(f, g) for f in range(3) for g in range(3) if (f, g) != (0, 0)]
+    targets = [
+        ((a, *fa), (b, *fb))
+        for a, b in itertools.combinations(range(6), 2)
+        for fa in labels
+        for fb in labels
+    ]
+    assert len(targets) == 960
+    for pair in targets:
+        estimate_hw_correlator(merged, pair, fid)
+    assert sorted(counted) == list(itertools.combinations(range(6), 2))
+
+
+def test_cached_tables_leave_every_estimate_unchanged():
+    # each result equals the one read from a fresh stream over copied codes
+    # (an empty cache), whatever order the targets come in
+    rng = np.random.default_rng(97)
+    fid = qutrit_fiducial()
+    qutrits = random_stream(3, 4, 2000, seed=98, distinct=300)
+    labels = [(f, g) for f in range(3) for g in range(3) if (f, g) != (0, 0)]
+    hw_targets = [
+        [(site, *labels[c]) for site, c in zip(rng.permutation(4)[:k].tolist(), rng.choice(8, size=k))]
+        for k in (1, 2, 2, 3) * 30
+    ]
+    warm = [estimate_hw_correlator(qutrits, t, fid) for t in hw_targets]
+    order = rng.permutation(len(hw_targets))
+    fresh = BellShotStream(3, 4, qutrits.codes.copy())
+    for i in order:
+        assert estimate_hw_correlator(fresh, hw_targets[i], fid) == warm[i]
+
+    qubits = random_stream(2, 5, 3000, seed=99, distinct=250)
+    strings = [
+        tuple(zip(rng.permutation(5)[:k].tolist(), rng.choice(list("xyz"), size=k).tolist()))
+        for k in (1, 2, 3) * 40
+    ]
+    warm = sign_means(qubits, strings)
+    order = rng.permutation(len(strings))
+    fresh = BellShotStream(2, 5, qubits.codes.copy())
+    assert sign_means(fresh, [strings[i] for i in order]) == [warm[i] for i in order]
+    fresh = BellShotStream(2, 5, qubits.codes.copy())
+    for i in order:
+        assert sign_means(fresh, [strings[i]]) == [warm[i]]

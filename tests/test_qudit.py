@@ -235,6 +235,31 @@ def test_exact_correlator_matches_reference(d, n, k):
             assert abs(got - reference_exact_hw(state, targets)) <= 1e-13
 
 
+def test_exact_correlator_tables_keep_the_per_call_arithmetic():
+    # the cached (source, phases) per (D, f, g, site depth) give values == to
+    # building them inside each call, on a first and on a repeated call
+    def per_call(state, targets):
+        d, n = state.local_dim, state.num_sites
+        applied = state.as_tensor()
+        for site, f, g in targets:
+            source = (np.arange(d) - f % d) % d
+            phases = np.exp(2j * np.pi * (g % d) * source / d).reshape((d,) + (1,) * (n - 1 - site))
+            applied = np.take(applied, source, axis=site) * phases
+        return complex(np.vdot(state.amplitudes, applied))
+
+    rng = np.random.default_rng(14)
+    for d, n in [(2, 4), (3, 4), (5, 3)]:
+        state = random_state(n, d, rng)
+        labels = [(f, g) for f in range(-1, d) for g in range(d + 1) if (f % d, g % d) != (0, 0)]
+        for _ in range(40):
+            k = int(rng.integers(1, n + 1))
+            sites = rng.permutation(n)[:k].tolist()
+            targets = [(site, *labels[c]) for site, c in zip(sites, rng.choice(len(labels), size=k))]
+            want = per_call(state, targets)
+            assert exact_hw_correlator(state, targets) == want
+            assert exact_hw_correlator(state, targets) == want
+
+
 def test_correlators_build_no_matrix_per_call(monkeypatch):
     fid = qutrit_fiducial()
     state = random_state(3, 3, np.random.default_rng(12))

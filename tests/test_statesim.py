@@ -677,6 +677,44 @@ def test_shot_stream_keeps_uint8_codes_and_casts_integers():
     assert wide.codes.tolist() == [[255, 0], [17, 9]]
 
 
+def test_shot_stream_codes_are_read_only():
+    # an owned uint8 array is frozen in place; a view or a wider dtype is
+    # copied, and the caller's array stays writable
+    owned = np.array([[0, 3], [2, 1], [1, 1]], dtype=np.uint8)
+    stream = BellShotStream(2, 2, owned)
+    assert stream.codes is owned and not owned.flags.writeable
+    with pytest.raises(ValueError):
+        stream.codes[0, 0] = 1
+    base = np.array([[0, 3, 1], [2, 1, 0]], dtype=np.uint8)
+    for view in (base[:, 1:], base[::2], base.T.copy().T[:, :2]):
+        got = BellShotStream(4, view.shape[1], view)
+        assert got.codes is not view and not got.codes.flags.writeable
+        assert np.array_equal(got.codes, view) and view.flags.writeable
+    assert base.flags.writeable
+    wide = np.array([[3, 0]], dtype=np.int64)
+    got = BellShotStream(2, 2, wide)
+    assert not got.codes.flags.writeable and wide.flags.writeable
+    with pytest.raises(AttributeError):
+        stream.codes = owned.copy()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"shot_index": 0, "outcomes": ["F+"]}\n{"shot_index": 1, "outcomes": ["P-"]',
+        '{"shot_index": 0,\n"outcomes": ["F+"]}\n',
+        '[{"shot_index": 0, "outcomes": ["F+"]}\n]\n',
+        '{"shot_index": 0, "outcomes": ["F+"]}\n,\n',
+    ],
+    ids=["truncated", "record-over-two-lines", "array-over-two-lines", "comma-line"],
+)
+def test_from_jsonl_rejects_records_that_are_not_one_per_line(tmp_path, text):
+    path = tmp_path / "shots.jsonl"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        BellShotStream.from_jsonl(str(path))
+
+
 def test_from_jsonl_rejects_unknown_qubit_label(tmp_path):
     path = tmp_path / "shots.jsonl"
     path.write_text(

@@ -26,13 +26,13 @@ from .fermion import (
     exact_fermionic_rdm,
     sampled_fermionic_rdm,
 )
-from .pauli import PauliString
+from .pauli import PauliString, to_masks
 from .qudit import load_fiducial, qubit_fiducial, qutrit_fiducial, validate_fiducial
 from .statesim import (
     CapacityError,
     DenseState,
     bell_povm_elements,
-    expectation,
+    expectations,
     random_state,
     sample_povm_shots,
 )
@@ -211,13 +211,14 @@ def cmd_tomograph(args: argparse.Namespace) -> int:
         stream = sample_povm_shots(system, args.shots, args.seed, workers=args.workers)
         estimates = estimate_all_k_rdms(stream, args.k)
         rows = estimates_to_rows(estimates)
-        for row, est in zip(rows, estimates):
-            pauli = PauliString.from_map(
-                {q: letter.upper() for q, letter in zip(est.qubits, est.letters)}
-            )
-            ex = expectation(system, pauli).real
-            row["exact"] = ex
-            row["abs_error"] = abs(est.value - ex)
+        paulis = [
+            PauliString.from_map({q: letter.upper() for q, letter in zip(est.qubits, est.letters)})
+            for est in estimates
+        ]
+        masks = np.array([to_masks(pauli, args.qubits) for pauli in paulis], dtype=np.int64).T
+        for row, est, exact in zip(rows, estimates, expectations(system, masks)):
+            row["exact"] = exact.real
+            row["abs_error"] = abs(est.value - exact.real)
         payload = {**config, "estimates": rows}
         if args.shots_output:
             stream.to_jsonl(args.shots_output)

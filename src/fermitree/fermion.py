@@ -7,28 +7,31 @@ u), so the ternary-tree, Jordan-Wigner and Bravyi-Kitaev encodings are
 interchangeable everywhere below; expectation values of encoded monomials
 are representation independent.
 
-The sampled pipeline reuses the qubit Bell-measurement scheme: a k-RDM
-monomial of 2k Majorana operators encodes to a single Pauli string, whose
-expectation the qubit estimator ``tomography.sign_means`` reads off the
-common shot stream with attenuation sqrt(3)^weight, at most (2n+1)^k for
-the ternary-tree mapping.
+A k-RDM monomial of 2k Majorana operators encodes to a single Pauli
+string.  Both RDM entry points build the (x, z, power) masks of all
+C(2n, 2k) monomials at once as int64 arrays.  The exact table applies them
+to the state with ``statesim.expectations``, one blocked gather.  The
+sampled pipeline reuses the qubit Bell-measurement scheme: the qubit
+estimator ``tomography.sign_means`` reads each string off the common shot
+stream with attenuation sqrt(3)^weight, at most (2n+1)^k for the
+ternary-tree mapping.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .pauli import Masks, PauliString, from_masks, mask_product, to_masks
+from .pauli import PauliString, from_masks, to_masks
 from .statesim import (
     BellShotStream,
     DenseState,
-    masks_matvec,
+    _parity,
+    expectations,
     pauli_matvec,
     sample_povm_shots,
 )
@@ -52,18 +55,31 @@ def mode_count(mapping: MappingLike) -> int:
     return len(majorana_table(mapping)) // 2
 
 
-def _monomials(mapping: MappingLike, k: int, n: int) -> Iterator[tuple[tuple[int, ...], Masks]]:
-    """Each increasing 2k-subset of Majorana indices with the n-qubit masks
-    of its product, built lazily; k outside 1..modes or a table entry
-    outside the register raises ValueError at the call."""
+def _monomials(
+    mapping: MappingLike, k: int, n: int
+) -> tuple[list[tuple[int, ...]], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every increasing 2k-subset of Majorana indices, and the n-qubit
+    (x, z, power) masks of their products as three int64 arrays in the same
+    order; k outside 1..modes or a table entry outside the register raises
+    ValueError.
+
+    The products are taken one factor at a time over all subsets at once,
+    in the algebra of ``pauli.to_masks``: x and z are XORed, and the power
+    gains the factor's power plus 2 per bit set in both the z so far and
+    the factor's x.
+    """
     table = majorana_table(mapping)
     if not 1 <= k <= len(table) // 2:
         raise ValueError(f"k must be in 1..{len(table) // 2}, got {k}")
-    masks = [to_masks(op, n) for op in table]
-    return (
-        (indices, functools.reduce(mask_product, [masks[u - 1] for u in indices], (0, 0, 0)))
-        for indices in itertools.combinations(range(1, len(table) + 1), 2 * k)
-    )
+    factors = np.array([to_masks(op, n) for op in table], dtype=np.int64)
+    indices = list(itertools.combinations(range(1, len(table) + 1), 2 * k))
+    x, z, power = np.zeros((3, len(indices)), dtype=np.int64)
+    for column in np.array(indices, dtype=np.int64).T - 1:
+        fx, fz, fp = factors[column].T
+        power += fp + 2 * _parity(z & fx, n)
+        x ^= fx
+        z ^= fz
+    return indices, (x, z, power % 4)
 
 
 def encode_monomial(indices: Sequence[int], mapping: MappingLike) -> PauliString:
@@ -156,18 +172,11 @@ def exact_fermionic_rdm(
 
     Values carry the algebraic phase of the encoded product; multiply by
     i**(k(2k-1)) for the real-valued Hermitian convention.
-    Each monomial is the mask product of its table entries, applied to the
-    state with one gather; a table entry outside the register raises
-    ValueError.
+    The monomials' masks are applied by one ``expectations`` call, a
+    blocked gather; a table entry outside the register raises ValueError.
     """
-    if state.local_dim != 2:
-        raise ValueError("Pauli strings act on qubit registers only")
-    n = state.num_sites
-    amplitudes = state.amplitudes
-    return {
-        indices: complex(np.vdot(amplitudes, masks_matvec(product, amplitudes, n)))
-        for indices, product in _monomials(mapping, k, n)
-    }
+    indices, masks = _monomials(mapping, k, state.num_sites)
+    return dict(zip(indices, expectations(state, masks)))
 
 
 # -- sampled pipeline ----------------------------------------------------------
@@ -237,11 +246,11 @@ def sampled_fermionic_rdm(
     and has no effect on the output or the speed.
     """
     n = system_state.num_sites
-    monomials = _monomials(mapping, k, n)
+    monomials, masks = _monomials(mapping, k, n)
     stream = sample_povm_shots(system_state, num_shots, seed, workers=workers)
-    paulis = [(indices, from_masks(product, n)) for indices, product in monomials]
-    means = sign_means(stream, (pauli.letters for _, pauli in paulis))
+    paulis = [from_masks(product, n) for product in zip(*(m.tolist() for m in masks))]
+    means = sign_means(stream, (pauli.letters for pauli in paulis))
     return [
         _monomial_estimate(indices, pauli, *sign_mean, num_shots)
-        for (indices, pauli), sign_mean in zip(paulis, means)
+        for indices, pauli, sign_mean in zip(monomials, paulis, means)
     ]

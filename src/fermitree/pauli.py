@@ -6,8 +6,10 @@ phase is stored as an integer power of i, so products, commutation checks
 and involutions are exact integer arithmetic with no floating point.
 
 Hot loops over strings on the qubits 0..n-1 of one register use their
-(x, z, power) masks instead (``to_masks``): a product is two XORs and a
-popcount (Aaronson and Gottesman, PRA 2004).
+(x, z, power) masks instead (``to_masks``), the symplectic form of
+Aaronson and Gottesman (PRA 2004).  ``fermion`` multiplies them, and
+``statesim`` applies them to a state, as int64 arrays with one row per
+string; the integer phase arithmetic stays exact.
 """
 
 from __future__ import annotations
@@ -203,13 +205,3 @@ def from_masks(masks: Masks, num_qubits: int) -> PauliString:
         letters.append((num_qubits - low.bit_length(), letter))
     return PauliString(tuple(letters), power - (x & z).bit_count())
 
-
-def mask_product(a: Masks, b: Masks) -> Masks:
-    """Masks of the operator product a @ b.
-
-    Moving Z^z1 past X^x2 costs (-1)**popcount(z1 & x2), i.e. two powers
-    of i per shared bit.
-    """
-    x1, z1, p1 = a
-    x2, z2, p2 = b
-    return x1 ^ x2, z1 ^ z2, (p1 + p2 + 2 * (z1 & x2).bit_count()) % 4

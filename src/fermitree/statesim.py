@@ -2,9 +2,12 @@
 
 States are flat complex vectors over sites of a common local dimension D,
 site 0 being the leftmost (most significant) tensor factor; on qubits,
-qubit 0 is the top bit of the state index.  A Pauli string acts by one
-gather over index ^ x, a sign per index and one factor i**(phase + #Y)
-(``pauli_matvec``).  The module also provides the tetrahedral ancilla
+qubit 0 is the top bit of the state index.  Pauli strings act through
+their (x, z, power) masks, ints for one string or int64 arrays for many:
+one gather over index ^ x, a sign per index from a folded parity and one
+factor i**power per string (``masks_matvec``).  ``expectations`` applies
+any number of strings in blocks of ``GATHER_BLOCK`` amplitudes, so its
+temporaries stay small.  The module also provides the tetrahedral ancilla
 state, Heisenberg-Weyl displacement operators, generalized Bell states,
 and two bulk samplers of Bell-basis measurement outcomes, both returning
 a ``BellShotStream`` whose shots are rows of read-only uint8 codes
@@ -42,6 +45,10 @@ NORM_TOL = 1e-10
 # Shots are generated in fixed blocks; block b always uses the RNG stream
 # spawned with key (b,), so a longer run extends a shorter one unchanged.
 SHOT_BLOCK = 4096
+
+# Pauli strings are applied in blocks of rows of at most this many
+# amplitudes, so the gather's temporaries stay small however many strings.
+GATHER_BLOCK = 2 ** 14
 
 QUBIT_BELL_LABELS = ("F+", "F-", "P+", "P-")
 
@@ -119,36 +126,43 @@ def random_state(
 # -- Pauli action on qubit registers ----------------------------------------
 
 
+def _parity(values: np.ndarray, num_bits: int) -> np.ndarray:
+    """Parity of the low ``num_bits`` bits of each int64 value, as 0 or 1.
+
+    The bits are folded onto bit 0 with ``v ^= v >> s`` for s = 1, 2, 4,
+    ... < num_bits; ``values`` is overwritten.
+    """
+    shift = 1
+    while shift < num_bits:
+        values ^= values >> shift
+        shift <<= 1
+    return values & 1
+
+
 def masks_matvec(masks: Masks, amplitudes: np.ndarray, num_sites: int) -> np.ndarray:
     """P @ vec for P = i**power X^x Z^z in the masks of ``pauli.to_masks``.
 
     One gather: (P vec)[b] = i**power (-1)**popcount((b ^ x) & z) vec[b ^ x],
-    qubit 0 being the most significant bit of the index b.  The parity is
-    XORed together one z bit at a time.  Multiplying by +-1 and +-i is
-    exact, so every value equals that of one 2 x 2 contraction per letter;
-    only a zero may come out with the other sign.
+    qubit 0 being the most significant bit of the index b.  The masks are
+    three ints, giving one vector, or three equal-length int64 arrays,
+    giving one row per string, shape (M, 2**num_sites).  The parity is
+    folded (``_parity``).  Multiplying by +-1 and +-i is exact, so every
+    value equals that of one 2 x 2 contraction per letter; only a zero may
+    come out with the other sign.
     """
-    x, z, power = masks
     vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if vec.shape != (2 ** num_sites,):
         raise ValueError(f"expected {2 ** num_sites} amplitudes, got {vec.shape[0]}")
-    source = np.arange(vec.shape[0])
-    source ^= x
+    x, z, power = (np.asarray(m, dtype=np.int64).reshape(-1, 1) for m in masks)
+    source = np.arange(vec.shape[0]) ^ x
     out = vec[source]
-    if z:
-        bits = [bit for bit in range(num_sites) if z >> bit & 1]
-        parity = source >> bits[0]
-        for bit in bits[1:]:
-            parity ^= source >> bit
-        flip = (parity & 1).astype(bool)
-        if power & 2:
-            flip = ~flip
-        np.negative(out, out=out, where=flip)
-    elif power & 2:
-        np.negative(out, out=out)
-    if power & 1:
-        out *= 1j
-    return out
+    # bit 0 also carries the sign of i**power, so the parity is the flip
+    source &= z
+    source ^= power >> 1 & 1
+    flip = _parity(source, num_sites).astype(bool)
+    np.negative(out, out=out, where=flip)
+    np.multiply(out, 1j, out=out, where=(power & 1).astype(bool))
+    return out if np.ndim(masks[0]) else out[0]
 
 
 def pauli_matvec(pauli: PauliString, amplitudes: np.ndarray, num_sites: int) -> np.ndarray:
@@ -162,12 +176,32 @@ def pauli_matvec(pauli: PauliString, amplitudes: np.ndarray, num_sites: int) -> 
     return masks_matvec(to_masks(pauli, num_sites), amplitudes, num_sites)
 
 
-def expectation(state: DenseState, pauli: PauliString) -> complex:
-    """<state| P |state>; real up to roundoff when P is Hermitian (phase +-1)."""
+def expectations(state: DenseState, masks: Masks) -> list[complex]:
+    """<state| P |state> for every string P of the (x, z, power) masks.
+
+    The masks are three equal-length int64 arrays (or ints, for one
+    string).  ``masks_matvec`` applies them to blocks of rows of at most
+    ``GATHER_BLOCK`` amplitudes, and each value is one ``np.vdot`` of the
+    state with its row.
+    """
     if state.local_dim != 2:
         raise ValueError("Pauli strings act on qubit registers only")
-    applied = pauli_matvec(pauli, state.amplitudes, state.num_sites)
-    return complex(np.vdot(state.amplitudes, applied))
+    n = state.num_sites
+    amps = state.amplitudes
+    x, z, power = (np.asarray(m, dtype=np.int64).reshape(-1) for m in masks)
+    rows = max(1, GATHER_BLOCK >> n)
+    values = []
+    for start in range(0, x.shape[0], rows):
+        block = slice(start, start + rows)
+        applied = masks_matvec((x[block], z[block], power[block]), amps, n)
+        values += [complex(np.vdot(amps, row)) for row in applied]
+    return values
+
+
+def expectation(state: DenseState, pauli: PauliString) -> complex:
+    """<state| P |state>; real up to roundoff when P is Hermitian (phase +-1)."""
+    [value] = expectations(state, to_masks(pauli, state.num_sites))
+    return value
 
 
 # -- the tetrahedral ancilla state ------------------------------------------

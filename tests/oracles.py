@@ -2,6 +2,11 @@
 
     * ``to_dense`` builds the 2^n x 2^n matrix of a Pauli string, one
       Kronecker factor per qubit;
+    * ``mask_product`` multiplies two strings' (x, z, power) masks as
+      Python ints, and ``reference_masks_matvec`` applies one string's
+      masks to a vector with a parity XORed together one z bit at a time,
+      the scalar references for ``fermitree.fermion._monomials`` and the
+      batched ``fermitree.statesim.masks_matvec``;
     * ``bell_measure_all_pairs`` measures a register's site pairs by
       sequential collapse, one pair at a time, the reference semantics of
       the two bulk samplers in ``fermitree.statesim``;
@@ -19,7 +24,7 @@ import math
 
 import numpy as np
 
-from fermitree.pauli import PauliString
+from fermitree.pauli import Masks, PauliString
 from fermitree.statesim import BellShotStream, DenseState, _paired, bell_basis_matrix, hw_operator
 
 PAULI_MATRICES: dict[str, np.ndarray] = {
@@ -51,6 +56,45 @@ def to_dense(pauli: PauliString, num_qubits: int) -> np.ndarray:
         mat = np.kron(mat, PAULI_MATRICES[lookup.get(qubit, "I")])
     return mat
 
+
+def mask_product(a: Masks, b: Masks) -> Masks:
+    """Masks of the operator product a @ b.
+
+    Moving Z^z1 past X^x2 costs (-1)**popcount(z1 & x2), i.e. two powers
+    of i per shared bit.
+    """
+    x1, z1, p1 = a
+    x2, z2, p2 = b
+    return x1 ^ x2, z1 ^ z2, (p1 + p2 + 2 * (z1 & x2).bit_count()) % 4
+
+
+def reference_masks_matvec(masks: Masks, amplitudes: np.ndarray, num_sites: int) -> np.ndarray:
+    """P @ vec for P = i**power X^x Z^z given as Python ints, by one gather.
+
+    (P vec)[b] = i**power (-1)**popcount((b ^ x) & z) vec[b ^ x], the
+    parity XORed together one z bit at a time.
+    """
+    x, z, power = masks
+    vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if vec.shape != (2 ** num_sites,):
+        raise ValueError(f"expected {2 ** num_sites} amplitudes, got {vec.shape[0]}")
+    source = np.arange(vec.shape[0])
+    source ^= x
+    out = vec[source]
+    if z:
+        bits = [bit for bit in range(num_sites) if z >> bit & 1]
+        parity = source >> bits[0]
+        for bit in bits[1:]:
+            parity ^= source >> bit
+        flip = (parity & 1).astype(bool)
+        if power & 2:
+            flip = ~flip
+        np.negative(out, out=out, where=flip)
+    elif power & 2:
+        np.negative(out, out=out)
+    if power & 1:
+        out *= 1j
+    return out
 
 def bell_measure_all_pairs(
     state: DenseState, rng: np.random.Generator | int | None = None

@@ -4,12 +4,14 @@ import functools
 import itertools
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
 from fermitree.fermion import (
+    _monomials,
     attenuation_bound,
     encode_fock_state,
     encode_monomial,
@@ -20,7 +22,7 @@ from fermitree.fermion import (
     number_operator_strings,
     sampled_fermionic_rdm,
 )
-from fermitree.pauli import PauliString, from_masks, mask_product, to_masks
+from fermitree.pauli import PauliString, from_masks, to_masks
 from fermitree.statesim import (
     BellShotStream,
     attach_ancillas,
@@ -29,7 +31,7 @@ from fermitree.statesim import (
     sample_bell_shots,
 )
 from fermitree.ternary import build_mapping
-from oracles import to_dense
+from oracles import mask_product, reference_masks_matvec, to_dense
 
 ALL_MAPPINGS = [
     ("ternary", lambda n: build_mapping(n)),
@@ -54,11 +56,17 @@ def test_register_mask_products_match_string_products(kind, build):
         table = majorana_table(build(n))
         masks = [to_masks(op, n) for op in table]
         for k in (1, 2):
+            # k past the mode count has no monomials, and _monomials rejects it
+            listed, arrays = _monomials(table, k, n) if k <= n else ([], ([], [], []))
+            rows = iter(zip(listed, *(list(a) for a in arrays)))
             for indices in itertools.combinations(range(1, 2 * n + 1), 2 * k):
                 expected = functools.reduce(operator.mul, (table[u - 1] for u in indices))
                 product = functools.reduce(mask_product, (masks[u - 1] for u in indices))
                 encoded = from_masks(product, n)
                 assert (encoded.letters, encoded.phase_power) == (expected.letters, expected.phase_power)
+                # the vectorised products, row for row in the same order
+                assert next(rows) == (indices, *product)
+            assert next(rows, None) is None
 
 
 def test_encode_monomial_matches_dense_oracle():
@@ -149,6 +157,41 @@ def test_exact_rdm_equals_expectation_of_encoded_strings(kind, build):
     for indices, value in exact_fermionic_rdm(state, mapping, 2).items():
         oracle = expectation(state, encode_monomial(indices, mapping))
         assert (value.real, value.imag) == (oracle.real, oracle.imag)
+
+
+@pytest.mark.parametrize("kind,build", ALL_MAPPINGS)
+def test_exact_rdm_equals_per_monomial_oracle_gathers(kind, build):
+    # the blocked, batched gather gives every value of one scalar gather and
+    # np.vdot per monomial, bit for bit and zero signs included; at n = 10,
+    # k = 2 the 4845 rows span many blocks
+    rng = np.random.default_rng(64)
+    for n in range(1, 11):
+        table = majorana_table(build(n))
+        masks = [to_masks(op, n) for op in table]
+        state = random_state(n, 2, rng)
+        amps = state.amplitudes
+        for k in (1, 2) if n > 1 else (1,):
+            exact = exact_fermionic_rdm(state, table, k)
+            assert len(exact) == math.comb(2 * n, 2 * k)
+            for indices, value in exact.items():
+                product = functools.reduce(mask_product, (masks[u - 1] for u in indices))
+                oracle = complex(np.vdot(amps, reference_masks_matvec(product, amps, n)))
+                assert (value.real.hex(), value.imag.hex()) == (oracle.real.hex(), oracle.imag.hex())
+
+
+def test_exact_rdm_memory_is_bounded_by_the_gather_block():
+    # one gather over all 4845 rows at once would hold at least 4845 * 1024
+    # complex amplitudes (79 MB); blocks of GATHER_BLOCK amplitudes keep the
+    # whole table to a few MB
+    mapping = build_mapping(10)
+    state = random_state(10, 2, np.random.default_rng(65))
+    tracemalloc.start()
+    try:
+        exact_fermionic_rdm(state, mapping, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermitree.pauli import PauliString, from_masks, mask_product, to_masks
-from oracles import to_dense
+from fermitree.pauli import PauliString, from_masks, to_masks
+from oracles import mask_product, to_dense
 
 
 def test_single_qubit_product_table():

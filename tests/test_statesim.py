@@ -25,6 +25,7 @@ from fermitree.statesim import (
     expectation,
     generalized_bell_state,
     hw_operator,
+    masks_matvec,
     pauli_matvec,
     povm_outcome_distribution,
     prepare_xi,
@@ -32,7 +33,7 @@ from fermitree.statesim import (
     sample_bell_shots,
     sample_povm_shots,
 )
-from oracles import PAULI_MATRICES, bell_measure_all_pairs, to_dense
+from oracles import PAULI_MATRICES, bell_measure_all_pairs, reference_masks_matvec, to_dense
 
 
 def test_computational_state_indexing():
@@ -110,6 +111,19 @@ def strings_and_vectors(draw):
 def test_pauli_matvec_equals_tensordot_oracle(case):
     pauli, vec, n = case
     assert np.array_equal(pauli_matvec(pauli, vec, n), tensordot_matvec(pauli, vec, n))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_batched_masks_matvec_rows_equal_scalar_oracle(n):
+    # one row per string, each equal to the per-bit scalar gather
+    rng = np.random.default_rng(100 + n)
+    vec = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+    x, z = rng.integers(0, 2 ** n, size=(2, 24))
+    power = rng.integers(0, 4, size=24)
+    rows = masks_matvec((x, z, power), vec, n)
+    assert rows.shape == (24, 2 ** n)
+    for row, masks in zip(rows, zip(x.tolist(), z.tolist(), power.tolist())):
+        assert np.array_equal(row, reference_masks_matvec(masks, vec, n))
 
 
 def test_pauli_matvec_bit_order_and_y_phase():

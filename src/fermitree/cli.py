@@ -59,13 +59,18 @@ def _build_table(kind: str, modes: int):
     raise ValueError(f"unknown mapping kind {kind!r}")
 
 
-def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(payload: dict, output: str | None) -> None:
+    """Write ``payload`` with the tool version as sorted, indented JSON."""
+    text = json.dumps({**payload, "tool_version": __version__}, indent=2, sort_keys=True)
+    _write(text + "\n", output)
 
 
 def cmd_map(args: argparse.Namespace) -> int:
@@ -79,7 +84,6 @@ def cmd_map(args: argparse.Namespace) -> int:
             "num_qubits": args.modes,
             "majorana_table": [str(op) for op in table],
         }
-    payload["tool_version"] = __version__
     _emit(payload, args.output)
     return 0
 
@@ -96,12 +100,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         for kind in kinds:
             stats = weight_stats(_build_table(kind, n))
             lines.append(f"{n},{kind},{stats.mean_weight},{stats.max_weight}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -164,7 +163,6 @@ def cmd_tomograph(args: argparse.Namespace) -> int:
         "shots": args.shots,
         "seed": args.seed,
         "state": args.state,
-        "tool_version": __version__,
     }
     if args.fermionic:
         if args.modes is None:
@@ -253,7 +251,6 @@ def cmd_qudit_sic(args: argparse.Namespace) -> int:
     sum_residual = float(np.max(np.abs(total - np.eye(d))))
     payload = {
         "command": "qudit-sic",
-        "tool_version": __version__,
         "dimension": d,
         "target_magnitude": report.target_magnitude,
         "min_magnitude": report.min_magnitude,

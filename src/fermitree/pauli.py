@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from numbers import Integral
 
 _PHASES: tuple[complex, ...] = (1, 1j, -1, -1j)
 _PHASE_TOKENS = {"+": 0, "+i": 1, "-": 2, "-i": 3}
@@ -42,8 +43,9 @@ class PauliString:
     """Sparse multi-qubit Pauli operator with an exact i-power phase.
 
     Attributes:
-        letters: sorted tuple of (qubit index, letter) pairs; identity
-            factors are never stored.
+        letters: sorted tuple of (qubit index, letter) pairs, each index
+            an int (a numpy integer is converted; a bool, float or str
+            raises ValueError); identity factors are never stored.
         phase_power: integer k with the global phase equal to i**k.
     """
 
@@ -52,9 +54,15 @@ class PauliString:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phase_power", self.phase_power % 4)
-        pairs = tuple(sorted(self.letters))
+        converted = False
         seen = set()
-        for qubit, letter in pairs:
+        for qubit, letter in self.letters:
+            if type(qubit) is not int:
+                # bool is Integral; a float or str label prints text parse rejects,
+                # and a str one would fail the sort below with TypeError
+                if isinstance(qubit, bool) or not isinstance(qubit, Integral):
+                    raise ValueError(f"qubit label {qubit!r} is not an integer")
+                converted = True
             if qubit < 0:
                 raise ValueError(f"negative qubit index {qubit}")
             if letter not in ("X", "Y", "Z"):
@@ -62,7 +70,8 @@ class PauliString:
             if qubit in seen:
                 raise ValueError(f"duplicate qubit index {qubit}")
             seen.add(qubit)
-        object.__setattr__(self, "letters", pairs)
+        pairs = [(int(q), a) for q, a in self.letters] if converted else self.letters
+        object.__setattr__(self, "letters", tuple(sorted(pairs)))
 
     # -- constructors ------------------------------------------------------
 

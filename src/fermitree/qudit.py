@@ -7,8 +7,9 @@ outcome on a pair contributes the exact eigenvalue exp(2*pi*i*(g*h -
 f*ell)/D) of X^f Z^g (x) X^f Z^{-g}, and each ancilla attenuates the
 signal by its calibration factor tr(X^f Z^{-g} xi), computed once per
 fiducial (``FiducialState.overlaps``).  Shots are counted per residue
-g*h - f*ell mod D with the kernel in ``fermitree.tomography``; the exact
-oracle is one gather per target.
+g*h - f*ell mod D, read from ``statesim.bell_exponents``, with the
+counting kernel ``statesim.joint_outcomes``; the exact oracle is one
+gather per target.
 
 A fiducial whose calibration factors all have magnitude 1/sqrt(D+1) makes
 the POVM that the Bell measurement realizes on a system site
@@ -29,8 +30,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .statesim import BellShotStream, DenseState, hw_operator, prepare_xi
-from .tomography import joint_outcomes
+from .statesim import (
+    BellShotStream, DenseState, bell_exponents, hw_operator, joint_outcomes, prepare_xi,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,13 +145,6 @@ def _checked_targets(
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _hw_exponents(d: int) -> np.ndarray:
-    """(f, g, code) -> (g*h - f*ell) mod d for the Bell code h*d + ell; d <= 16."""
-    f, g, h, ell = np.ix_(*[np.arange(d)] * 4)
-    return ((g * h - f * ell) % d).reshape(d, d, d * d)
-
-
 def estimate_hw_correlator(
     stream: BellShotStream,
     targets: Sequence[tuple[int, int, int]],
@@ -177,7 +172,7 @@ def estimate_hw_correlator(
         raise ValueError("empty shot stream")
 
     digits, counts = joint_outcomes(stream, tuple(t[0] for t in checked))
-    exponents = _hw_exponents(d)
+    exponents = bell_exponents(d)
     residues = np.zeros(len(counts), dtype=np.int64)
     for column, (_, f, g) in zip(digits.T, checked):
         residues += exponents[f, g][column]

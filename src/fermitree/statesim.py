@@ -8,10 +8,11 @@ one gather over index ^ x, a sign per index from a folded parity and one
 factor i**power per string (``masks_matvec``).  ``expectations`` applies
 any number of strings in blocks of ``GATHER_BLOCK`` amplitudes, so its
 temporaries stay small.  The module also provides the tetrahedral ancilla
-state, Heisenberg-Weyl displacement operators, generalized Bell states,
-and two bulk samplers of Bell-basis measurement outcomes, both returning
-a ``BellShotStream`` whose shots are rows of read-only uint8 codes
-h * D + ell, so that each support is counted once per stream:
+state and the displacements X^f Z^g, and owns everything about a Bell
+outcome code h * D + ell: the Bell states and basis, built from the
+displacements; the one eigenvalue table, ``bell_exponents``; and the one
+counting kernel, ``joint_outcomes``, which caches each support's counts
+on the read-only ``BellShotStream`` that the two bulk samplers return:
 
     * ``sample_bell_shots`` samples the exact joint outcome distribution
       of a register whose ancillas are attached (``attach_ancillas``);
@@ -34,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -275,18 +277,12 @@ def hw_operator(local_dim: int, f: int, g: int) -> np.ndarray:
 def generalized_bell_state(local_dim: int, h: int, ell: int) -> DenseState:
     """Two-site state (X^h Z^ell on the first site) applied to the diagonal pair.
 
-    With this labeling X^f Z^g (x) X^f Z^{-g} has eigenvalue
-    exp(2*pi*i*(g*h - f*ell)/D) on the (h, ell) state.
+    Since (M (x) I) sum_k |k>|k> = sum_jk M[j, k] |j>|k>, its amplitudes are
+    the entries of X^h Z^ell over sqrt(D).  Its eigenvalues under every
+    X^f Z^g (x) X^f Z^{-g} are in ``bell_exponents(D)[:, :, h*D + ell]``.
     """
-    if local_dim < 2:
-        raise ValueError(f"local dimension must be >= 2, got {local_dim}")
     d = local_dim
-    h, ell = h % d, ell % d
-    omega = np.exp(2j * np.pi / d)
-    amps = np.zeros(d * d, dtype=complex)
-    for k in range(d):
-        amps[((k + h) % d) * d + k] = omega ** (ell * k) / math.sqrt(d)
-    return DenseState(d, 2, amps)
+    return DenseState(d, 2, hw_operator(d, h % d, ell % d).reshape(-1) / math.sqrt(d))
 
 
 def bell_basis_matrix(local_dim: int) -> np.ndarray:
@@ -301,11 +297,19 @@ def bell_basis_matrix(local_dim: int) -> np.ndarray:
             f"the Bell basis of dimension {d} has {d ** 4} entries, "
             f"budget is {CAPACITY_AMPLITUDES}"
         )
-    cols = np.empty((d * d, d * d), dtype=complex)
-    for h in range(d):
-        for ell in range(d):
-            cols[:, h * d + ell] = generalized_bell_state(d, h, ell).amplitudes
-    return cols
+    ops = [hw_operator(d, h, ell).reshape(-1) for h in range(d) for ell in range(d)]
+    return np.stack(ops, axis=1) / math.sqrt(d)
+
+
+@lru_cache(maxsize=None)
+def bell_exponents(local_dim: int) -> np.ndarray:
+    """Read-only (f, g, code) -> e table: X^f Z^g (x) X^f Z^{-g} has eigenvalue
+    w^e, e = (g*h - f*ell) mod D, on the Bell state of code h*D + ell."""
+    d = local_dim
+    f, g, h, ell = np.ix_(*[np.arange(d)] * 4)
+    table = ((g * h - f * ell) % d).reshape(d, d, d * d)
+    table.flags.writeable = False
+    return table
 
 
 def _bell_povm_rows(ancilla: DenseState) -> np.ndarray:
@@ -392,9 +396,9 @@ class BellShotStream:
     A uint8 array that owns its memory is frozen in place and kept; a view
     or any other integer dtype is copied, so the caller's array stays
     writable.  Writing through a view of the codes made before construction
-    is unsupported: ``tomography.joint_outcomes`` caches each support's
-    outcome counts on the stream, and such a write would leave them stale.
-    A merged or reloaded stream starts with an empty cache.
+    is unsupported: ``joint_outcomes`` caches each support's outcome counts
+    on the stream, and such a write would leave them stale.  A merged or
+    reloaded stream starts with an empty cache.
     """
 
     local_dim: int
@@ -499,6 +503,45 @@ class BellShotStream:
                 raise ValueError(f"Bell outcome (h, ell) outside 0..{d - 1}")
             codes = pairs[..., 0] * d + pairs[..., 1]
         return cls(d, codes.shape[1], codes)
+
+
+def joint_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct joint Bell codes on ``sites`` and the number of shots of each.
+
+    Returns the distinct rows of ``stream.codes`` on ``sites`` in
+    lexicographic order and their int64 counts: sorted as byte strings, or,
+    when there are no more possible rows than shots, keyed as key * D^2 +
+    code site by site and counted with ``bincount``.  The stream's codes are
+    read-only, so each support is counted once per stream: the two arrays
+    are cached on the stream under ``tuple(sites)`` and returned read-only.
+    """
+    key = tuple(sites)
+    table = stream._tables.get(key)
+    if table is None:
+        table = _count_outcomes(stream, key)
+        for array in table:
+            array.flags.writeable = False
+        stream._tables[key] = table
+    return table
+
+
+def _count_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    base = stream.local_dim ** 2
+    width = len(sites)
+    if base ** width > stream.num_shots:
+        rows = np.ascontiguousarray(stream.codes[:, list(sites)]).view(np.dtype((np.void, width)))
+        distinct, counts = np.unique(rows, return_counts=True)
+        return distinct.view(np.uint8).reshape(len(distinct), width), counts
+    keys = np.zeros(stream.num_shots, dtype=np.int64)
+    for site in sites:
+        keys = keys * base + stream.codes[:, site]
+    counts = np.bincount(keys, minlength=base ** width)
+    keys = np.flatnonzero(counts)
+    counts = counts[keys]
+    digits = np.empty((len(keys), width), dtype=np.uint8)
+    for j in reversed(range(width)):
+        keys, digits[:, j] = np.divmod(keys, base)
+    return digits, counts
 
 
 def _check_sampling(num_shots: int, workers: int) -> None:

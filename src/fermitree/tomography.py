@@ -14,14 +14,14 @@ price is a per-shot variance amplified by 3^k, so a standard error that
 grows as sqrt(3)^k, uniform over all C(n,k) 3^k elements of the k-RDM
 (acceptance criterion 08 checks the k=2 / k=1 standard-error ratio).
 
-The estimators share one outcome-counting kernel, ``joint_outcomes``,
-which counts each support once per stream: a stream's codes are read-only,
-so the table is cached on the stream and every later caller, whatever
-string or correlator it reads, gets the same counts.  ``sign_means``
-reads every qubit and fermionic Pauli string as one Bell eigenvalue
-product per distinct outcome, and ``qudit.estimate_hw_correlator`` reads
-the qudit phase residues; the sums are exact, so estimates are
-bit-identical under any shot partition.
+The estimators share one outcome-counting kernel,
+``statesim.joint_outcomes``, which counts each support once per stream and
+caches the counts on it.  ``sign_means`` reads every qubit and fermionic
+Pauli string as one Bell eigenvalue product per distinct outcome, from
+``BELL_EIGENVALUES``, the qubit slice of ``statesim.bell_exponents``;
+``qudit.estimate_hw_correlator`` reads the qudit phase residues from the
+same table.  The sums are exact, so estimates are bit-identical under any
+shot partition.
 """
 
 from __future__ import annotations
@@ -33,62 +33,17 @@ from typing import Iterable
 
 import numpy as np
 
-from .statesim import BellShotStream
+from .statesim import BellShotStream, bell_exponents, joint_outcomes
 
 LETTERS = ("x", "y", "z")
 _LETTER_COLUMNS = {a: j for j, letter in enumerate(LETTERS) for a in (letter, letter.upper())}
 
 # Eigenvalue table, rows indexed by Bell outcome code (F+, F-, P+, P-),
-# columns by letter (x, y, z).
-BELL_EIGENVALUES = np.array(
-    [
-        [+1, -1, +1],
-        [-1, +1, +1],
-        [+1, +1, -1],
-        [-1, -1, -1],
-    ],
-    dtype=np.int8,
-)
-
-
-def joint_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct joint Bell codes on ``sites`` and the number of shots of each.
-
-    A shot is a row of uint8 codes in a ``BellShotStream``, the type both
-    samplers return.  Returns the distinct rows on ``sites`` in
-    lexicographic order and their int64 counts: sorted as byte strings, or,
-    when there are no more possible rows than shots, keyed as key * D^2 +
-    code site by site and counted with ``bincount``.  The stream's codes are
-    read-only, so each support is counted once per stream: the two arrays
-    are cached on the stream under ``tuple(sites)`` and returned read-only.
-    """
-    key = tuple(sites)
-    table = stream._tables.get(key)
-    if table is None:
-        table = _count_outcomes(stream, key)
-        for array in table:
-            array.flags.writeable = False
-        stream._tables[key] = table
-    return table
-
-
-def _count_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    base = stream.local_dim ** 2
-    width = len(sites)
-    if base ** width > stream.num_shots:
-        rows = np.ascontiguousarray(stream.codes[:, list(sites)]).view(np.dtype((np.void, width)))
-        distinct, counts = np.unique(rows, return_counts=True)
-        return distinct.view(np.uint8).reshape(len(distinct), width), counts
-    keys = np.zeros(stream.num_shots, dtype=np.int64)
-    for site in sites:
-        keys = keys * base + stream.codes[:, site]
-    counts = np.bincount(keys, minlength=base ** width)
-    keys = np.flatnonzero(counts)
-    counts = counts[keys]
-    digits = np.empty((len(keys), width), dtype=np.uint8)
-    for j in reversed(range(width)):
-        keys, digits[:, j] = np.divmod(keys, base)
-    return digits, counts
+# columns by letter (x, y, z): (-1)^e for the D = 2 exponents e of the
+# displacements (f, g) = (1, 0), (1, 1), (0, 1), with the y column negated
+# because Y = iXZ makes Y (x) Y = -XZ (x) XZ.  Each row multiplies to -1.
+BELL_EIGENVALUES = (1 - 2 * bell_exponents(2)[[1, 1, 0], [0, 1, 1]].T).astype(np.int8)
+BELL_EIGENVALUES[:, 1] *= -1
 
 
 def sign_means(stream: BellShotStream, strings: Iterable) -> list[tuple[float, float, float]]:

@@ -7,6 +7,9 @@
       masks to a vector with a parity XORed together one z bit at a time,
       the scalar references for ``fermitree.fermion._monomials`` and the
       batched ``fermitree.statesim.masks_matvec``;
+    * ``reference_generalized_bell_state`` sets the amplitudes of one
+      generalized Bell state entry by entry, the reference for
+      ``fermitree.statesim.generalized_bell_state`` and the Bell basis;
     * ``bell_measure_all_pairs`` measures a register's site pairs by
       sequential collapse, one pair at a time, the reference semantics of
       the two bulk samplers in ``fermitree.statesim``;
@@ -95,6 +98,18 @@ def reference_masks_matvec(masks: Masks, amplitudes: np.ndarray, num_sites: int)
     if power & 1:
         out *= 1j
     return out
+
+
+def reference_generalized_bell_state(local_dim: int, h: int, ell: int) -> np.ndarray:
+    """Amplitudes of the (h, ell) Bell state: w^(ell*k) / sqrt(D) on |k + h>|k>."""
+    d = local_dim
+    h, ell = h % d, ell % d
+    omega = np.exp(2j * np.pi / d)
+    amps = np.zeros(d * d, dtype=complex)
+    for k in range(d):
+        amps[((k + h) % d) * d + k] = omega ** (ell * k) / math.sqrt(d)
+    return amps
+
 
 def bell_measure_all_pairs(
     state: DenseState, rng: np.random.Generator | int | None = None

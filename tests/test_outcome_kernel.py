@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fermitree import tomography
+from fermitree import statesim
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
 from fermitree.fermion import encode_monomial, estimate_monomial, sampled_fermionic_rdm
 from fermitree.qudit import (
@@ -369,13 +369,13 @@ def test_sign_means_read_generators_like_lists():
 def counting_calls(monkeypatch):
     """Record the supports that ``joint_outcomes`` counts rather than reads from its cache."""
     counted = []
-    count = tomography._count_outcomes
+    count = statesim._count_outcomes
 
     def recorded(stream, sites):
         counted.append(sites)
         return count(stream, sites)
 
-    monkeypatch.setattr(tomography, "_count_outcomes", recorded)
+    monkeypatch.setattr(statesim, "_count_outcomes", recorded)
     return counted
 
 

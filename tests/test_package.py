@@ -132,3 +132,27 @@ def test_every_public_dataclass_field_is_read_outside_the_tests():
     assert ("MappingVerification", "max_weight") in fields  # the scan finds fields
     unread = sorted(f"{owner}.{name}" for owner, name in fields if name not in used)
     assert not unread, f"read only by tests: {', '.join(unread)}"
+
+
+def test_one_module_owns_the_outcome_count_cache():
+    # the per-stream counts live beside BellShotStream, and the qudit
+    # estimator reaches them without the qubit estimator
+    touching = []
+    for path in sorted((ROOT / "src" / "fermitree").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "_tables"
+            or isinstance(node, ast.Constant) and node.value == "_tables"
+            for node in ast.walk(tree)
+        ):
+            touching.append(path.name)
+    assert touching == ["statesim.py"]
+    qudit = ast.parse((ROOT / "src" / "fermitree" / "qudit.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(qudit):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert "statesim" in imported
+    assert not [name for name in imported if name.split(".")[-1] == "tomography"]

@@ -77,6 +77,19 @@ def _random_string(rng, num_qubits=3):
     return PauliString.from_map(letters, int(rng.integers(0, 4)))
 
 
+def test_qubit_labels_must_be_integers():
+    # bool is an int, and a float or str label would print text parse rejects
+    for label in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            PauliString(((label, "X"),))
+    with pytest.raises(ValueError, match="not an integer"):
+        PauliString(((0, "Z"), ("1", "X")))
+    p = PauliString(((np.int64(3), "X"),))
+    assert type(p.letters[0][0]) is int
+    assert str(p) == "+ X3"
+    assert PauliString.parse(str(p)) == p
+
+
 def test_product_matches_dense_oracle():
     rng = np.random.default_rng(42)
     for _ in range(50):

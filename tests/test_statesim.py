@@ -21,6 +21,7 @@ from fermitree.statesim import (
     _draw_codes,
     attach_ancillas,
     bell_basis_matrix,
+    bell_exponents,
     bell_outcome_distribution,
     expectation,
     generalized_bell_state,
@@ -33,7 +34,13 @@ from fermitree.statesim import (
     sample_bell_shots,
     sample_povm_shots,
 )
-from oracles import PAULI_MATRICES, bell_measure_all_pairs, reference_masks_matvec, to_dense
+from oracles import (
+    PAULI_MATRICES,
+    bell_measure_all_pairs,
+    reference_generalized_bell_state,
+    reference_masks_matvec,
+    to_dense,
+)
 
 
 def test_computational_state_indexing():
@@ -254,6 +261,40 @@ def test_bell_eigenrelation(d):
                     vec = generalized_bell_state(d, h, ell).amplitudes
                     phase = np.exp(2j * np.pi * (g * h - f * ell) / d)
                     assert np.allclose(op @ vec, phase * vec, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_bell_states_and_basis_equal_the_entrywise_reference(d):
+    # bit for bit: the rows of X^h Z^ell over sqrt(D) are the per-entry loop
+    basis = bell_basis_matrix(d)
+    for h in range(d):
+        for ell in range(d):
+            want = reference_generalized_bell_state(d, h, ell).tobytes()
+            assert generalized_bell_state(d, h, ell).amplitudes.tobytes() == want
+            assert generalized_bell_state(d, h - d, ell + d).amplitudes.tobytes() == want
+            assert basis[:, h * d + ell].tobytes() == want
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_bell_exponents_give_every_displacement_eigenvalue(d):
+    exponents = bell_exponents(d)
+    assert exponents.shape == (d, d, d * d)
+    omega = np.exp(2j * np.pi / d)
+    for f in range(d):
+        for g in range(d):
+            op = np.kron(hw_operator(d, f, g), hw_operator(d, f, -g))
+            for code in range(d * d):
+                vec = generalized_bell_state(d, *divmod(code, d)).amplitudes
+                phase = omega ** exponents[f, g, code]
+                assert np.allclose(op @ vec, phase * vec, atol=1e-12)
+
+
+def test_bell_exponents_are_cached_read_only():
+    table = bell_exponents(3)
+    assert table is bell_exponents(3)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1
 
 
 def test_bell_measurement_on_product_of_bell_states():

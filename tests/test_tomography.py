@@ -40,6 +40,14 @@ def test_eigenvalue_table_against_simulator():
             assert val == pytest.approx(BELL_EIGENVALUES[code, col], abs=1e-12)
 
 
+def test_eigenvalue_table_is_the_qubit_slice_of_the_exponents():
+    literal = np.array([[+1, -1, +1], [-1, +1, +1], [+1, +1, -1], [-1, -1, -1]], dtype=np.int8)
+    assert BELL_EIGENVALUES.dtype == np.int8
+    assert (BELL_EIGENVALUES == literal).all()
+    # XX YY ZZ = (XYZ) (x) (XYZ) = (iI) (x) (iI) = -I on every Bell state
+    assert BELL_EIGENVALUES.prod(axis=1).tolist() == [-1] * 4
+
+
 def _stream(codes):
     arr = np.asarray(codes, dtype=np.uint8)
     return BellShotStream(2, arr.shape[1], arr)

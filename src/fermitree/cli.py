@@ -21,11 +21,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import bravyi_kitaev, jordan_wigner, weight_stats
-from .fermion import (
-    attenuation_bound,
-    exact_fermionic_rdm,
-    sampled_fermionic_rdm,
-)
+from .fermion import attenuation_bound, estimate_fermionic_rdm, exact_fermionic_rdm
 from .pauli import PauliString, to_masks
 from .qudit import load_fiducial, qubit_fiducial, qutrit_fiducial, validate_fiducial
 from .statesim import (
@@ -167,46 +163,41 @@ def cmd_tomograph(args: argparse.Namespace) -> int:
     if args.fermionic:
         if args.modes is None:
             raise ValueError("--fermionic needs --modes")
-        if args.shots_output:
-            raise ValueError("--shots-output writes qubit streams only, not --fermionic ones")
         config.update({"modes": args.modes, "mapping": args.kind})
         table = _build_table(args.kind, args.modes)
-        system = _prepare_state(args.state, args.modes, args.seed)
-        estimates = sampled_fermionic_rdm(
-            system, table, args.k, args.shots, args.seed, workers=args.workers
-        )
+        num_qubits = args.modes
+    elif args.qubits is None:
+        raise ValueError("need --qubits (or --fermionic with --modes)")
+    else:
+        config["qubits"] = num_qubits = args.qubits
+    system = _prepare_state(args.state, num_qubits, args.seed)
+    stream = sample_povm_shots(system, args.shots, args.seed, workers=args.workers)
+    if args.fermionic:
+        estimates = estimate_fermionic_rdm(stream, table, args.k)
+        # both tables list the monomials in one order
         exact = exact_fermionic_rdm(system, table, args.k)
-        rows = []
-        max_att = 0.0
-        for est in estimates:
-            ex = exact[est.indices]
-            rows.append(
-                {
-                    "indices": list(est.indices),
-                    "value_re": est.value.real,
-                    "value_im": est.value.imag,
-                    "std_error": est.std_error,
-                    "pauli": est.pauli,
-                    "weight": est.weight,
-                    "attenuation": est.attenuation,
-                    "exact_re": ex.real,
-                    "exact_im": ex.imag,
-                    "abs_error": abs(est.value - ex),
-                }
-            )
-            max_att = max(max_att, est.attenuation)
+        rows = [
+            {
+                "indices": list(est.indices),
+                "value_re": est.value.real,
+                "value_im": est.value.imag,
+                "std_error": est.std_error,
+                "pauli": est.pauli,
+                "weight": est.weight,
+                "attenuation": est.attenuation,
+                "exact_re": ex.real,
+                "exact_im": ex.imag,
+                "abs_error": abs(est.value - ex),
+            }
+            for est, ex in zip(estimates, exact.values())
+        ]
         payload = {
             **config,
             "estimates": rows,
-            "max_attenuation": max_att,
+            "max_attenuation": max(est.attenuation for est in estimates),
             "attenuation_bound": attenuation_bound(table, args.k),
         }
     else:
-        if args.qubits is None:
-            raise ValueError("need --qubits (or --fermionic with --modes)")
-        config["qubits"] = args.qubits
-        system = _prepare_state(args.state, args.qubits, args.seed)
-        stream = sample_povm_shots(system, args.shots, args.seed, workers=args.workers)
         estimates = estimate_all_k_rdms(stream, args.k)
         rows = estimates_to_rows(estimates)
         paulis = [
@@ -218,8 +209,8 @@ def cmd_tomograph(args: argparse.Namespace) -> int:
             row["exact"] = exact.real
             row["abs_error"] = abs(est.value - exact.real)
         payload = {**config, "estimates": rows}
-        if args.shots_output:
-            stream.to_jsonl(args.shots_output)
+    if args.shots_output:
+        stream.to_jsonl(args.shots_output)
     _emit(payload, args.output)
     return 0
 
@@ -308,9 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tomo.add_argument("--modes", type=int)
     p_tomo.add_argument("--kind", choices=KINDS, default="ternary")
     p_tomo.add_argument("--output")
-    p_tomo.add_argument(
-        "--shots-output", help="also write the raw shot stream (JSONL; qubit runs only)"
-    )
+    p_tomo.add_argument("--shots-output", help="also write the raw shot stream (JSONL)")
     p_tomo.set_defaults(func=cmd_tomograph)
 
     p_sic = sub.add_parser("qudit-sic", help="validate a fiducial and its POVM")

@@ -11,10 +11,10 @@ A k-RDM monomial of 2k Majorana operators encodes to a single Pauli
 string.  Both RDM entry points build the (x, z, power) masks of all
 C(2n, 2k) monomials at once as int64 arrays.  The exact table applies them
 to the state with ``statesim.expectations``, one blocked gather.  The
-sampled pipeline reuses the qubit Bell-measurement scheme: the qubit
-estimator ``tomography.sign_means`` reads each string off the common shot
-stream with attenuation sqrt(3)^weight, at most (2n+1)^k for the
-ternary-tree mapping.
+sampled table, ``estimate_fermionic_rdm``, reads a qubit Bell shot stream
+like the qubit RDMs do: ``tomography.sign_means`` reads each string off
+the common stream with attenuation sqrt(3)^weight, at most (2n+1)^k for
+the ternary-tree mapping.
 """
 
 from __future__ import annotations
@@ -226,6 +226,26 @@ def attenuation_bound(mapping: MappingLike, k: int) -> float:
     return float((2 * mode_count(mapping) + 1) ** k)
 
 
+def estimate_fermionic_rdm(
+    stream: BellShotStream, mapping: MappingLike, k: int
+) -> list[FermionEstimate]:
+    """Every degree-2k monomial, in the order of ``exact_fermionic_rdm``,
+    estimated from one qubit Bell shot stream.
+
+    Monomials are mask products of the table entries, turned into a
+    PauliString only for their letters and text; k outside 1..modes or a
+    table entry outside the stream's register raises ValueError.
+    """
+    n = stream.num_pairs
+    monomials, masks = _monomials(mapping, k, n)
+    paulis = [from_masks(product, n) for product in zip(*(m.tolist() for m in masks))]
+    means = sign_means(stream, (pauli.letters for pauli in paulis))
+    return [
+        _monomial_estimate(indices, pauli, *sign_mean, stream.num_shots)
+        for indices, pauli, sign_mean in zip(monomials, paulis, means)
+    ]
+
+
 def sampled_fermionic_rdm(
     system_state: DenseState,
     mapping: MappingLike,
@@ -234,23 +254,8 @@ def sampled_fermionic_rdm(
     seed: int,
     workers: int = 1,
 ) -> list[FermionEstimate]:
-    """Estimate the full k-RDM monomial table from one joint shot stream.
-
-    Each qubit is measured ``num_shots`` times in the Bell basis with a
-    tetrahedral ancilla, the shots drawn from the system state alone by
-    ``sample_povm_shots``; every degree-2k monomial is then evaluated on the
-    same stream.  Monomials are mask products of the table entries, turned
-    into a PauliString only for their letters and text; a table entry
-    outside the register raises ValueError before any shot is drawn.
-    ``workers`` is passed to ``sample_povm_shots``: it must be at least 1
-    and has no effect on the output or the speed.
-    """
-    n = system_state.num_sites
-    monomials, masks = _monomials(mapping, k, n)
+    """``estimate_fermionic_rdm`` on ``num_shots`` Bell shots of the state,
+    drawn by ``sample_povm_shots`` with the tetrahedral ancilla; ``workers``
+    must be at least 1 and has no effect on the output or the speed."""
     stream = sample_povm_shots(system_state, num_shots, seed, workers=workers)
-    paulis = [from_masks(product, n) for product in zip(*(m.tolist() for m in masks))]
-    means = sign_means(stream, (pauli.letters for pauli in paulis))
-    return [
-        _monomial_estimate(indices, pauli, *sign_mean, num_shots)
-        for indices, pauli, sign_mean in zip(monomials, paulis, means)
-    ]
+    return estimate_fermionic_rdm(stream, mapping, k)

@@ -119,7 +119,6 @@ class HwEstimate:
     value: complex
     std_error: float
     num_shots: int
-    calibration: complex
 
 
 def _checked_targets(
@@ -176,13 +175,13 @@ def estimate_hw_correlator(
     residues = np.zeros(len(counts), dtype=np.int64)
     for column, (_, f, g) in zip(digits.T, checked):
         residues += exponents[f, g][column]
-    by_residue = np.zeros(d, dtype=np.int64)
-    np.add.at(by_residue, residues % d, counts)
+    # float weights are exact integers below 2^53 shots
+    by_residue = np.bincount(residues % d, weights=counts, minlength=d)
     omega = np.exp(2j * np.pi / d)
     s = stream.num_shots
     mean = sum(int(c) * omega ** r for r, c in enumerate(by_residue)) / s
 
-    calibration = complex(np.prod([fiducial.overlaps[f, g] for _, f, g in checked]))
+    calibration = math.prod(fiducial.overlaps[f, g] for _, f, g in checked)
     if abs(calibration) < 1e-12:
         raise ValueError("fiducial is blind to a targeted displacement")
     return HwEstimate(
@@ -190,7 +189,6 @@ def estimate_hw_correlator(
         value=mean / calibration,
         std_error=math.sqrt(max(0.0, 1.0 - abs(mean) ** 2) / s) / abs(calibration),
         num_shots=s,
-        calibration=calibration,
     )
 
 

@@ -282,6 +282,8 @@ def generalized_bell_state(local_dim: int, h: int, ell: int) -> DenseState:
     X^f Z^g (x) X^f Z^{-g} are in ``bell_exponents(D)[:, :, h*D + ell]``.
     """
     d = local_dim
+    if d < 2:
+        raise ValueError(f"local dimension must be >= 2, got {d}")
     return DenseState(d, 2, hw_operator(d, h % d, ell % d).reshape(-1) / math.sqrt(d))
 
 

@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
-from fermitree.baselines import jordan_wigner
+from fermitree.baselines import bravyi_kitaev, jordan_wigner
 from fermitree.cli import main
+from fermitree.fermion import estimate_fermionic_rdm
+from fermitree.statesim import BellShotStream
 from fermitree.ternary import build_mapping, load_mapping, verify_mapping
 
 
@@ -426,15 +428,27 @@ def test_tomograph_fermionic_needs_modes(capsys):
     capsys.readouterr()
 
 
-def test_tomograph_fermionic_rejects_shots_output(tmp_path, capsys):
-    path = tmp_path / "shots.jsonl"
-    code = main(
-        ["tomograph", "--fermionic", "--modes", "2", "--shots", "10", "--seed", "0",
-         "--shots-output", str(path)]
-    )
-    assert code == 2
-    assert "--shots-output" in capsys.readouterr().err
-    assert not path.exists()
+def test_tomograph_fermionic_shots_output_is_the_estimated_stream(tmp_path):
+    argv = ["tomograph", "--fermionic", "--modes", "3", "--k", "2", "--shots", "700",
+            "--seed", "4", "--kind", "bk"]
+    plain, payload, shots = tmp_path / "plain.json", tmp_path / "t.json", tmp_path / "s.jsonl"
+    assert main([*argv, "--output", str(plain)]) == 0
+    assert main([*argv, "--output", str(payload), "--shots-output", str(shots)]) == 0
+    assert payload.read_bytes() == plain.read_bytes()
+    stream = BellShotStream.from_jsonl(str(shots))
+    assert (stream.num_pairs, stream.num_shots) == (3, 700)
+    rows = json.loads(payload.read_text())["estimates"]
+    estimates = estimate_fermionic_rdm(stream, bravyi_kitaev(3), 2)
+    assert [(row["value_re"], row["value_im"], row["std_error"]) for row in rows] == [
+        (est.value.real, est.value.imag, est.std_error) for est in estimates
+    ]
+
+
+@pytest.mark.parametrize("branch", [["--qubits", "3"], ["--fermionic", "--modes", "3"]])
+@pytest.mark.parametrize("k", ["0", "4"])
+def test_tomograph_rejects_k_outside_the_register(branch, k, capsys):
+    assert main(["tomograph", *branch, "--k", k, "--shots", "10", "--seed", "0"]) == 2
+    assert "k must be in 1..3" in capsys.readouterr().err
 
 
 def test_bad_flag_exits_via_argparse():

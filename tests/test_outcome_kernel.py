@@ -16,7 +16,13 @@ import pytest
 
 from fermitree import statesim
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
-from fermitree.fermion import encode_monomial, estimate_monomial, sampled_fermionic_rdm
+from fermitree.fermion import (
+    encode_monomial,
+    estimate_fermionic_rdm,
+    estimate_monomial,
+    sampled_fermionic_rdm,
+)
+from fermitree.pauli import PauliString
 from fermitree.qudit import (
     estimate_hw_correlator,
     qubit_fiducial,
@@ -200,10 +206,20 @@ def test_sampled_fermionic_rdm_equals_per_monomial():
     assert got == want
 
 
+@pytest.mark.parametrize("table", [jordan_wigner(4), bravyi_kitaev(4), build_mapping(4)])
+def test_sampled_fermionic_rdm_is_the_estimate_on_one_stream(table):
+    state = random_state(4, 2, np.random.default_rng(53))
+    stream = sample_povm_shots(state, 3000, 54)
+    want = sampled_fermionic_rdm(state, table, 2, 3000, 54)
+    assert estimate_fermionic_rdm(stream, table, 2) == want
+
+
 def test_sampled_fermionic_rdm_rejects_mapping_beyond_register():
+    # the second table is 2 modes long, but its X2 acts outside 2 qubits
     state = random_state(2, 2, np.random.default_rng(52))
-    with pytest.raises(ValueError):
-        sampled_fermionic_rdm(state, jordan_wigner(3), 1, 100, seed=1)
+    for table in (jordan_wigner(3), [PauliString.from_map({2: "X"})] * 4):
+        with pytest.raises(ValueError, match="outside the register"):
+            sampled_fermionic_rdm(state, table, 1, 100, seed=1)
 
 
 def test_keys_beyond_int64_are_compacted():

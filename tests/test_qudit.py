@@ -272,7 +272,13 @@ def test_correlators_build_no_matrix_per_call(monkeypatch):
     for owner, name in [(qudit, "hw_operator"), (np, "tensordot")]:
         monkeypatch.setattr(owner, name, refuse)
     est = estimate_hw_correlator(stream, [(1, 1, 2), (0, 2, 0)], fid)
-    assert est.calibration == want[0]
+    # the shots' residue g*h - f*ell over both sites, divided by the product
+    # of the two calibration factors
+    h, ell = np.divmod(stream.codes.astype(np.int64), 3)
+    counts = np.bincount((2 * h[:, 1] - ell[:, 1] - 2 * ell[:, 0]) % 3, minlength=3)
+    mean = sum(int(c) * np.exp(2j * np.pi / 3) ** r for r, c in enumerate(counts)) / 500
+    assert est.value == mean / want[0]
+    assert est.std_error == math.sqrt(max(0.0, 1.0 - abs(mean) ** 2) / 500) / abs(want[0])
     assert exact_hw_correlator(state, [(2, 1, 2), (0, 2, 0)]) == want[1]
 
 

@@ -275,6 +275,12 @@ def test_bell_states_and_basis_equal_the_entrywise_reference(d):
             assert basis[:, h * d + ell].tobytes() == want
 
 
+@pytest.mark.parametrize("d", [0, 1, -2])
+def test_generalized_bell_state_rejects_dimension_below_two(d):
+    with pytest.raises(ValueError, match="local dimension must be >= 2"):
+        generalized_bell_state(d, 1, 1)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_bell_exponents_give_every_displacement_eigenvalue(d):
     exponents = bell_exponents(d)

@@ -11,10 +11,11 @@ A k-RDM monomial of 2k Majorana operators encodes to a single Pauli
 string.  Both RDM entry points build the (x, z, power) masks of all
 C(2n, 2k) monomials at once as int64 arrays.  The exact table applies them
 to the state with ``statesim.expectations``, one blocked gather.  The
-sampled table, ``estimate_fermionic_rdm``, reads a qubit Bell shot stream
-like the qubit RDMs do: ``tomography.sign_means`` reads each string off
-the common stream with attenuation sqrt(3)^weight, at most (2n+1)^k for
-the ternary-tree mapping.
+sampled table, ``estimate_fermionic_rdm``, hands the mask arrays to
+``tomography.mask_means``, which reads each string off one qubit Bell
+shot stream with attenuation sqrt(3)^weight, at most (2n+1)^k for the
+ternary-tree mapping; each estimate's phase, weight and text come from
+its masks, with no PauliString per monomial.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .pauli import PauliString, from_masks, to_masks
+from .pauli import _PHASES, PauliString, masks_text, to_masks
 from .statesim import (
     BellShotStream,
     DenseState,
@@ -36,7 +37,7 @@ from .statesim import (
     sample_povm_shots,
 )
 from .ternary import TernaryTreeMapping
-from .tomography import sign_means
+from .tomography import mask_means
 
 MappingLike = Union[TernaryTreeMapping, Sequence[PauliString]]
 
@@ -195,16 +196,15 @@ class FermionEstimate:
     attenuation: float
 
 
-def _monomial_estimate(indices, pauli: PauliString, mean, scale, std_error, s) -> FermionEstimate:
-    return FermionEstimate(
-        indices=tuple(indices),
-        value=pauli.phase * scale * mean,
-        std_error=std_error,
-        num_shots=s,
-        pauli=str(pauli),
-        weight=pauli.weight,
-        attenuation=scale,
-    )
+def _estimates(stream: BellShotStream, monomials, masks) -> list[FermionEstimate]:
+    """Each monomial's X^x Z^z mean times its string's phase i**(power - |x & z|)."""
+    n, s = stream.num_pairs, stream.num_shots
+    columns = (column.tolist() for column in (*masks, *mask_means(stream, *masks[:2])))
+    return [
+        FermionEstimate(indices, _PHASES[(p - (x & z).bit_count()) % 4] * scale * mean, std_error,
+                        s, masks_text((x, z, p), n), (x | z).bit_count(), scale)
+        for indices, x, z, p, mean, scale, std_error in zip(monomials, *columns)
+    ]
 
 
 def estimate_monomial(
@@ -216,9 +216,8 @@ def estimate_monomial(
     RDM element; its phase is reattached afterwards, so the returned value
     is complex with a fixed phase direction.
     """
-    pauli = encode_monomial(indices, mapping)
-    [sign_mean] = sign_means(stream, [pauli.letters])
-    return _monomial_estimate(indices, pauli, *sign_mean, stream.num_shots)
+    masks = to_masks(encode_monomial(indices, mapping), stream.num_pairs)
+    return _estimates(stream, [tuple(indices)], [np.array([m]) for m in masks])[0]
 
 
 def attenuation_bound(mapping: MappingLike, k: int) -> float:
@@ -230,20 +229,10 @@ def estimate_fermionic_rdm(
     stream: BellShotStream, mapping: MappingLike, k: int
 ) -> list[FermionEstimate]:
     """Every degree-2k monomial, in the order of ``exact_fermionic_rdm``,
-    estimated from one qubit Bell shot stream.
-
-    Monomials are mask products of the table entries, turned into a
-    PauliString only for their letters and text; k outside 1..modes or a
-    table entry outside the stream's register raises ValueError.
-    """
-    n = stream.num_pairs
-    monomials, masks = _monomials(mapping, k, n)
-    paulis = [from_masks(product, n) for product in zip(*(m.tolist() for m in masks))]
-    means = sign_means(stream, (pauli.letters for pauli in paulis))
-    return [
-        _monomial_estimate(indices, pauli, *sign_mean, stream.num_shots)
-        for indices, pauli, sign_mean in zip(monomials, paulis, means)
-    ]
+    estimated from one qubit Bell shot stream; k outside 1..modes or a
+    table entry outside the stream's register raises ValueError."""
+    monomials, masks = _monomials(mapping, k, stream.num_pairs)
+    return _estimates(stream, monomials, masks)
 
 
 def sampled_fermionic_rdm(

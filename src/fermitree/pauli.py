@@ -14,6 +14,7 @@ string; the integer phase arithmetic stays exact.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from numbers import Integral
@@ -173,8 +174,6 @@ class PauliString:
 # (x, z, power): the string i**power X^x Z^z, as Python ints.
 Masks = tuple[int, int, int]
 
-_MASK_LETTERS = (None, "X", "Z", "Y")  # indexed by x-bit + 2 * z-bit
-
 
 def to_masks(pauli: PauliString, num_qubits: int) -> Masks:
     """The (x, z, power) masks of a string on the qubits 0..num_qubits-1.
@@ -202,15 +201,22 @@ def to_masks(pauli: PauliString, num_qubits: int) -> Masks:
     return x, z, power % 4
 
 
-def from_masks(masks: Masks, num_qubits: int) -> PauliString:
-    """The PauliString of (x, z, power) on the qubits 0..num_qubits-1."""
-    x, z, power = masks
-    letters = []
-    rest = x | z
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        letter = _MASK_LETTERS[bool(x & low) + 2 * bool(z & low)]
-        letters.append((num_qubits - low.bit_length(), letter))
-    return PauliString(tuple(letters), power - (x & z).bit_count())
+@functools.cache
+def _qubit_tokens(num_qubits: int) -> dict[int, tuple[str | None, ...]]:
+    # each qubit's mask bit -> its tokens, indexed by x bit + 2 * z bit
+    return {1 << (num_qubits - 1 - q): (None, f"X{q}", f"Z{q}", f"Y{q}") for q in range(num_qubits)}
 
+
+def masks_text(masks: Masks, num_qubits: int) -> str:
+    """``str`` of the PauliString of (x, z, power) on num_qubits qubits, made
+    without one; masks outside 0..2**num_qubits-1 raise ValueError."""
+    x, z, power = masks
+    rest = x | z
+    if rest >> num_qubits:
+        raise ValueError(f"masks {x:#x}, {z:#x} reach outside the register of {num_qubits} qubits")
+    tokens, letters = _qubit_tokens(num_qubits), []
+    while rest:
+        low = rest & -rest  # the highest qubit left
+        rest ^= low
+        letters.append(tokens[low][bool(x & low) + 2 * bool(z & low)])
+    return f"{_TOKENS_BY_POWER[(power - (x & z).bit_count()) % 4]} {' '.join(reversed(letters)) or 'I'}"

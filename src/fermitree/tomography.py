@@ -16,12 +16,13 @@ grows as sqrt(3)^k, uniform over all C(n,k) 3^k elements of the k-RDM
 
 The estimators share one outcome-counting kernel,
 ``statesim.joint_outcomes``, which counts each support once per stream and
-caches the counts on it.  ``sign_means`` reads every qubit and fermionic
-Pauli string as one Bell eigenvalue product per distinct outcome, from
-``BELL_EIGENVALUES``, the qubit slice of ``statesim.bell_exponents``;
-``qudit.estimate_hw_correlator`` reads the qudit phase residues from the
-same table.  The sums are exact, so estimates are bit-identical under any
-shot partition.
+caches the counts on it.  ``mask_means`` reads every qubit and fermionic
+Pauli string, as (x, z) mask arrays, as one Bell eigenvalue product per
+distinct outcome, from ``BELL_EIGENVALUES``, the qubit slice of
+``statesim.bell_exponents`` (``sign_means`` parses (qubit, letter) pairs
+for it); ``qudit.estimate_hw_correlator`` reads the qudit phase residues
+from the same table.  The sums are exact, so estimates are bit-identical
+under any shot partition.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from .statesim import BellShotStream, bell_exponents, joint_outcomes
 
 LETTERS = ("x", "y", "z")
-_LETTER_COLUMNS = {a: j for j, letter in enumerate(LETTERS) for a in (letter, letter.upper())}
+_LETTER_BITS = {a: b for letter, b in zip("xyz", ((1, 0), (1, 1), (0, 1))) for a in (letter, letter.upper())}
 
 # Eigenvalue table, rows indexed by Bell outcome code (F+, F-, P+, P-),
 # columns by letter (x, y, z): (-1)^e for the D = 2 exponents e of the
@@ -44,54 +45,72 @@ _LETTER_COLUMNS = {a: j for j, letter in enumerate(LETTERS) for a in (letter, le
 # because Y = iXZ makes Y (x) Y = -XZ (x) XZ.  Each row multiplies to -1.
 BELL_EIGENVALUES = (1 - 2 * bell_exponents(2)[[1, 1, 0], [0, 1, 1]].T).astype(np.int8)
 BELL_EIGENVALUES[:, 1] *= -1
+_MASK_COLUMNS = np.array([0, 0, 2, 1], dtype=np.int8)  # column of x bit + 2 * z bit
 
 
-def sign_means(stream: BellShotStream, strings: Iterable) -> list[tuple[float, float, float]]:
-    """Mean eigenvalue product of each Pauli string over the shots of ``stream``.
-
-    A string is a sequence of (qubit, letter) pairs, letters x, y, z in
-    either case, as in ``PauliString.letters``.  Returns, in input order,
-    each mean with its sqrt(3)^weight attenuation scale and the scaled
-    plug-in std error, reading each support's counts once as one eigenvalue
-    product per distinct outcome.  An empty or non-qubit stream raises
-    ValueError, and so, naming the string, does a string that is not a
-    sequence of pairs, a qubit that is not an integer (a bool included) or
-    lies outside the register, a qubit repeated within one string or an
-    unknown letter.
-    """
+def mask_means(stream: BellShotStream, x, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float64 arrays of the mean eigenvalue product of each string X^x Z^z
+    (masks as in ``pauli.to_masks``), its sqrt(3)^weight scale and the
+    scaled plug-in std error, in input order; each support x | z's counts
+    are read once.  An empty, non-qubit or over-63-qubit stream, masks of
+    unequal length or outside 0..2^num_pairs-1 raise ValueError."""
     if stream.local_dim != 2:
         raise ValueError("Pauli-string estimation needs a qubit stream")
     s, n = stream.num_shots, stream.num_pairs
     if s == 0:
         raise ValueError("empty shot stream")
-    groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    for index, string in enumerate(strings):
+    if n > 63:
+        raise ValueError(f"int64 masks hold at most 63 qubits, the stream has {n}")
+    x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
+    if x.ndim != 1 or x.shape != z.shape:
+        raise ValueError(f"x and z must be masks of equal length, got shapes {x.shape}, {z.shape}")
+    supports, inverse = np.unique(x | z, return_inverse=True)
+    if len(supports) and (supports[0] < 0 or supports[-1] >> n):
+        raise ValueError(f"masks must lie in 0..2^{n}-1, got {supports[0]}..{supports[-1]}")
+    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    shifts = np.arange(n - 1, -1, -1)[:, None]  # row q: qubit q of every string
+    columns = _MASK_COLUMNS[(x >> shifts & 1) + 2 * (z >> shifts & 1)]
+    mean, scale = np.empty((2, len(x)))
+    for support, positions in zip(supports.tolist(), groups):
+        qubits = [q for q in range(n) if support >> (n - 1 - q) & 1]
+        digits, counts = joint_outcomes(stream, tuple(qubits))
+        signs = np.ones((len(counts), len(positions)), dtype=np.int8)
+        for j, row in enumerate(columns[:, positions][qubits]):
+            signs *= BELL_EIGENVALUES[:, row][digits[:, j]]
+        mean[positions] = counts @ signs / s
+        scale[positions] = math.sqrt(3.0) ** len(qubits)
+    return mean, scale, scale * np.sqrt(np.maximum(0.0, 1.0 - mean * mean)) / math.sqrt(s)
+
+
+def sign_means(stream: BellShotStream, strings: Iterable) -> list[tuple[float, float, float]]:
+    """``mask_means`` as (mean, scale, std_error) tuples, of strings of (qubit, letter)
+    pairs with letters x, y, z in either case, as in ``PauliString.letters``.  Beside
+    a bad stream, ValueError names a string that is not a sequence of pairs, has a
+    qubit that is not an integer (a bool included) or lies outside the register,
+    repeats a qubit or has an unknown letter."""
+    n = stream.num_pairs
+    xs, zs = [], []
+    for string in strings:
         try:
             support = tuple(q for q, _ in string)
         except (TypeError, ValueError):
             raise ValueError(f"{string!r} is not a sequence of (qubit, letter) pairs") from None
-        # bool is an int, and 1.0 or True would share the group of qubit 1
+        # bool is an int, and 1.0 or True would stand for qubit 1
         if not all((type(q) is int or isinstance(q, np.integer)) and 0 <= q < n for q in support):
             raise ValueError(f"qubits of {string!r} are not all integers in 0..{n - 1}")
         if len(set(support)) < len(support):
             raise ValueError(f"repeated qubit {support} in {string!r}")
-        positions, columns = groups.setdefault(support, ([], []))
-        positions.append(index)
+        x = z = 0
         try:
-            columns.extend(_LETTER_COLUMNS[letter] for _, letter in string)
+            for q, letter in string:
+                xbit, zbit = _LETTER_BITS[letter]
+                x |= xbit << (n - 1 - int(q))
+                z |= zbit << (n - 1 - int(q))
         except (KeyError, TypeError):
             raise ValueError(f"unknown Pauli letter in {string!r}") from None
-    out = np.empty((sum(len(positions) for positions, _ in groups.values()), 3))
-    for support, (positions, columns) in groups.items():
-        digits, counts = joint_outcomes(stream, support)
-        signs = np.ones((len(counts), len(positions)), dtype=np.int8)
-        for j in range(len(support)):
-            signs *= BELL_EIGENVALUES[:, columns[j :: len(support)]][digits[:, j]]
-        out[positions, 0] = counts @ signs / s
-        out[positions, 1] = math.sqrt(3.0) ** len(support)
-    mean, scale, std_error = out.T
-    std_error[:] = scale * np.sqrt(np.maximum(0.0, 1.0 - mean * mean)) / math.sqrt(s)
-    return list(zip(*out.T.tolist()))
+        xs.append(x)
+        zs.append(z)
+    return list(zip(*(column.tolist() for column in mask_means(stream, xs, zs))))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,12 @@
       masks to a vector with a parity XORed together one z bit at a time,
       the scalar references for ``fermitree.fermion._monomials`` and the
       batched ``fermitree.statesim.masks_matvec``;
+    * ``from_masks`` builds the PauliString of (x, z, power) masks, the
+      reference for the text of ``fermitree.pauli.masks_text``, and
+      ``reference_estimate_fermionic_rdm`` reads every monomial through
+      one such string (its letters through ``sign_means``, its phase,
+      text and weight from the object), the reference for the mask path
+      of ``fermitree.fermion.estimate_fermionic_rdm``;
     * ``reference_generalized_bell_state`` sets the amplitudes of one
       generalized Bell state entry by entry, the reference for
       ``fermitree.statesim.generalized_bell_state`` and the Bell basis;
@@ -27,8 +33,10 @@ import math
 
 import numpy as np
 
+from fermitree.fermion import FermionEstimate, _monomials
 from fermitree.pauli import Masks, PauliString
 from fermitree.statesim import BellShotStream, DenseState, _paired, bell_basis_matrix, hw_operator
+from fermitree.tomography import sign_means
 
 PAULI_MATRICES: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
@@ -98,6 +106,42 @@ def reference_masks_matvec(masks: Masks, amplitudes: np.ndarray, num_sites: int)
     if power & 1:
         out *= 1j
     return out
+
+
+_MASK_LETTERS = (None, "X", "Z", "Y")  # indexed by x-bit + 2 * z-bit
+
+
+def from_masks(masks: Masks, num_qubits: int) -> PauliString:
+    """The PauliString of (x, z, power) on the qubits 0..num_qubits-1."""
+    x, z, power = masks
+    letters = []
+    rest = x | z
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        letter = _MASK_LETTERS[bool(x & low) + 2 * bool(z & low)]
+        letters.append((num_qubits - low.bit_length(), letter))
+    return PauliString(tuple(letters), power - (x & z).bit_count())
+
+
+def reference_estimate_fermionic_rdm(stream: BellShotStream, mapping, k: int) -> list[FermionEstimate]:
+    """Every degree-2k monomial read through its PauliString."""
+    n = stream.num_pairs
+    monomials, masks = _monomials(mapping, k, n)
+    paulis = [from_masks(product, n) for product in zip(*(m.tolist() for m in masks))]
+    means = sign_means(stream, (pauli.letters for pauli in paulis))
+    return [
+        FermionEstimate(
+            indices=tuple(indices),
+            value=pauli.phase * scale * mean,
+            std_error=std_error,
+            num_shots=stream.num_shots,
+            pauli=str(pauli),
+            weight=pauli.weight,
+            attenuation=scale,
+        )
+        for indices, pauli, (mean, scale, std_error) in zip(monomials, paulis, means)
+    ]
 
 
 def reference_generalized_bell_state(local_dim: int, h: int, ell: int) -> np.ndarray:

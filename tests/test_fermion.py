@@ -22,7 +22,7 @@ from fermitree.fermion import (
     number_operator_strings,
     sampled_fermionic_rdm,
 )
-from fermitree.pauli import PauliString, from_masks, to_masks
+from fermitree.pauli import PauliString, to_masks
 from fermitree.statesim import (
     BellShotStream,
     attach_ancillas,
@@ -31,7 +31,7 @@ from fermitree.statesim import (
     sample_bell_shots,
 )
 from fermitree.ternary import build_mapping
-from oracles import mask_product, reference_masks_matvec, to_dense
+from oracles import from_masks, mask_product, reference_masks_matvec, to_dense
 
 ALL_MAPPINGS = [
     ("ternary", lambda n: build_mapping(n)),
@@ -269,3 +269,13 @@ def test_sampled_rdm_validation():
 def test_attenuation_bound_values():
     assert attenuation_bound(build_mapping(3), 1) == 7.0
     assert attenuation_bound(jordan_wigner(2), 2) == 25.0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_ternary_attenuation_stays_below_the_bound_at_every_size(k):
+    # the largest sqrt(3)^weight over every degree-2k monomial's string
+    for n in range(k, 14):
+        mapping = build_mapping(n)
+        _, (x, z, _) = _monomials(mapping, k, n)
+        weight = max(bin(support).count("1") for support in (x | z).tolist())
+        assert math.sqrt(3.0) ** weight <= attenuation_bound(mapping, k), (n, weight)

@@ -42,10 +42,11 @@ from fermitree.tomography import (
     RdmEstimate,
     estimate_all_k_rdms,
     joint_outcomes,
+    mask_means,
     merge_streams,
     sign_means,
 )
-from oracles import reference_calibration
+from oracles import from_masks, reference_calibration, reference_estimate_fermionic_rdm
 from test_qudit import _complex_fiducial
 
 
@@ -380,6 +381,59 @@ def test_sign_means_read_generators_like_lists():
     assert got == sign_means(stream, strings)
     assert got == reference_sign_means(stream, strings)
     assert all(type(value) is float for triple in got for value in triple)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_mask_means_match_the_per_shot_reference(n):
+    # random masks with repeats and identity strings; 60 shots count the
+    # supports of up to 2 qubits with bincount and sort byte rows beyond,
+    # 3000 shots switch at 6 qubits
+    rng = np.random.default_rng(100 + n)
+    x, z = rng.integers(0, 2 ** n, size=(2, 80))
+    x[:3] = z[:3] = 0
+    x[70:], z[70:] = x[10:20], z[10:20]
+    strings = [from_masks((a, b, 0), n).letters for a, b in zip(x.tolist(), z.tolist())]
+    widths = {len(string) for string in strings}
+    for shots in (60, 3000):
+        stream = random_stream(2, n, shots, seed=110 + n, distinct=40)
+        got = mask_means(stream, x, z)
+        assert [(a.dtype, a.shape) for a in got] == [(np.float64, (80,))] * 3
+        assert list(zip(*(a.tolist() for a in got))) == reference_sign_means(stream, strings)
+        assert got[0][0] == got[1][0] == 1.0 and got[2][0] == 0.0
+        order = rng.permutation(80)
+        for shuffled, column in zip(mask_means(stream, x[order], z[order]), got):
+            assert np.array_equal(shuffled, column[order])
+    if n >= 6:
+        assert min(widths) <= 5 and max(widths) >= 6
+    assert min(widths) == 0
+
+
+def test_mask_means_reject_bad_streams_and_masks():
+    stream = random_stream(2, 3, 100, seed=120)
+    for x, z in [([1, 2], [1]), ([[1]], [[1]]), ([-1], [0]), ([0], [-4]), ([8], [0]), ([1], [16])]:
+        with pytest.raises(ValueError):
+            mask_means(stream, x, z)
+    assert [a.tolist() for a in mask_means(stream, [], [])] == [[], [], []]
+    for bad in (
+        random_stream(3, 3, 100, seed=121),
+        BellShotStream(2, 3, np.empty((0, 3), dtype=np.uint8)),
+        random_stream(2, 64, 10, seed=122),
+    ):
+        with pytest.raises(ValueError):
+            mask_means(bad, [1], [0])
+    with pytest.raises(ValueError, match="63 qubits"):
+        sign_means(random_stream(2, 64, 10, seed=122), [((0, "x"),)])
+
+
+@pytest.mark.parametrize("kind", ["ternary", "jw", "bk"])
+@pytest.mark.parametrize("n,k", [(6, 1), (6, 2), (5, 3)])
+def test_fermionic_rdm_from_masks_matches_the_pauli_string_path(kind, n, k):
+    # every field, float against complex and signed zeros included
+    table = {"ternary": build_mapping, "jw": jordan_wigner, "bk": bravyi_kitaev}[kind](n)
+    stream = sample_povm_shots(random_state(n, 2, np.random.default_rng(123 + n)), 2000, 124 + k)
+    got = estimate_fermionic_rdm(stream, table, k)
+    assert repr(got) == repr(reference_estimate_fermionic_rdm(stream, table, k))
+    assert len(got) == math.comb(2 * n, 2 * k)
 
 
 def counting_calls(monkeypatch):

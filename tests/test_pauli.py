@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermitree.pauli import PauliString, from_masks, to_masks
-from oracles import mask_product, to_dense
+from fermitree.pauli import PauliString, masks_text, to_masks
+from oracles import from_masks, mask_product, to_dense
 
 
 def test_single_qubit_product_table():
@@ -191,6 +191,31 @@ register_strings = st.builds(
 def test_mask_product_matches_string_product(a, b):
     assert from_masks(to_masks(a, 12), 12) == a
     assert from_masks(mask_product(to_masks(a, 12), to_masks(b, 12)), 12) == a * b
+
+
+@st.composite
+def register_masks(draw):
+    n = draw(st.integers(1, 12))
+    return draw(st.tuples(*[st.integers(0, 2 ** n - 1)] * 2, st.integers(0, 3))), n
+
+
+@given(register_masks())
+@settings(max_examples=300)
+def test_masks_text_matches_the_string(case):
+    masks, n = case
+    assert masks_text(masks, n) == str(from_masks(masks, n))
+
+
+def test_masks_text_phases_and_range():
+    # Y = iXZ: each Y letter takes one power of i from the masks' power
+    assert [masks_text((0, 0, p), 3) for p in range(4)] == ["+ I", "+i I", "- I", "-i I"]
+    assert [masks_text((0b101, 0b001, p), 3) for p in range(4)] == [
+        "-i X0 Y2", "+ X0 Y2", "+i X0 Y2", "- X0 Y2"
+    ]
+    assert masks_text((0, 0b1, 0), 12) == "+ Z11"
+    for masks in [(8, 0, 0), (0, 8, 0), (-1, 0, 0), (0, -2, 0)]:
+        with pytest.raises(ValueError, match="outside the register"):
+            masks_text(masks, 3)
 
 
 def test_masks_layout():

@@ -22,13 +22,13 @@ import numpy as np
 from . import __version__
 from .baselines import bravyi_kitaev, jordan_wigner, weight_stats
 from .fermion import attenuation_bound, estimate_fermionic_rdm, exact_fermionic_rdm
-from .pauli import PauliString, to_masks
 from .qudit import load_fiducial, qubit_fiducial, qutrit_fiducial, validate_fiducial
 from .statesim import (
     CapacityError,
     DenseState,
+    _ancilla_for,
+    _check_sampling,
     bell_povm_elements,
-    expectations,
     random_state,
     sample_povm_shots,
 )
@@ -40,7 +40,7 @@ from .ternary import (
     verify_table,
     weight_lower_bound,
 )
-from .tomography import estimate_all_k_rdms, estimates_to_rows
+from .tomography import estimate_all_k_rdms, estimates_to_rows, exact_all_k_rdms
 
 KINDS = ("ternary", "jw", "bk")
 
@@ -161,21 +161,31 @@ def cmd_tomograph(args: argparse.Namespace) -> int:
         "state": args.state,
     }
     if args.fermionic:
+        if args.qubits is not None:
+            raise ValueError("--qubits contradicts --fermionic, whose register holds one qubit per mode")
         if args.modes is None:
             raise ValueError("--fermionic needs --modes")
-        config.update({"modes": args.modes, "mapping": args.kind})
-        table = _build_table(args.kind, args.modes)
+        config.update({"modes": args.modes, "mapping": args.kind or "ternary"})
+        table = _build_table(config["mapping"], args.modes)
         num_qubits = args.modes
+    elif args.modes is not None:
+        raise ValueError("--modes needs --fermionic")
+    elif args.kind is not None:
+        raise ValueError("--kind needs --fermionic")
     elif args.qubits is None:
         raise ValueError("need --qubits (or --fermionic with --modes)")
     else:
         config["qubits"] = num_qubits = args.qubits
     system = _prepare_state(args.state, num_qubits, args.seed)
+    # the checks of sampling (shots, workers, capacity) and of the exact column (k)
+    # run before any shot is drawn; the exact column lists the estimates' order
+    _check_sampling(args.shots, args.workers)
+    _ancilla_for(system, None)
+    exact = (exact_fermionic_rdm(system, table, args.k) if args.fermionic
+             else exact_all_k_rdms(system, args.k)).values()
     stream = sample_povm_shots(system, args.shots, args.seed, workers=args.workers)
     if args.fermionic:
         estimates = estimate_fermionic_rdm(stream, table, args.k)
-        # both tables list the monomials in one order
-        exact = exact_fermionic_rdm(system, table, args.k)
         rows = [
             {
                 "indices": list(est.indices),
@@ -189,7 +199,7 @@ def cmd_tomograph(args: argparse.Namespace) -> int:
                 "exact_im": ex.imag,
                 "abs_error": abs(est.value - ex),
             }
-            for est, ex in zip(estimates, exact.values())
+            for est, ex in zip(estimates, exact)
         ]
         payload = {
             **config,
@@ -200,14 +210,9 @@ def cmd_tomograph(args: argparse.Namespace) -> int:
     else:
         estimates = estimate_all_k_rdms(stream, args.k)
         rows = estimates_to_rows(estimates)
-        paulis = [
-            PauliString.from_map({q: letter.upper() for q, letter in zip(est.qubits, est.letters)})
-            for est in estimates
-        ]
-        masks = np.array([to_masks(pauli, args.qubits) for pauli in paulis], dtype=np.int64).T
-        for row, est, exact in zip(rows, estimates, expectations(system, masks)):
-            row["exact"] = exact.real
-            row["abs_error"] = abs(est.value - exact.real)
+        for row, est, ex in zip(rows, estimates, exact):
+            row["exact"] = ex.real
+            row["abs_error"] = abs(est.value - ex.real)
         payload = {**config, "estimates": rows}
     if args.shots_output:
         stream.to_jsonl(args.shots_output)
@@ -297,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tomo.add_argument("--state", choices=("random", "zero", "ghz"), default="random")
     p_tomo.add_argument("--fermionic", action="store_true")
     p_tomo.add_argument("--modes", type=int)
-    p_tomo.add_argument("--kind", choices=KINDS, default="ternary")
+    p_tomo.add_argument("--kind", choices=KINDS, help="mapping of --fermionic (default ternary)")
     p_tomo.add_argument("--output")
     p_tomo.add_argument("--shots-output", help="also write the raw shot stream (JSONL)")
     p_tomo.set_defaults(func=cmd_tomograph)

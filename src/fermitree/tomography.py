@@ -19,10 +19,11 @@ The estimators share one outcome-counting kernel,
 caches the counts on it.  ``mask_means`` reads every qubit and fermionic
 Pauli string, as (x, z) mask arrays, as one Bell eigenvalue product per
 distinct outcome, from ``BELL_EIGENVALUES``, the qubit slice of
-``statesim.bell_exponents`` (``sign_means`` parses (qubit, letter) pairs
-for it); ``qudit.estimate_hw_correlator`` reads the qudit phase residues
-from the same table.  The sums are exact, so estimates are bit-identical
-under any shot partition.
+``statesim.bell_exponents``; ``qudit.estimate_hw_correlator`` reads the
+qudit phase residues from the same table.  The sums are exact, so
+estimates are bit-identical under any shot partition.  The k-RDM's
+strings are built once, as one mask table per (n, k) (``_rdm_masks``),
+which both ``estimate_all_k_rdms`` and the exact ``exact_all_k_rdms`` read.
 """
 
 from __future__ import annotations
@@ -30,14 +31,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .statesim import BellShotStream, bell_exponents, joint_outcomes
+from .statesim import BellShotStream, DenseState, bell_exponents, expectations, joint_outcomes
 
 LETTERS = ("x", "y", "z")
-_LETTER_BITS = {a: b for letter, b in zip("xyz", ((1, 0), (1, 1), (0, 1))) for a in (letter, letter.upper())}
 
 # Eigenvalue table, rows indexed by Bell outcome code (F+, F-, P+, P-),
 # columns by letter (x, y, z): (-1)^e for the D = 2 exponents e of the
@@ -82,37 +81,6 @@ def mask_means(stream: BellShotStream, x, z) -> tuple[np.ndarray, np.ndarray, np
     return mean, scale, scale * np.sqrt(np.maximum(0.0, 1.0 - mean * mean)) / math.sqrt(s)
 
 
-def sign_means(stream: BellShotStream, strings: Iterable) -> list[tuple[float, float, float]]:
-    """``mask_means`` as (mean, scale, std_error) tuples, of strings of (qubit, letter)
-    pairs with letters x, y, z in either case, as in ``PauliString.letters``.  Beside
-    a bad stream, ValueError names a string that is not a sequence of pairs, has a
-    qubit that is not an integer (a bool included) or lies outside the register,
-    repeats a qubit or has an unknown letter."""
-    n = stream.num_pairs
-    xs, zs = [], []
-    for string in strings:
-        try:
-            support = tuple(q for q, _ in string)
-        except (TypeError, ValueError):
-            raise ValueError(f"{string!r} is not a sequence of (qubit, letter) pairs") from None
-        # bool is an int, and 1.0 or True would stand for qubit 1
-        if not all((type(q) is int or isinstance(q, np.integer)) and 0 <= q < n for q in support):
-            raise ValueError(f"qubits of {string!r} are not all integers in 0..{n - 1}")
-        if len(set(support)) < len(support):
-            raise ValueError(f"repeated qubit {support} in {string!r}")
-        x = z = 0
-        try:
-            for q, letter in string:
-                xbit, zbit = _LETTER_BITS[letter]
-                x |= xbit << (n - 1 - int(q))
-                z |= zbit << (n - 1 - int(q))
-        except (KeyError, TypeError):
-            raise ValueError(f"unknown Pauli letter in {string!r}") from None
-        xs.append(x)
-        zs.append(z)
-    return list(zip(*(column.tolist() for column in mask_means(stream, xs, zs))))
-
-
 @dataclass(frozen=True)
 class RdmEstimate:
     """One k-RDM element estimated from a shot stream."""
@@ -124,18 +92,36 @@ class RdmEstimate:
     num_shots: int
 
 
-def estimate_all_k_rdms(stream: BellShotStream, k: int) -> list[RdmEstimate]:
-    """All C(n, k) * 3^k elements of the k-RDM, one outcome table per support."""
-    n = stream.num_pairs
+def _rdm_masks(n: int, k: int) -> tuple[list[tuple], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The (qubits, letters) keys of all C(n, k) 3^k k-RDM elements, letter products
+    inner, and their strings' (x, z, power) masks as int64 arrays (``pauli.to_masks``):
+    the qubit bits times the letters' x or z bits, one integer matrix product each,
+    and the count of y letters.  k outside 1..n raises ValueError."""
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    letters = list(itertools.product(LETTERS, repeat=k))
-    keys = [(q, a) for q in itertools.combinations(range(n), k) for a in letters]
-    means = sign_means(stream, (tuple(zip(q, a)) for q, a in keys))
-    return [
-        RdmEstimate(q, a, scale * mean, err, stream.num_shots)
-        for (q, a), (mean, scale, err) in zip(keys, means)
-    ]
+    supports = list(itertools.combinations(range(n), k))
+    columns = np.array(list(itertools.product(range(3), repeat=k)), dtype=np.int64)  # x, y, z
+    bits = 1 << (n - 1 - np.array(supports, dtype=np.int64))
+    x = (bits @ (columns != 2).T).reshape(-1)
+    z = (bits @ (columns != 0).T).reshape(-1)
+    power = np.tile((columns == 1).sum(axis=1) % 4, len(supports))
+    return list(itertools.product(supports, itertools.product(LETTERS, repeat=k))), (x, z, power)
+
+
+def estimate_all_k_rdms(stream: BellShotStream, k: int) -> list[RdmEstimate]:
+    """All C(n, k) * 3^k elements of the k-RDM, in the order of ``exact_all_k_rdms``."""
+    keys, (x, z, _) = _rdm_masks(stream.num_pairs, k)
+    columns = (column.tolist() for column in mask_means(stream, x, z))
+    s = stream.num_shots
+    return [RdmEstimate(q, a, scale * mean, err, s) for (q, a), mean, scale, err in zip(keys, *columns)]
+
+
+def exact_all_k_rdms(state: DenseState, k: int) -> dict[tuple, complex]:
+    """<P> for every k-RDM element of a qubit state, keyed (qubits, letters)
+    in the order of ``estimate_all_k_rdms``; real up to roundoff.  The
+    strings' masks are applied by one ``statesim.expectations`` call."""
+    keys, masks = _rdm_masks(state.num_sites, k)
+    return dict(zip(keys, expectations(state, masks)))
 
 
 def merge_streams(parts: list[BellShotStream]) -> BellShotStream:

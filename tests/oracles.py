@@ -7,6 +7,10 @@
       masks to a vector with a parity XORed together one z bit at a time,
       the scalar references for ``fermitree.fermion._monomials`` and the
       batched ``fermitree.statesim.masks_matvec``;
+    * ``sign_means`` reads strings of (qubit, letter) pairs, each taken
+      to its masks through a ``PauliString`` and ``to_masks``, with
+      ``fermitree.tomography.mask_means``: the tests' way to read a few
+      named strings off a stream;
     * ``from_masks`` builds the PauliString of (x, z, power) masks, the
       reference for the text of ``fermitree.pauli.masks_text``, and
       ``reference_estimate_fermionic_rdm`` reads every monomial through
@@ -34,9 +38,9 @@ import math
 import numpy as np
 
 from fermitree.fermion import FermionEstimate, _monomials
-from fermitree.pauli import Masks, PauliString
+from fermitree.pauli import Masks, PauliString, to_masks
 from fermitree.statesim import BellShotStream, DenseState, _paired, bell_basis_matrix, hw_operator
-from fermitree.tomography import sign_means
+from fermitree.tomography import mask_means
 
 PAULI_MATRICES: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
@@ -106,6 +110,17 @@ def reference_masks_matvec(masks: Masks, amplitudes: np.ndarray, num_sites: int)
     if power & 1:
         out *= 1j
     return out
+
+
+def sign_means(stream: BellShotStream, strings) -> list[tuple[float, float, float]]:
+    """``mask_means`` of strings of (qubit, letter) pairs, letters in either
+    case, as (mean, scale, std_error) tuples; the PauliString of each string
+    rejects a bad or repeated qubit or letter, ``to_masks`` one outside the
+    register.  Plain int masks let ``mask_means`` check the stream first."""
+    n = stream.num_pairs
+    masks = [to_masks(PauliString(tuple((q, a.upper()) for q, a in string)), n) for string in strings]
+    means = mask_means(stream, [m[0] for m in masks], [m[1] for m in masks])
+    return list(zip(*(column.tolist() for column in means)))
 
 
 _MASK_LETTERS = (None, "X", "Z", "Y")  # indexed by x-bit + 2 * z-bit

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
+from fermitree import cli
 from fermitree.cli import main
 from fermitree.fermion import estimate_fermionic_rdm
 from fermitree.statesim import BellShotStream
@@ -446,9 +447,49 @@ def test_tomograph_fermionic_shots_output_is_the_estimated_stream(tmp_path):
 
 @pytest.mark.parametrize("branch", [["--qubits", "3"], ["--fermionic", "--modes", "3"]])
 @pytest.mark.parametrize("k", ["0", "4"])
-def test_tomograph_rejects_k_outside_the_register(branch, k, capsys):
+def test_tomograph_rejects_k_outside_the_register(branch, k, monkeypatch, capsys):
+    # the exact column checks k, before any shot is drawn
+    def sampler(*args, **kwargs):
+        raise AssertionError("sampled before k was checked")
+
+    monkeypatch.setattr(cli, "sample_povm_shots", sampler)
     assert main(["tomograph", *branch, "--k", k, "--shots", "10", "--seed", "0"]) == 2
     assert "k must be in 1..3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["--qubits", "12", "--shots", "10"], 3, "Bell outcomes"),
+        (["--fermionic", "--modes", "12", "--shots", "10"], 3, "Bell outcomes"),
+        (["--qubits", "10", "--shots", "0"], 2, "at least one shot"),
+        (["--qubits", "10", "--shots", "10", "--workers", "0"], 2, "at least one worker"),
+    ],
+)
+def test_tomograph_checks_sampling_before_the_exact_column(argv, code, message, monkeypatch, capsys):
+    # exit at once, not after the C(n, 5) 3^5 or C(2n, 10) exact values
+    def exact(*args, **kwargs):
+        raise AssertionError("exact column applied before the sampling checks")
+
+    monkeypatch.setattr(cli, "exact_all_k_rdms", exact)
+    monkeypatch.setattr(cli, "exact_fermionic_rdm", exact)
+    assert main(["tomograph", *argv, "--k", "5", "--seed", "0"]) == code
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["--fermionic", "--modes", "4", "--qubits", "9"], "--qubits"),
+        (["--qubits", "3", "--modes", "9"], "--modes"),
+        (["--qubits", "3", "--kind", "jw"], "--kind"),
+        (["--qubits", "3", "--kind", "ternary"], "--kind"),
+        (["--modes", "3"], "--modes"),
+    ],
+)
+def test_tomograph_rejects_contradicting_options(argv, option, capsys):
+    assert main(["tomograph", *argv, "--shots", "10", "--seed", "0"]) == 2
+    assert re.search(rf"error: {option} (needs|contradicts) --fermionic", capsys.readouterr().err)
 
 
 def test_bad_flag_exits_via_argparse():

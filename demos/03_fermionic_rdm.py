@@ -28,7 +28,7 @@ SHOTS = 100_000
 
 def main():
     mapping = build_mapping(MODES)
-    print(f"ternary encoding for n={MODES} modes on {mapping.num_qubits} qubits")
+    print(f"ternary encoding for n={MODES} modes on {mapping.n_modes} qubits")
 
     vacuum = encoded_vacuum(mapping)
     occ = [

@@ -26,8 +26,6 @@ from .qudit import load_fiducial, qubit_fiducial, qutrit_fiducial, validate_fidu
 from .statesim import (
     CapacityError,
     DenseState,
-    _ancilla_for,
-    _check_sampling,
     bell_povm_elements,
     random_state,
     sample_povm_shots,
@@ -88,9 +86,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.modes_from < 1 or args.modes_to < args.modes_from:
         raise ValueError("need 1 <= modes-from <= modes-to")
     kinds = [k.strip() for k in args.kinds.split(",")]
-    for kind in kinds:
-        if kind not in KINDS:
-            raise ValueError(f"unknown mapping kind {kind!r}")
     lines = ["n,kind,mean_weight,max_weight"]
     for n in range(args.modes_from, args.modes_to + 1):
         for kind in kinds:
@@ -176,14 +171,13 @@ def cmd_tomograph(args: argparse.Namespace) -> int:
         raise ValueError("need --qubits (or --fermionic with --modes)")
     else:
         config["qubits"] = num_qubits = args.qubits
+    if not 1 <= args.k <= num_qubits:
+        raise ValueError(f"k must be in 1..{num_qubits}, got {args.k}")
     system = _prepare_state(args.state, num_qubits, args.seed)
-    # the checks of sampling (shots, workers, capacity) and of the exact column (k)
-    # run before any shot is drawn; the exact column lists the estimates' order
-    _check_sampling(args.shots, args.workers)
-    _ancilla_for(system, None)
+    # the sampler checks the shots, the workers and the capacity before it draws
+    stream = sample_povm_shots(system, args.shots, args.seed, workers=args.workers)
     exact = (exact_fermionic_rdm(system, table, args.k) if args.fermionic
              else exact_all_k_rdms(system, args.k)).values()
-    stream = sample_povm_shots(system, args.shots, args.seed, workers=args.workers)
     if args.fermionic:
         estimates = estimate_fermionic_rdm(stream, table, args.k)
         rows = [

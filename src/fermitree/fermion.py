@@ -15,7 +15,10 @@ sampled table, ``estimate_fermionic_rdm``, hands the mask arrays to
 ``tomography.mask_means``, which reads each string off one qubit Bell
 shot stream with attenuation sqrt(3)^weight, at most (2n+1)^k for the
 ternary-tree mapping; each estimate's phase, weight and text come from
-its masks, with no PauliString per monomial.
+its masks, with no PauliString per monomial.  That bound is on the
+attenuation, not on the per-shot variance 3^weight - <P>^2, which is
+larger: at n = 8 the ternary tables reach 3^weight = 243 (k = 1) and
+2187 (k = 2), against (2n+1)^k = 17 and 289.
 """
 
 from __future__ import annotations

@@ -445,16 +445,17 @@ class BellShotStream:
 
     @classmethod
     def from_jsonl(cls, path: str, local_dim: int | None = None) -> "BellShotStream":
-        """Read a shot stream in ``shot_index`` order; qudit streams may need
-        ``local_dim`` since the record format stores (h, ell) pairs, not the
-        dimension.  A record without ``shot_index`` or ``outcomes``, a
-        ``shot_index`` that is not an integer (a JSON boolean included) or
-        repeats one of another record (as in two files joined with
-        ``cat``), an unknown label, an h or ell that is not an integer in
-        0..D-1 or a ``local_dim`` below 2 raises ValueError.  The non-blank
-        lines are parsed as one JSON array, so text that is not a list of
-        JSON values, or a record count that differs from the line count
-        (two records on one line), raises ValueError too."""
+        """Read a shot stream in ``shot_index`` order.  Labeled records are a
+        qubit stream; (h, ell) records do not store the dimension, so they
+        need ``local_dim``, and without it raise ValueError.  A record
+        without ``shot_index`` or ``outcomes``, a ``shot_index`` that is not
+        an integer (a JSON boolean included) or repeats one of another
+        record (as in two files joined with ``cat``), an unknown label, an h
+        or ell that is not an integer in 0..D-1 or a ``local_dim`` below 2
+        raises ValueError.  The non-blank lines are parsed as one JSON
+        array, so text that is not a list of JSON values, or a record count
+        that differs from the line count (two records on one line), raises
+        ValueError too."""
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         lines = [line for line in text.split("\n") if line.strip()]
@@ -499,7 +500,7 @@ class BellShotStream:
             ):
                 raise ValueError("qudit Bell outcomes must be [h, ell] integer pairs")
             if local_dim is None:
-                local_dim = max(int(pairs.max()) + 1, 2)
+                raise ValueError("[h, ell] records do not store D: pass local_dim")
             d = local_dim
             if pairs.min() < 0 or pairs.max() >= d:
                 raise ValueError(f"Bell outcome (h, ell) outside 0..{d - 1}")

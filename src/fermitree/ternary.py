@@ -83,11 +83,6 @@ class TernaryTreeMapping:
     majorana_table: tuple[PauliString, ...] = field(repr=False)
 
     @property
-    def num_qubits(self) -> int:
-        """Qubit count, always equal to n_modes."""
-        return self.n_modes
-
-    @property
     def dropped_path(self) -> TreePath:
         """The all-Z path excluded from the table."""
         return _tree_shape(self.n_modes)[2]
@@ -288,12 +283,6 @@ def mapping_from_dict(data: dict) -> TernaryTreeMapping:
         if json.dumps(data.get(key)) != json.dumps(value):
             raise ValueError(f"{key} does not match the tree of n_modes = {n_modes}")
     return TernaryTreeMapping(n_modes, tuple(PauliString.parse(s) for s in table))
-
-
-def save_mapping(mapping: TernaryTreeMapping, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mapping_to_dict(mapping), fh, indent=2)
-        fh.write("\n")
 
 
 def load_mapping(path: str) -> TernaryTreeMapping:

@@ -57,6 +57,14 @@ def test_stats_rejects_bad_range(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_stats_rejects_an_unknown_kind_before_writing(tmp_path, capsys):
+    path = tmp_path / "stats.csv"
+    argv = ["stats", "--modes-to", "3", "--kinds", "ternary,nope", "--output", str(path)]
+    assert main(argv) == 2
+    assert "unknown mapping kind 'nope'" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_verify_passes(capsys):
     assert main(["verify", "--kind", "bk", "--modes", "6"]) == 0
     out = capsys.readouterr().out
@@ -448,7 +456,7 @@ def test_tomograph_fermionic_shots_output_is_the_estimated_stream(tmp_path):
 @pytest.mark.parametrize("branch", [["--qubits", "3"], ["--fermionic", "--modes", "3"]])
 @pytest.mark.parametrize("k", ["0", "4"])
 def test_tomograph_rejects_k_outside_the_register(branch, k, monkeypatch, capsys):
-    # the exact column checks k, before any shot is drawn
+    # k is checked against the register before any shot is drawn
     def sampler(*args, **kwargs):
         raise AssertionError("sampled before k was checked")
 

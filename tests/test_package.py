@@ -28,7 +28,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Public names that nothing outside tests/ calls, each with its reason.
 UNCALLED_EXPORTS = {
-    "save_mapping": "writes the mapping files that `fermitree verify --input` reads",
     "save_fiducial": "writes the fiducial files that `fermitree qudit-sic --fiducial` reads",
 }
 
@@ -168,3 +167,16 @@ def test_one_module_owns_the_outcome_count_cache():
             imported += [alias.name for alias in node.names]
     assert "statesim" in imported
     assert not [name for name in imported if name.split(".")[-1] == "tomography"]
+
+
+def test_the_cli_imports_no_private_name_of_the_package():
+    # a check the library runs anyway is not run again from the front end
+    cli = ast.parse((ROOT / "src" / "fermitree" / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(cli)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("fermitree"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert private == []

@@ -555,6 +555,18 @@ def test_shot_stream_jsonl_qudit(tmp_path):
         BellShotStream.from_jsonl(str(path), local_dim=2)
 
 
+def test_from_jsonl_needs_local_dim_for_pair_records(tmp_path):
+    # codes 4 and 3 are (1, 1) and (1, 0) at D = 3, all within 0..1: a qubit
+    # reading would be silently wrong, so the dimension is never guessed
+    stream = BellShotStream(3, 2, np.array([[4, 1], [3, 0]]))
+    path = tmp_path / "shots3.jsonl"
+    stream.to_jsonl(str(path))
+    with pytest.raises(ValueError, match="local_dim"):
+        BellShotStream.from_jsonl(str(path))
+    again = BellShotStream.from_jsonl(str(path), local_dim=3)
+    assert again.codes.tolist() == [[4, 1], [3, 0]]
+
+
 @pytest.mark.parametrize(
     "stream,text",
     [
@@ -687,11 +699,12 @@ def test_from_jsonl_rejects_two_records_on_one_line(tmp_path, separator):
 def test_from_jsonl_infers_dimension_but_rejects_negatives(tmp_path):
     path = tmp_path / "shots.jsonl"
     path.write_text('{"shot_index": 0, "outcomes": [[0, 5]]}\n')
-    assert BellShotStream.from_jsonl(str(path)).local_dim == 6
+    with pytest.raises(ValueError, match="local_dim"):
+        BellShotStream.from_jsonl(str(path))
     # -128 * 2 + 0 would wrap to the valid uint8 code 0
     path.write_text('{"shot_index": 0, "outcomes": [[-128, 0]]}\n')
-    with pytest.raises(ValueError):
-        BellShotStream.from_jsonl(str(path))
+    with pytest.raises(ValueError, match="outside"):
+        BellShotStream.from_jsonl(str(path), local_dim=2)
 
 
 @pytest.mark.parametrize("local_dim", [1, 0, -3])
@@ -705,9 +718,9 @@ def test_from_jsonl_rejects_local_dim_below_two(tmp_path, local_dim):
     path.write_text('{"shot_index": 0, "outcomes": [[0, 0], [0, 0]]}\n')
     with pytest.raises(ValueError):
         BellShotStream.from_jsonl(str(path), local_dim=local_dim)
-    # with no local_dim, an all-zero file still reads as a qubit stream
-    again = BellShotStream.from_jsonl(str(path))
-    assert (again.local_dim, again.codes.tolist()) == (2, [[0, 0]])
+    # with no local_dim, an all-zero file fixes no dimension
+    with pytest.raises(ValueError, match="local_dim"):
+        BellShotStream.from_jsonl(str(path))
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from fermitree.statesim import (
     prepare_xi,
     random_state,
     sample_bell_shots,
+    sample_povm_shots,
 )
 from fermitree.tomography import (
     BELL_EIGENVALUES,
@@ -190,6 +191,26 @@ def test_variance_grows_with_k():
         v2.append(scale2 * mean2)
     ratio = np.std(v2, ddof=1) / np.std(v1, ddof=1)
     assert 1.2 < ratio < 2.4
+
+
+def test_error_bars_are_calibrated():
+    # each element's 2-sigma interval holds the exact value on 95.45% of
+    # 400 streams, within 4 binomial sigma (0.042); bars off by a factor of
+    # 2 either way give about 68% or 99.99%
+    state = random_state(3, 2, np.random.default_rng(2025))
+    seeds = range(400)
+    streams = [sample_povm_shots(state, 2000, seed) for seed in seeds]
+    band = 4 * math.sqrt(0.9545 * 0.0455 / len(seeds))
+    for k in (1, 2):
+        exact = np.array(list(exact_all_k_rdms(state, k).values())).real
+        inside = np.zeros(len(exact))
+        for stream in streams:
+            estimates = estimate_all_k_rdms(stream, k)
+            value = np.array([est.value for est in estimates])
+            error = np.array([est.std_error for est in estimates])
+            inside += np.abs(value - exact) < 2 * error
+        fraction = inside / len(seeds)
+        assert np.all(np.abs(fraction - 0.9545) <= band), (k, fraction.min(), fraction.max())
 
 
 def test_sic_povm_completeness_and_overlaps():

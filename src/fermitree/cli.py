@@ -148,6 +148,8 @@ def _prepare_state(kind: str, num_qubits: int, seed: int) -> DenseState:
 
 
 def cmd_tomograph(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     config = {
         "command": "tomograph",
         "k": args.k,
@@ -169,6 +171,8 @@ def cmd_tomograph(args: argparse.Namespace) -> int:
         raise ValueError("--kind needs --fermionic")
     elif args.qubits is None:
         raise ValueError("need --qubits (or --fermionic with --modes)")
+    elif args.qubits < 1:
+        raise ValueError(f"--qubits must be at least 1, got {args.qubits}")
     else:
         config["qubits"] = num_qubits = args.qubits
     if not 1 <= args.k <= num_qubits:

@@ -12,10 +12,12 @@ string.  Both RDM entry points build the (x, z, power) masks of all
 C(2n, 2k) monomials at once as int64 arrays.  The exact table applies them
 to the state with ``statesim.expectations``, one blocked gather.  The
 sampled table, ``estimate_fermionic_rdm``, hands the mask arrays to
-``tomography.mask_means``, which reads each string off one qubit Bell
+``tomography.mask_means``, which reads every string off one qubit Bell
 shot stream with attenuation sqrt(3)^weight, at most (2n+1)^k for the
-ternary-tree mapping; each estimate's phase, weight and text come from
-its masks, with no PauliString per monomial.  That bound is on the
+ternary-tree mapping, by one Walsh-Hadamard transform of the outcome
+histogram when it has at most 256 bins per string (n = 8, k = 2: 4^8 bins,
+1820 strings); each estimate's phase, weight and text come from its
+masks, with no PauliString per monomial.  That bound is on the
 attenuation, not on the per-shot variance 3^weight - <P>^2, which is
 larger: at n = 8 the ternary tables reach 3^weight = 243 (k = 1) and
 2187 (k = 2), against (2n+1)^k = 17 and 289.

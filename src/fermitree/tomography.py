@@ -17,13 +17,14 @@ grows as sqrt(3)^k, uniform over all C(n,k) 3^k elements of the k-RDM
 The estimators share one outcome-counting kernel,
 ``statesim.joint_outcomes``, which counts each support once per stream and
 caches the counts on it.  ``mask_means`` reads every qubit and fermionic
-Pauli string, as (x, z) mask arrays, as one Bell eigenvalue product per
-distinct outcome, from ``BELL_EIGENVALUES``, the qubit slice of
-``statesim.bell_exponents``; ``qudit.estimate_hw_correlator`` reads the
-qudit phase residues from the same table.  The sums are exact, so
-estimates are bit-identical under any shot partition.  The k-RDM's
-strings are built once, as one mask table per (n, k) (``_rdm_masks``),
-which both ``estimate_all_k_rdms`` and the exact ``exact_all_k_rdms`` read.
+Pauli string, as (x, z) mask arrays, from ``BELL_EIGENVALUES``, the qubit
+slice of ``statesim.bell_exponents``: from one Walsh-Hadamard transform
+of the outcome histogram on the union of all supports, or per support;
+``qudit.estimate_hw_correlator`` reads the qudit phase residues from the
+same exponents.  The sums are exact, so estimates are bit-identical under
+any shot partition and either reader.  The k-RDM's strings are built
+once, as one mask table per (n, k) (``_rdm_masks``), which both
+``estimate_all_k_rdms`` and the exact ``exact_all_k_rdms`` read.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statesim import BellShotStream, DenseState, bell_exponents, expectations, joint_outcomes
+from .statesim import (
+    CAPACITY_AMPLITUDES, BellShotStream, DenseState, bell_exponents, expectations, joint_outcomes,
+)
 
 LETTERS = ("x", "y", "z")
 
@@ -45,14 +48,24 @@ LETTERS = ("x", "y", "z")
 BELL_EIGENVALUES = (1 - 2 * bell_exponents(2)[[1, 1, 0], [0, 1, 1]].T).astype(np.int8)
 BELL_EIGENVALUES[:, 1] *= -1
 _MASK_COLUMNS = np.array([0, 0, 2, 1], dtype=np.int8)  # column of x bit + 2 * z bit
+# Row: Bell outcome code; column: letter code x bit + 2 * z bit (I, x, z, y).
+_SIGN_TABLE = np.column_stack([np.ones(4), BELL_EIGENVALUES[:, _MASK_COLUMNS[1:]]])
+_SCALES = np.array([math.sqrt(3.0) ** w for w in range(64)])  # by string weight
 
 
 def mask_means(stream: BellShotStream, x, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float64 arrays of the mean eigenvalue product of each string X^x Z^z
     (masks as in ``pauli.to_masks``), its sqrt(3)^weight scale and the
-    scaled plug-in std error, in input order; each support x | z's counts
-    are read once.  An empty, non-qubit or over-63-qubit stream, masks of
-    unequal length or outside 0..2^num_pairs-1 raise ValueError."""
+    scaled plug-in std error, in input order.
+
+    With U the union of all supports x | z, ``_transform_means`` reads every
+    string off one histogram of 4^|U| bins when 4^|U| <= 256 bins per string
+    and ``CAPACITY_AMPLITUDES``; otherwise ``_support_means`` reads each
+    support's counts once.  Their results are bit-identical, and on one CPU
+    their costs cross between about 100 and 500 bins per string (n = 3..10
+    qubit k-RDMs and ternary, JW and BK fermionic RDMs, 4096 and 24576
+    shots).  An empty, non-qubit or over-63-qubit stream, masks of unequal
+    length or outside 0..2^num_pairs-1 raise ValueError."""
     if stream.local_dim != 2:
         raise ValueError("Pauli-string estimation needs a qubit stream")
     s, n = stream.num_shots, stream.num_pairs
@@ -63,22 +76,60 @@ def mask_means(stream: BellShotStream, x, z) -> tuple[np.ndarray, np.ndarray, np
     x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
     if x.ndim != 1 or x.shape != z.shape:
         raise ValueError(f"x and z must be masks of equal length, got shapes {x.shape}, {z.shape}")
+    cover = x | z
+    if len(cover) and (cover.min() < 0 or cover.max() >> n):
+        raise ValueError(f"masks must lie in 0..2^{n}-1, got {cover.min()}..{cover.max()}")
+    union = int(np.bitwise_or.reduce(cover))
+    sites = [q for q in range(n) if union >> (n - 1 - q) & 1]
+    if 4 ** len(sites) <= min(CAPACITY_AMPLITUDES, 256 * len(x)):
+        return _transform_means(stream, x, z, sites)
+    return _support_means(stream, x, z)
+
+
+def _means(sums: np.ndarray, weight: np.ndarray, s: int):
+    """Means, sqrt(3)^weight scales and scaled plug-in std errors of eigenvalue sums."""
+    mean = sums / s
+    scale = _SCALES[weight]
+    return mean, scale, scale * np.sqrt(np.maximum(0.0, 1.0 - mean * mean)) / math.sqrt(s)
+
+
+def _support_means(stream: BellShotStream, x: np.ndarray, z: np.ndarray):
+    """``mask_means`` with one ``joint_outcomes`` call per support: one ±1
+    eigenvalue product per distinct outcome, summed against the counts."""
+    n = stream.num_pairs
     supports, inverse = np.unique(x | z, return_inverse=True)
-    if len(supports) and (supports[0] < 0 or supports[-1] >> n):
-        raise ValueError(f"masks must lie in 0..2^{n}-1, got {supports[0]}..{supports[-1]}")
     groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
     shifts = np.arange(n - 1, -1, -1)[:, None]  # row q: qubit q of every string
     columns = _MASK_COLUMNS[(x >> shifts & 1) + 2 * (z >> shifts & 1)]
-    mean, scale = np.empty((2, len(x)))
+    sums, weight = np.empty((2, len(x)), dtype=np.int64)
     for support, positions in zip(supports.tolist(), groups):
         qubits = [q for q in range(n) if support >> (n - 1 - q) & 1]
         digits, counts = joint_outcomes(stream, tuple(qubits))
         signs = np.ones((len(counts), len(positions)), dtype=np.int8)
         for j, row in enumerate(columns[:, positions][qubits]):
             signs *= BELL_EIGENVALUES[:, row][digits[:, j]]
-        mean[positions] = counts @ signs / s
-        scale[positions] = math.sqrt(3.0) ** len(qubits)
-    return mean, scale, scale * np.sqrt(np.maximum(0.0, 1.0 - mean * mean)) / math.sqrt(s)
+        sums[positions] = counts @ signs
+        weight[positions] = len(qubits)
+    return _means(sums, weight, stream.num_shots)
+
+
+def _transform_means(stream: BellShotStream, x: np.ndarray, z: np.ndarray, sites: list[int]):
+    """``mask_means`` of strings within ``sites`` from one ``joint_outcomes``
+    call: a Walsh-Hadamard transform takes the histogram of 4^|sites| bins
+    site by site through ``_SIGN_TABLE``, so that bin sum_j 4^(|sites|-1-j) c_j
+    holds the sum of the string with letter code c_j on site j.  Partial sums
+    are integers of at most the shot count, so float64 is exact."""
+    width = len(sites)
+    places = 4 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    digits, counts = joint_outcomes(stream, tuple(sites))
+    hist = np.zeros(4 ** width)
+    hist[digits @ places] = counts
+    for _ in range(width):  # the product loop of statesim._outcome_distribution
+        hist = hist.reshape(4, -1).T @ _SIGN_TABLE
+    shifts = (stream.num_pairs - 1 - np.array(sites, dtype=np.int64))[:, None]
+    codes = (x >> shifts & 1) + 2 * (z >> shifts & 1)  # row j: site j of every string
+    sums = hist.reshape(-1)[places @ codes]
+    return _means(sums, np.count_nonzero(codes, axis=0), stream.num_shots)
 
 
 @dataclass(frozen=True)

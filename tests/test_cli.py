@@ -465,6 +465,22 @@ def test_tomograph_rejects_k_outside_the_register(branch, k, monkeypatch, capsys
     assert "k must be in 1..3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("state", ["random", "zero", "ghz"])
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--qubits", "0", "--seed", "0"], "--qubits must be at least 1, got 0"),
+        (["--qubits", "-1", "--seed", "0"], "--qubits must be at least 1, got -1"),
+        (["--qubits", "3", "--seed", "-1"], "--seed must be non-negative, got -1"),
+        (["--fermionic", "--modes", "3", "--seed", "-2"], "--seed must be non-negative, got -2"),
+    ],
+)
+def test_tomograph_rejects_a_bad_register_or_seed(argv, message, state, capsys):
+    # named for the option at fault, not for --k or by numpy's seed check
+    assert main(["tomograph", *argv, "--state", state, "--shots", "10"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "argv,code,message",
     [

@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fermitree import statesim
+from fermitree import statesim, tomography
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
 from fermitree.fermion import (
     encode_monomial,
@@ -383,6 +383,75 @@ def test_mask_means_reject_bad_streams_and_masks():
             mask_means(bad, [1], [0])
     with pytest.raises(ValueError, match="63 qubits"):
         sign_means(random_stream(2, 64, 10, seed=122), [((0, "x"),)])
+
+
+def reader_cases():
+    """(stream, x, z) cases for both mask readers, each at 40 shots (more
+    possible rows than shots on any 3 sites: byte rows sorted) and at 3000
+    (bincount on up to 5 sites)."""
+    rng = np.random.default_rng(130)
+    x, z = rng.integers(0, 2 ** 5, size=(2, 30))
+    narrow = np.array([0b010010000, 0b010000000, 0b000010000, 0, 0b010010000])  # qubits 1, 4 of 9
+    masks = {
+        "identity": (5, [0, 0, 0], [0, 0, 0]),
+        "one-string": (5, [0b10110], [0b00111]),
+        "repeated": (5, [0b00001, 0b10000, 0b00001, 0b10000], [0b00001, 0b10001, 0b00001, 0b10001]),
+        "random": (5, x, z),
+        "narrow-union": (9, narrow, narrow[::-1] & 0b010000000),
+    }
+    return [
+        pytest.param(random_stream(2, n, shots, seed=131 + shots, distinct=25), x, z, id=f"{name}-{shots}")
+        for name, (n, x, z) in masks.items()
+        for shots in (40, 3000)
+    ]
+
+
+@pytest.mark.parametrize("stream,x,z", reader_cases())
+def test_mask_readers_agree_with_each_other_and_the_reference(stream, x, z):
+    n = stream.num_pairs
+    x, z = np.array(x, dtype=np.int64), np.array(z, dtype=np.int64)
+    union = int(np.bitwise_or.reduce(x | z))
+    sites = [q for q in range(n) if union >> (n - 1 - q) & 1]
+    transformed = tomography._transform_means(stream, x, z, sites)
+    per_support = tomography._support_means(stream, x, z)
+    strings = [from_masks((a, b, 0), n).letters for a, b in zip(x.tolist(), z.tolist())]
+    want = [np.array(column) for column in zip(*reference_sign_means(stream, strings))]
+    for got in (transformed, per_support):
+        assert [a.dtype for a in got] == [np.float64] * 3
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert all(np.array_equal(a, b) for a, b in zip(transformed, per_support))
+
+
+def test_mask_means_reads_the_benchmark_shapes_on_opposite_paths(monkeypatch):
+    # fermion-rdm (ternary, n = 8, k = 2: 1820 strings over 4^8 bins) takes
+    # the transform, qubit-tomography (n = 10, k = 2: 405 strings over 4^10
+    # bins) the per-support reader
+    taken = []
+
+    def recorded(name):
+        reader = getattr(tomography, name)
+
+        def read(*args):
+            taken.append(name)
+            return reader(*args)
+
+        return read
+
+    for name in ("_transform_means", "_support_means"):
+        monkeypatch.setattr(tomography, name, recorded(name))
+    assert len(estimate_fermionic_rdm(random_stream(2, 8, 200, seed=140), build_mapping(8), 2)) == 1820
+    assert len(estimate_all_k_rdms(random_stream(2, 10, 200, seed=141), 2)) == 405
+    assert taken == ["_transform_means", "_support_means"]
+
+
+def test_sign_table_is_the_eigenvalue_table_in_mask_code_order():
+    # column x bit + 2 * z bit: identity, x, z, y, as from_masks reads masks
+    letters = {1: "x", 2: "z", 3: "y"}
+    for code in range(4):
+        assert tomography._SIGN_TABLE[code, 0] == 1
+        for column, letter in letters.items():
+            assert tomography._SIGN_TABLE[code, column] == BELL_EIGENVALUES[code, LETTERS.index(letter)]
+            assert from_masks((column & 1, column >> 1, 0), 1).letters == ((0, letter.upper()),)
 
 
 @pytest.mark.parametrize("kind", ["ternary", "jw", "bk"])

@@ -7,9 +7,11 @@ outcome on a pair contributes the exact eigenvalue exp(2*pi*i*(g*h -
 f*ell)/D) of X^f Z^g (x) X^f Z^{-g}, and each ancilla attenuates the
 signal by its calibration factor tr(X^f Z^{-g} xi), computed once per
 fiducial (``FiducialState.overlaps``).  Shots are counted per residue
-g*h - f*ell mod D, read from ``statesim.bell_exponents``, with the
-counting kernel ``statesim.joint_outcomes``; the exact oracle is one
-gather per target.
+g*h - f*ell mod D of ``statesim.bell_exponents``: once per stream and
+support for every label product (``statesim.residue_counts``), so a
+correlator is one index into its support's table, or, on a support with
+more possible outcome rows than shots, summed per target over the counts
+of ``statesim.joint_outcomes``.  The exact oracle is one gather per target.
 
 A fiducial whose calibration factors all have magnitude 1/sqrt(D+1) makes
 the POVM that the Bell measurement realizes on a system site
@@ -32,6 +34,7 @@ import numpy as np
 
 from .statesim import (
     BellShotStream, DenseState, bell_exponents, hw_operator, joint_outcomes, prepare_xi,
+    residue_counts,
 )
 
 
@@ -124,24 +127,38 @@ class HwEstimate:
 def _checked_targets(
     targets: Sequence[tuple[int, int, int]], d: int, num_pairs: int
 ) -> tuple[tuple[int, int, int], ...]:
+    """The targets as (site, f mod D, g mod D) triples of Python ints; ValueError
+    names a target that is not an integer triple, or that repeats a site."""
     seen = set()
     out = []
-    for site, f, g in targets:
+    for target in targets:
+        try:
+            site, f, g = target
+        except (TypeError, ValueError):
+            raise ValueError(f"target {target!r} is not a (site, f, g) triple") from None
         # bool is an int, and 1.0 or "1" would fail inside numpy later
         if not all(type(v) is int or isinstance(v, np.integer) for v in (site, f, g)):
             raise ValueError(f"target {(site, f, g)!r} needs integer site, f and g")
+        site = int(site)
         if not 0 <= site < num_pairs:
             raise ValueError(f"site {site} outside 0..{num_pairs - 1}")
         if site in seen:
             raise ValueError(f"repeated site {site}")
         seen.add(site)
-        f, g = f % d, g % d
+        f, g = int(f) % d, int(g) % d
         if (f, g) == (0, 0):
             raise ValueError(f"site {site} targets the identity displacement")
         out.append((site, f, g))
     if not out:
         raise ValueError("need at least one target")
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _omega_powers(d: int) -> tuple:
+    """w^r for r in 0..D-1, w = exp(2 pi i / D), as np.complex128."""
+    omega = np.exp(2j * np.pi / d)
+    return tuple(omega ** r for r in range(d))
 
 
 def estimate_hw_correlator(
@@ -158,8 +175,11 @@ def estimate_hw_correlator(
         fiducial: the ancilla state, needed for calibration.
 
     Per shot the product of pair eigenvalues is the root of unity
-    w^(sum_i g_i h_i - f_i ell_i); residues are accumulated as integer
-    counts, so the result is independent of how shots are partitioned.
+    w^(sum_i g_i h_i - f_i ell_i); the D residue counts are one index into
+    the support's ``residue_counts`` table, or summed over its joint
+    outcomes when it has none.  They are exact integers, so the result is
+    independent of how shots are partitioned.  A target that is not a
+    (site, f, g) triple of integers raises ValueError.
     """
     d = fiducial.dimension
     if stream.local_dim != d:
@@ -170,16 +190,20 @@ def estimate_hw_correlator(
     if stream.num_shots == 0:
         raise ValueError("empty shot stream")
 
-    digits, counts = joint_outcomes(stream, tuple(t[0] for t in checked))
-    exponents = bell_exponents(d)
-    residues = np.zeros(len(counts), dtype=np.int64)
-    for column, (_, f, g) in zip(digits.T, checked):
-        residues += exponents[f, g][column]
-    # float weights are exact integers below 2^53 shots
-    by_residue = np.bincount(residues % d, weights=counts, minlength=d)
-    omega = np.exp(2j * np.pi / d)
+    sites = tuple(t[0] for t in checked)
+    table = residue_counts(stream, sites)
+    if table is not None:
+        by_residue = table[tuple(f * d + g for _, f, g in checked)].tolist()
+    else:
+        digits, counts = joint_outcomes(stream, sites)
+        exponents = bell_exponents(d)
+        residues = np.zeros(len(counts), dtype=np.int64)
+        for column, (_, f, g) in zip(digits.T, checked):
+            residues += exponents[f, g][column]
+        # float weights are exact integers below 2^53 shots
+        by_residue = np.bincount(residues % d, weights=counts, minlength=d).tolist()
     s = stream.num_shots
-    mean = sum(int(c) * omega ** r for r, c in enumerate(by_residue)) / s
+    mean = sum(int(c) * w for c, w in zip(by_residue, _omega_powers(d))) / s
 
     calibration = math.prod(fiducial.overlaps[f, g] for _, f, g in checked)
     if abs(calibration) < 1e-12:
@@ -216,7 +240,8 @@ def exact_hw_correlator(
     applied = state.as_tensor()
     for site, f, g in checked:
         source, phases = _hw_gather(d, f, g, n - 1 - site)
-        applied = np.take(applied, source, axis=site) * phases
+        applied = applied.take(source, axis=site)
+        applied *= phases
     return complex(np.vdot(state.amplitudes, applied))
 
 

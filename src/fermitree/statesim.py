@@ -12,7 +12,9 @@ state and the displacements X^f Z^g, and owns everything about a Bell
 outcome code h * D + ell: the Bell states and basis, built from the
 displacements; the one eigenvalue table, ``bell_exponents``; and the one
 counting kernel, ``joint_outcomes``, which caches each support's counts
-on the read-only ``BellShotStream`` that the two bulk samplers return:
+on the read-only ``BellShotStream`` that the two bulk samplers return,
+beside the support's ``residue_counts``, those counts per phase residue
+of every displacement product:
 
     * ``sample_bell_shots`` samples the exact joint outcome distribution
       of a register whose ancillas are attached (``attach_ancillas``);
@@ -508,30 +510,83 @@ class BellShotStream:
         return cls(d, codes.shape[1], codes)
 
 
-def joint_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct joint Bell codes on ``sites`` and the number of shots of each.
-
-    Returns the distinct rows of ``stream.codes`` on ``sites`` in
-    lexicographic order and their int64 counts: sorted as byte strings, or,
-    when there are no more possible rows than shots, keyed as key * D^2 +
-    code site by site and counted with ``bincount``.  The stream's codes are
-    read-only, so each support is counted once per stream: the two arrays
-    are cached on the stream under ``tuple(sites)`` and returned read-only.
-    """
-    key = tuple(sites)
+def _cached(stream: BellShotStream, kind: str, sites: tuple[int, ...], build):
+    """``build(stream, sites)``, made read-only and cached on the stream under
+    (kind, sites): the stream's codes are read-only, so it never goes stale."""
+    key = (kind, tuple(sites))
     table = stream._tables.get(key)
     if table is None:
-        table = _count_outcomes(stream, key)
-        for array in table:
+        table = build(stream, key[1])
+        for array in table if isinstance(table, tuple) else (table,):
             array.flags.writeable = False
         stream._tables[key] = table
     return table
 
 
+def joint_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct joint Bell codes on ``sites`` and the number of shots of each.
+
+    Returns the distinct rows of ``stream.codes`` on ``sites`` in
+    lexicographic order and their int64 counts.  Each support, keyed by
+    ``tuple(sites)``, is counted once per stream: the two arrays are cached
+    on the stream and returned read-only.
+    """
+    return _cached(stream, "outcomes", sites, _count_outcomes)
+
+
+def residue_counts(stream: BellShotStream, sites: tuple[int, ...]) -> np.ndarray | None:
+    """Shots per phase residue of every displacement product on ``sites``.
+
+    Entry [f_1 D + g_1, ..., f_w D + g_w, r] of the read-only int64 table,
+    shaped (D^2,) * w + (D,), is the number of shots whose residue
+    sum_j (g_j h_j - f_j ell_j) mod D is r, (h_j, ell_j) being the outcome
+    on ``sites[j]``: with the counts of ``bell_exponents(D)``, every
+    product of X^f Z^g (x) X^f Z^{-g} on the support is one index.  The
+    table is built once per stream and support, and only when it has no
+    more rows than the stream has shots, D^(2w) <= num_shots; otherwise
+    the result is None and the caller reads ``joint_outcomes``.
+    """
+    if stream.local_dim ** (2 * len(sites)) > stream.num_shots:
+        return None
+    return _cached(stream, "residues", sites, _count_residues)
+
+
+def _count_residues(stream: BellShotStream, sites: tuple[int, ...]) -> np.ndarray:
+    """The table of ``residue_counts``, site by site from the dense histogram.
+
+    Axis layout (c_j, ..., c_w, fg_1, ..., fg_{j-1}, r): each step takes the
+    leading outcome axis c_j to a trailing label axis fg_j before the residue
+    axis, new[m, fg, r] = sum_{c, e} [E(fg, c) = e] old[c, m, (r - e) mod D],
+    as one gather over the residue axis and one matrix product with the
+    one-hot exponents.  Partial sums are integers of at most the shot
+    count, so float64 is exact."""
+    d = stream.local_dim
+    base, width = d * d, len(sites)
+    digits, counts = joint_outcomes(stream, sites)
+    table = np.zeros((base ** width, d))
+    table[digits @ base ** np.arange(width - 1, -1, -1), 0] = counts
+    # row (c, e), column fg: 1 where the exponent of fg on outcome c is e
+    one_hot = (bell_exponents(d).reshape(base, base).T[:, None, :] == np.arange(d)[:, None])
+    one_hot = one_hot.reshape(base * d, base).astype(float)
+    shifted = (np.arange(d) - np.arange(d)[:, None]) % d  # row e, column r: r - e
+    for _ in range(width):
+        rest = table.shape[0] // base
+        gathered = table.reshape(base, rest, d)[:, :, shifted]  # (c, m, e, r)
+        product = gathered.transpose(1, 3, 0, 2).reshape(rest * d, base * d) @ one_hot
+        table = product.reshape(rest, d, base).transpose(0, 2, 1).reshape(-1, d)
+    return table.astype(np.int64).reshape((base,) * width + (d,))
+
+
 def _count_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``joint_outcomes`` uncached: rows keyed as key * D^2 + code site by
+    site and counted with ``bincount`` when there are at most 32 possible
+    rows per shot, D^(2w) <= 32 * num_shots, and sorted as byte strings past
+    that.  Both give the same arrays; their costs cross between about 32 and
+    64 possible rows per shot (D = 2, 3, 4 and 500 to 100000 shots, on one
+    CPU), as the sort grows with the shots and ``bincount`` with the rows."""
     base = stream.local_dim ** 2
     width = len(sites)
-    if base ** width > stream.num_shots:
+    if base ** width > 32 * stream.num_shots:
         rows = np.ascontiguousarray(stream.codes[:, list(sites)]).view(np.dtype((np.void, width)))
         distinct, counts = np.unique(rows, return_counts=True)
         return distinct.view(np.uint8).reshape(len(distinct), width), counts

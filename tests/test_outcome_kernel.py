@@ -31,6 +31,7 @@ from fermitree.statesim import (
     BellShotStream,
     attach_ancillas,
     random_state,
+    residue_counts,
     sample_bell_shots,
     sample_povm_shots,
 )
@@ -112,12 +113,24 @@ def test_joint_outcomes_counts_every_row(d, sites):
 
 @pytest.mark.parametrize("d,fiducial", [(2, qubit_fiducial()), (3, qutrit_fiducial())])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_counting_branches_at_key_range_threshold(d, fiducial, extra):
-    # D^4 possible keys on two sites against D^4 + extra shots: counted with
-    # bincount when extra >= 0 and by sorting when extra = -1
-    sites = (2, 0)
-    stream = random_stream(d, 3, d ** 4 + extra, seed=70 + 3 * d + extra)
+def test_counting_branches_at_key_range_threshold(monkeypatch, d, fiducial, extra):
+    # D^(2w) possible keys on w sites against ceil(D^(2w) / 32) + extra
+    # shots: counted with bincount when extra >= 0 and by sorting byte rows
+    # when extra = -1 (4^5 keys on 31, 32, 33 shots; 9^3 on 22, 23, 24)
+    sites = (4, 0, 2, 1, 3) if d == 2 else (2, 0, 1)
+    keys = d ** (2 * len(sites))
+    stream = random_stream(d, len(sites), -(-keys // 32) + extra, seed=70 + 3 * d + extra)
+    sorted_kinds = []
+    unique = np.unique
+
+    def recorded(values, **kwargs):
+        sorted_kinds.append(values.dtype.kind)
+        return unique(values, **kwargs)
+
+    monkeypatch.setattr(np, "unique", recorded)
     digits, counts = joint_outcomes(stream, sites)
+    monkeypatch.undo()
+    assert sorted_kinds == (["V"] if extra < 0 else [])
     want = Counter(tuple(int(c) for c in row) for row in stream.codes[:, list(sites)])
     rows = [tuple(int(c) for c in row) for row in digits]
     assert rows == sorted(want)
@@ -171,6 +184,56 @@ def test_hw_estimator_is_bit_identical(d, fiducial, k):
             targets = [(site, f, g) for site, (f, g) in zip(sites, choice)]
             est = estimate_hw_correlator(stream, targets, fiducial)
             assert (est.value, est.std_error) == reference_hw(stream, targets, fiducial)
+
+
+@pytest.mark.parametrize("j", range(len(HW_FIDUCIALS)))
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("table_fits", [False, True])
+def test_residue_table_matches_per_shot_residues(j, width, table_fits):
+    # D^(2w) - 1 shots read each target's residues from the joint outcomes,
+    # D^(2w) shots read them from the residue table; both equal the per-shot
+    # reference, whatever order the sites come in
+    d, fiducial = HW_FIDUCIALS[j]
+    rng = np.random.default_rng(200 + 10 * d + width)
+    num_shots = d ** (2 * width) - (0 if table_fits else 1)
+    stream = random_stream(d, 4, num_shots, seed=210 + 10 * d + width)
+    labels = [(f, g) for f in range(d) for g in range(d) if (f, g) != (0, 0)]
+    for _ in range(3):
+        sites = tuple(rng.permutation(4)[:width].tolist())
+        table = residue_counts(stream, sites)
+        assert (table is not None) == table_fits
+        for choice in rng.choice(len(labels), size=(12, width)):
+            targets = [(site, *labels[c]) for site, c in zip(sites, choice)]
+            est = estimate_hw_correlator(stream, targets, fiducial)
+            assert (est.value, est.std_error) == reference_hw(stream, targets, fiducial)
+            if table_fits:
+                h, ell = np.divmod(stream.codes.astype(np.int64), d)
+                residues = sum(g * h[:, site] - f * ell[:, site] for site, f, g in targets)
+                want = np.bincount(residues % d, minlength=d)
+                assert table[tuple(f * d + g for _, f, g in targets)].tolist() == want.tolist()
+
+
+def test_residue_table_is_cached_read_only(monkeypatch):
+    built = residue_building_calls(monkeypatch)
+    stream = random_stream(3, 4, 100, seed=230)
+    table = residue_counts(stream, (3, 1))
+    assert table.shape == (9, 9, 3) and table.dtype == np.int64
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 0
+    # every label pair sums to the shot count; the identity label holds them at residue 0
+    assert (table.sum(axis=-1) == 100).all() and table[0, 0, 0] == 100
+    assert residue_counts(stream, [3, 1]) is table
+    assert residue_counts(stream, (np.int64(3), np.int64(1))) is table
+    assert built == [(3, 1)]
+    residue_counts(stream, (1, 3))
+    assert built == [(3, 1), (1, 3)]
+    # 729 rows on three sites exceed the 100 shots: no table is built
+    assert residue_counts(stream, (0, 1, 2)) is None
+    assert len(built) == 2
+    # a fresh stream over the same codes builds again
+    residue_counts(BellShotStream(3, 4, stream.codes), (3, 1))
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("table", [build_mapping(5).majorana_table, jordan_wigner(5), bravyi_kitaev(5)])
@@ -478,9 +541,23 @@ def counting_calls(monkeypatch):
     return counted
 
 
+def residue_building_calls(monkeypatch):
+    """Record the supports whose residue table ``residue_counts`` builds rather than reads."""
+    built = []
+    build = statesim._count_residues
+
+    def recorded(stream, sites):
+        built.append(sites)
+        return build(stream, sites)
+
+    monkeypatch.setattr(statesim, "_count_residues", recorded)
+    return built
+
+
 @pytest.mark.parametrize("d,num_shots", [(2, 3000), (3, 40)])
 def test_joint_outcomes_counts_each_support_once(monkeypatch, d, num_shots):
-    # 3000 shots key two qubit sites with bincount; 40 qutrit shots sort rows
+    # two qubit sites on 3000 shots and two qutrit sites on 40 shots, both
+    # keyed with bincount (16 and 81 possible rows, at most 32 per shot)
     counted = counting_calls(monkeypatch)
     stream = random_stream(d, 4, num_shots, seed=90 + d)
     digits, counts = joint_outcomes(stream, (3, 1))
@@ -506,6 +583,7 @@ def test_qutrit_hw_sized_stream_counts_fifteen_tables(monkeypatch):
     parts = [sample_povm_shots(state, 2000, 96 + r, ancilla=fid.as_state()) for r in range(2)]
     joint_outcomes(parts[0], (0, 1))
     counted = counting_calls(monkeypatch)
+    tabled = residue_building_calls(monkeypatch)
     merged = merge_streams(parts)
     labels = [(f, g) for f in range(3) for g in range(3) if (f, g) != (0, 0)]
     targets = [
@@ -517,7 +595,9 @@ def test_qutrit_hw_sized_stream_counts_fifteen_tables(monkeypatch):
     assert len(targets) == 960
     for pair in targets:
         estimate_hw_correlator(merged, pair, fid)
+    # 81 possible rows per pair against 4000 shots: one residue table each
     assert sorted(counted) == list(itertools.combinations(range(6), 2))
+    assert sorted(tabled) == list(itertools.combinations(range(6), 2))
 
 
 def test_cached_tables_leave_every_estimate_unchanged():

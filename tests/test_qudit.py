@@ -183,6 +183,28 @@ def test_estimator_validation():
         exact_hw_correlator(random_state(2, 3, np.random.default_rng(0)), [(True, 1, 0)])
 
 
+@pytest.mark.parametrize("target", [(0, 1), 5, (0, 1, 2, 0), None, ()])
+def test_malformed_target_is_named(target):
+    # a target that is not a (site, f, g) triple raises a ValueError that
+    # names it, not Python's unpacking or iteration errors
+    stream = BellShotStream(3, 2, np.zeros((4, 2), dtype=np.uint8))
+    state = random_state(2, 3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"is not a \(site, f, g\) triple") as err:
+        estimate_hw_correlator(stream, [(1, 1, 0), target], qutrit_fiducial())
+    assert repr(target) in str(err.value)
+    with pytest.raises(ValueError, match="triple"):
+        exact_hw_correlator(state, [target])
+
+
+def test_targets_come_back_as_python_ints():
+    stream = BellShotStream(3, 3, np.random.default_rng(1).integers(0, 9, size=(200, 3)))
+    targets = [(np.int64(2), np.int32(4), np.uint8(2)), (np.int8(0), -1, np.int64(1))]
+    est = estimate_hw_correlator(stream, targets, qutrit_fiducial())
+    assert est.targets == ((2, 1, 2), (0, 2, 1))
+    assert all(type(v) is int for target in est.targets for v in target)
+    assert est == estimate_hw_correlator(stream, [(2, 1, 2), (0, 2, 1)], qutrit_fiducial())
+
+
 def apply_single_site(state: DenseState, matrix: np.ndarray, site: int) -> DenseState:
     """Oracle: the state with a local_dim x local_dim matrix applied at ``site``."""
     if not 0 <= site < state.num_sites:

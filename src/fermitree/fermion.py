@@ -9,12 +9,12 @@ are representation independent.
 
 A k-RDM monomial of 2k Majorana operators encodes to a single Pauli
 string.  Both RDM entry points build the (x, z, power) masks of all
-C(2n, 2k) monomials at once as int64 arrays.  The exact table applies them
-to the state with ``statesim.expectations``, one blocked gather.  The
-sampled table, ``estimate_fermionic_rdm``, hands the mask arrays to
-``tomography.mask_means``, which reads every string off one qubit Bell
-shot stream with attenuation sqrt(3)^weight, at most (2n+1)^k for the
-ternary-tree mapping, by one Walsh-Hadamard transform of the outcome
+C(2n, 2k) monomials at once as int64 arrays.  The exact table reads them
+off the state with ``statesim.expectations``, one Walsh-Hadamard transform
+per distinct X mask.  The sampled table, ``estimate_fermionic_rdm``, hands
+the mask arrays to ``tomography.mask_means``, which reads every string off
+one qubit Bell shot stream with attenuation sqrt(3)^weight, at most
+(2n+1)^k for the ternary-tree mapping, by one transform of the outcome
 histogram when it has at most 256 bins per string (n = 8, k = 2: 4^8 bins,
 1820 strings); each estimate's phase, weight and text come from its
 masks, with no PauliString per monomial.  That bound is on the
@@ -178,8 +178,8 @@ def exact_fermionic_rdm(
 
     Values carry the algebraic phase of the encoded product; multiply by
     i**(k(2k-1)) for the real-valued Hermitian convention.
-    The monomials' masks are applied by one ``expectations`` call, a
-    blocked gather; a table entry outside the register raises ValueError.
+    One ``expectations`` call reads the monomials' masks, one transform per
+    distinct X mask; a table entry outside the register raises ValueError.
     """
     indices, masks = _monomials(mapping, k, state.num_sites)
     return dict(zip(indices, expectations(state, masks)))

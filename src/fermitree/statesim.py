@@ -5,16 +5,17 @@ site 0 being the leftmost (most significant) tensor factor; on qubits,
 qubit 0 is the top bit of the state index.  Pauli strings act through
 their (x, z, power) masks, ints for one string or int64 arrays for many:
 one gather over index ^ x, a sign per index from a folded parity and one
-factor i**power per string (``masks_matvec``).  ``expectations`` applies
-any number of strings in blocks of ``GATHER_BLOCK`` amplitudes, so its
-temporaries stay small.  The module also provides the tetrahedral ancilla
-state and the displacements X^f Z^g, and owns everything about a Bell
-outcome code h * D + ell: the Bell states and basis, built from the
-displacements; the one eigenvalue table, ``bell_exponents``; and the one
-counting kernel, ``joint_outcomes``, which caches each support's counts
-on the read-only ``BellShotStream`` that the two bulk samplers return,
-beside the support's ``residue_counts``, those counts per phase residue
-of every displacement product:
+factor i**power per string (``masks_matvec``).  ``expectations`` reads
+any number of strings from one Walsh-Hadamard transform per distinct x,
+in blocks of ``GATHER_BLOCK`` amplitudes.  The module also provides the
+tetrahedral ancilla state and the displacements X^f Z^g, and owns
+everything about a Bell outcome code h * D + ell: the Bell states and
+basis, built from the displacements; the one eigenvalue table,
+``bell_exponents``; and the one counting kernel, ``joint_outcomes``,
+which caches each support's counts on the read-only ``BellShotStream``
+that the two bulk samplers return, beside the support's
+``residue_counts``, those counts per phase residue of every displacement
+product:
 
     * ``sample_bell_shots`` samples the exact joint outcome distribution
       of a register whose ancillas are attached (``attach_ancillas``);
@@ -24,12 +25,12 @@ of every displacement product:
       outcome amplitudes come from applying the D^2 x D rows a_c site by
       site to the D^n system amplitudes, with no D^(2n)-amplitude register.
 
-The two bulk samplers share one outcome kernel (``_outcome_distribution``:
-one contiguous matrix product per register pair or system site, then the
-squared moduli) and one blocked RNG layout (``_draw_codes``) that makes a
-stream depend only on the distribution and the seed; the capacity budget
-bounds the D^(2n) outcome distribution in both.  The collapse reference,
-which measures one site pair at a time, lives in ``tests/oracles.py``.
+The two bulk samplers share one outcome kernel (``_outcome_distribution``,
+the squared moduli after ``_site_products``, the one site-by-site product
+loop) and one blocked RNG layout (``_draw_codes``) that makes a stream
+depend only on the distribution and the seed; the capacity budget bounds
+the D^(2n) outcome distribution in both.  The collapse reference, which
+measures one site pair at a time, lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import Masks, PauliString, to_masks
+from .pauli import _PHASES, Masks, PauliString, to_masks
 
 CAPACITY_AMPLITUDES = 2 ** 20
 NORM_TOL = 1e-10
@@ -50,9 +51,10 @@ NORM_TOL = 1e-10
 # spawned with key (b,), so a longer run extends a shorter one unchanged.
 SHOT_BLOCK = 4096
 
-# Pauli strings are applied in blocks of rows of at most this many
-# amplitudes, so the gather's temporaries stay small however many strings.
+# Pauli strings are read in blocks of rows of at most this many amplitudes,
+# so the temporaries stay small however many strings.
 GATHER_BLOCK = 2 ** 14
+_WALSH = np.array([[1.0, 1.0], [1.0, -1.0]])  # row: bit of c, column: bit of z
 
 QUBIT_BELL_LABELS = ("F+", "F-", "P+", "P-")
 
@@ -181,25 +183,29 @@ def pauli_matvec(pauli: PauliString, amplitudes: np.ndarray, num_sites: int) -> 
 
 
 def expectations(state: DenseState, masks: Masks) -> list[complex]:
-    """<state| P |state> for every string P of the (x, z, power) masks.
-
-    The masks are three equal-length int64 arrays (or ints, for one
-    string).  ``masks_matvec`` applies them to blocks of rows of at most
-    ``GATHER_BLOCK`` amplitudes, and each value is one ``np.vdot`` of the
-    state with its row.
-    """
+    """<state| P |state> for every string P of the (x, z, power) masks (int64
+    arrays, or ints for one string; x or z outside 0..2^n-1 raise ValueError).
+    As <P> = i**power sum_c conj(psi[c ^ x]) psi[c] (-1)^|c & z|, one n-step
+    Walsh-Hadamard transform (``_site_products``) per distinct x, in blocks
+    of ``GATHER_BLOCK`` amplitudes, holds every string with that x in bin z;
+    each part is within 4n 2^-52 of one gather and ``np.vdot`` per string."""
     if state.local_dim != 2:
         raise ValueError("Pauli strings act on qubit registers only")
-    n = state.num_sites
-    amps = state.amplitudes
+    n, amps = state.num_sites, state.amplitudes
     x, z, power = (np.asarray(m, dtype=np.int64).reshape(-1) for m in masks)
-    rows = max(1, GATHER_BLOCK >> n)
-    values = []
-    for start in range(0, x.shape[0], rows):
-        block = slice(start, start + rows)
-        applied = masks_matvec((x[block], z[block], power[block]), amps, n)
-        values += [complex(np.vdot(amps, row)) for row in applied]
-    return values
+    if len(x) and ((x | z).min() < 0 or (x | z).max() >> n):
+        raise ValueError(f"masks must lie in 0..2^{n}-1, got {(x | z).min()}..{(x | z).max()}")
+    present = np.bincount(x, minlength=2 ** n) > 0  # the strings grouped by x, unsorted
+    distinct, rows = np.flatnonzero(present), max(1, GATHER_BLOCK >> n)
+    block_of, row = np.divmod(np.cumsum(present)[x] - 1, rows)
+    place = (row << n + 1) + z  # a transformed block reads (row, real or imaginary part, z)
+    parts = np.empty((len(x), 2))
+    for b, start in enumerate(range(0, len(distinct), rows)):
+        q = amps[np.arange(2 ** n)[:, None] ^ distinct[start:start + rows]].conj() * amps[:, None]
+        table = _site_products(q.view(np.float64), _WALSH, n).reshape(-1)
+        mine = np.flatnonzero(block_of == b)
+        parts[mine] = table[place[mine, None] + [0, 2 ** n]]
+    return (parts.view(complex)[:, 0] * np.take(_PHASES, power & 3)).tolist()
 
 
 def expectation(state: DenseState, pauli: PauliString) -> complex:
@@ -347,20 +353,22 @@ def _paired(state: DenseState) -> int:
     return state.num_sites // 2
 
 
-def _outcome_distribution(amps: np.ndarray, rows_t: np.ndarray, steps: int) -> np.ndarray:
-    """Normalized |amplitudes|^2 after ``steps`` products with ``rows_t``.
-
-    Each step turns the leading ``rows_t.shape[0]`` axis of ``amps`` into a
-    trailing ``rows_t.shape[1]`` axis by one contiguous matrix product, so
-    after the steps the outcome axes read in the order of the input axes.
-    """
+def _site_products(values: np.ndarray, rows_t: np.ndarray, steps: int) -> np.ndarray:
+    """``values`` after ``steps`` contiguous matrix products with ``rows_t``,
+    each turning the leading ``rows_t.shape[0]`` axis into a trailing
+    ``rows_t.shape[1]`` axis: the new axes end in the order of the old."""
     in_dim = rows_t.shape[0]
     for _ in range(steps):
-        amps = amps.reshape(in_dim, -1).T @ rows_t
-    # square real and imaginary parts in place (amps is the last product,
-    # never the caller's array): a fresh 2^20-entry temporary costs page
-    # faults comparable to the products above
-    parts = amps.reshape(-1).view(np.float64)
+        values = values.reshape(in_dim, -1).T @ rows_t
+    return values
+
+
+def _outcome_distribution(amps: np.ndarray, rows_t: np.ndarray, steps: int) -> np.ndarray:
+    """Normalized |amplitudes|^2 after ``steps`` ``_site_products`` steps."""
+    # square real and imaginary parts in place (the last product, never the
+    # caller's array): a fresh 2^20-entry temporary costs page faults
+    # comparable to the products above
+    parts = _site_products(amps, rows_t, steps).reshape(-1).view(np.float64)
     np.square(parts, out=parts)
     probs = parts[0::2] + parts[1::2]
     probs /= probs.sum()

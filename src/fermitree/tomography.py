@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statesim import (
-    CAPACITY_AMPLITUDES, BellShotStream, DenseState, bell_exponents, expectations, joint_outcomes,
+    CAPACITY_AMPLITUDES, BellShotStream, DenseState, _site_products, bell_exponents, expectations,
+    joint_outcomes,
 )
 
 LETTERS = ("x", "y", "z")
@@ -59,13 +60,14 @@ def mask_means(stream: BellShotStream, x, z) -> tuple[np.ndarray, np.ndarray, np
     scaled plug-in std error, in input order.
 
     With U the union of all supports x | z, ``_transform_means`` reads every
-    string off one histogram of 4^|U| bins when 4^|U| <= 256 bins per string
-    and ``CAPACITY_AMPLITUDES``; otherwise ``_support_means`` reads each
-    support's counts once.  Their results are bit-identical, and on one CPU
-    their costs cross between about 100 and 500 bins per string (n = 3..10
-    qubit k-RDMs and ternary, JW and BK fermionic RDMs, 4096 and 24576
-    shots).  An empty, non-qubit or over-63-qubit stream, masks of unequal
-    length or outside 0..2^num_pairs-1 raise ValueError."""
+    string off one histogram of 4^|U| <= ``CAPACITY_AMPLITUDES`` bins when
+    there are at most 256 bins per string or 14 per row that ``_support_means``
+    (which reads each support's counts once) would read; the results are
+    bit-identical.  On one CPU the costs cross at about 100 to 500 bins per
+    string and 13 to 15 per row, reached by Jordan-Wigner k = 1 at n = 9, 10
+    (n = 3..10 qubit k-RDMs and ternary, JW and BK fermionic RDMs, 4096 and
+    24576 shots).  An empty, non-qubit or over-63-qubit stream, masks of
+    unequal length or outside 0..2^num_pairs-1 raise ValueError."""
     if stream.local_dim != 2:
         raise ValueError("Pauli-string estimation needs a qubit stream")
     s, n = stream.num_shots, stream.num_pairs
@@ -81,8 +83,14 @@ def mask_means(stream: BellShotStream, x, z) -> tuple[np.ndarray, np.ndarray, np
         raise ValueError(f"masks must lie in 0..2^{n}-1, got {cover.min()}..{cover.max()}")
     union = int(np.bitwise_or.reduce(cover))
     sites = [q for q in range(n) if union >> (n - 1 - q) & 1]
-    if 4 ** len(sites) <= min(CAPACITY_AMPLITUDES, 256 * len(x)):
+    bins = 4 ** len(sites)
+    if bins <= min(CAPACITY_AMPLITUDES, 256 * len(x)):
         return _transform_means(stream, x, z, sites)
+    if sites and bins <= CAPACITY_AMPLITUDES:  # the rows _support_means reads: min(4^width, s) per support
+        local = sum((cover >> (n - 1 - q) & 1) << j for j, q in enumerate(reversed(sites)))  # support in U
+        widths = sum(np.arange(2 ** len(sites)) >> j & 1 for j in range(len(sites)))
+        if bins <= 14 * (np.bincount(local, minlength=2 ** len(sites)) > 0) @ np.minimum(4 ** widths, s):
+            return _transform_means(stream, x, z, sites)
     return _support_means(stream, x, z)
 
 
@@ -124,8 +132,7 @@ def _transform_means(stream: BellShotStream, x: np.ndarray, z: np.ndarray, sites
     digits, counts = joint_outcomes(stream, tuple(sites))
     hist = np.zeros(4 ** width)
     hist[digits @ places] = counts
-    for _ in range(width):  # the product loop of statesim._outcome_distribution
-        hist = hist.reshape(4, -1).T @ _SIGN_TABLE
+    hist = _site_products(hist, _SIGN_TABLE, width)
     shifts = (stream.num_pairs - 1 - np.array(sites, dtype=np.int64))[:, None]
     codes = (x >> shifts & 1) + 2 * (z >> shifts & 1)  # row j: site j of every string
     sums = hist.reshape(-1)[places @ codes]

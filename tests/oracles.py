@@ -7,6 +7,10 @@
       masks to a vector with a parity XORed together one z bit at a time,
       the scalar references for ``fermitree.fermion._monomials`` and the
       batched ``fermitree.statesim.masks_matvec``;
+    * ``reference_expectations`` applies strings' masks with
+      ``masks_matvec`` in blocks of ``GATHER_BLOCK`` amplitudes and takes
+      one ``np.vdot`` per row, the reference for the Walsh-Hadamard
+      transforms of ``fermitree.statesim.expectations``;
     * ``sign_means`` reads strings of (qubit, letter) pairs, each taken
       to its masks through a ``PauliString`` and ``to_masks``, with
       ``fermitree.tomography.mask_means``: the tests' way to read a few
@@ -39,7 +43,9 @@ import numpy as np
 
 from fermitree.fermion import FermionEstimate, _monomials
 from fermitree.pauli import Masks, PauliString, to_masks
-from fermitree.statesim import BellShotStream, DenseState, _paired, bell_basis_matrix, hw_operator
+from fermitree.statesim import (
+    GATHER_BLOCK, BellShotStream, DenseState, _paired, bell_basis_matrix, hw_operator, masks_matvec,
+)
 from fermitree.tomography import mask_means
 
 PAULI_MATRICES: dict[str, np.ndarray] = {
@@ -110,6 +116,28 @@ def reference_masks_matvec(masks: Masks, amplitudes: np.ndarray, num_sites: int)
     if power & 1:
         out *= 1j
     return out
+
+
+def reference_expectations(state: DenseState, masks: Masks) -> list[complex]:
+    """<state| P |state> for every string P of the (x, z, power) masks.
+
+    The masks are three equal-length int64 arrays (or ints, for one
+    string).  ``masks_matvec`` applies them to blocks of rows of at most
+    ``GATHER_BLOCK`` amplitudes, and each value is one ``np.vdot`` of the
+    state with its row.
+    """
+    if state.local_dim != 2:
+        raise ValueError("Pauli strings act on qubit registers only")
+    n = state.num_sites
+    amps = state.amplitudes
+    x, z, power = (np.asarray(m, dtype=np.int64).reshape(-1) for m in masks)
+    rows = max(1, GATHER_BLOCK >> n)
+    values = []
+    for start in range(0, x.shape[0], rows):
+        block = slice(start, start + rows)
+        applied = masks_matvec((x[block], z[block], power[block]), amps, n)
+        values += [complex(np.vdot(amps, row)) for row in applied]
+    return values
 
 
 def sign_means(stream: BellShotStream, strings) -> list[tuple[float, float, float]]:

@@ -16,6 +16,7 @@ import pytest
 from fermitree import statesim, tomography
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
 from fermitree.fermion import (
+    _monomials,
     encode_monomial,
     estimate_fermionic_rdm,
     estimate_monomial,
@@ -505,6 +506,29 @@ def test_mask_means_reads_the_benchmark_shapes_on_opposite_paths(monkeypatch):
     assert len(estimate_fermionic_rdm(random_stream(2, 8, 200, seed=140), build_mapping(8), 2)) == 1820
     assert len(estimate_all_k_rdms(random_stream(2, 10, 200, seed=141), 2)) == 405
     assert taken == ["_transform_means", "_support_means"]
+
+
+def test_mask_means_takes_the_transform_for_few_wide_supports(monkeypatch):
+    # Jordan-Wigner k = 1 at n = 9 and 10 has over 256 bins per string, but
+    # at 24576 shots at most 14 bins per row of the per-support reader (1.8
+    # and 4.3); ternary k = 1 at n = 10 has 94 and stays per support
+    support_means = tomography._support_means
+    taken = []
+    for name in ("_transform_means", "_support_means"):
+        reader = getattr(tomography, name)
+        monkeypatch.setattr(tomography, name, lambda *args, name=name, reader=reader: (
+            taken.append(name), reader(*args))[1])
+    for n, table, path in (
+        (9, jordan_wigner(9), "_transform_means"),
+        (10, jordan_wigner(10), "_transform_means"),
+        (10, build_mapping(10), "_support_means"),
+    ):
+        x, z, _ = _monomials(table, 1, n)[1]
+        stream = random_stream(2, n, 24576, seed=150 + n)
+        got = mask_means(stream, x, z)
+        assert taken == [path]
+        taken.clear()
+        assert all(np.array_equal(a, b) for a, b in zip(got, support_means(stream, x, z)))
 
 
 def test_sign_table_is_the_eigenvalue_table_in_mask_code_order():

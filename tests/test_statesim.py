@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermitree.baselines import bravyi_kitaev, jordan_wigner
+from fermitree.fermion import _monomials
 from fermitree.pauli import PauliString
 from fermitree.qudit import qutrit_fiducial
 from fermitree.statesim import (
@@ -17,6 +19,7 @@ from fermitree.statesim import (
     SHOT_BLOCK,
     BellShotStream,
     CapacityError,
+    GATHER_BLOCK,
     DenseState,
     _draw_codes,
     attach_ancillas,
@@ -24,6 +27,7 @@ from fermitree.statesim import (
     bell_exponents,
     bell_outcome_distribution,
     expectation,
+    expectations,
     generalized_bell_state,
     hw_operator,
     masks_matvec,
@@ -34,9 +38,13 @@ from fermitree.statesim import (
     sample_bell_shots,
     sample_povm_shots,
 )
+from fermitree.ternary import build_mapping
+from fermitree.tomography import _rdm_masks
 from oracles import (
     PAULI_MATRICES,
     bell_measure_all_pairs,
+    from_masks,
+    reference_expectations,
     reference_generalized_bell_state,
     reference_masks_matvec,
     to_dense,
@@ -165,6 +173,53 @@ def test_expectation_ghz():
     assert expectation(ghz, PauliString.single(0, "Z")).real == pytest.approx(0.0)
     with pytest.raises(ValueError):
         expectation(DenseState(3, 1, [1, 0, 0]), PauliString.single(0, "X"))
+
+
+MAPPINGS = {"ternary": build_mapping, "jw": jordan_wigner, "bk": bravyi_kitaev}
+
+
+@pytest.mark.parametrize(
+    "n,kind,k",
+    [(n, "qubit", k) for n in range(1, 13) for k in (1, 2) if k <= n]
+    + [(n, kind, 1) for n in range(1, 13) for kind in MAPPINGS]
+    + [(10, "jw", 2)],
+)
+def test_expectations_are_within_4n_ulps_of_the_gather_oracle(n, kind, k):
+    # each part within 4 n 2^-52 of one gather and np.vdot per string; at
+    # n = 10 and 12 a block transforms 16 and 4 distinct x
+    masks = _rdm_masks(n, k)[1] if kind == "qubit" else _monomials(MAPPINGS[kind](n), k, n)[1]
+    state = random_state(n, 2, np.random.default_rng(400 + n))
+    got = np.array(expectations(state, masks))
+    want = np.array(reference_expectations(state, masks))
+    assert got.shape == want.shape == (len(masks[0]),)
+    assert np.abs(got.real - want.real).max() <= 4 * n * 2.0 ** -52
+    assert np.abs(got.imag - want.imag).max() <= 4 * n * 2.0 ** -52
+    if (n, kind, k) == (10, "jw", 2):
+        assert len(set(masks[0].tolist())) == 16 * (GATHER_BLOCK >> n)
+
+
+@pytest.mark.parametrize("state", ["random", "ghz", "zero"])
+@pytest.mark.parametrize("n,k", [(3, 2), (8, 2), (10, 2)])
+def test_one_row_expectation_is_bit_for_bit_its_value_in_a_batch(state, n, k):
+    # JW tables: at n = 10 the 4845 strings span 16 blocks of 16 distinct x
+    system = {
+        "random": lambda: random_state(n, 2, np.random.default_rng(420 + n)),
+        "ghz": lambda: DenseState.ghz(n),
+        "zero": lambda: DenseState.zero_state(n),
+    }[state]()
+    masks = _monomials(jordan_wigner(n), k, n)[1]
+    batch = expectations(system, masks)
+    for value, string in zip(batch, zip(*(m.tolist() for m in masks))):
+        one = expectation(system, from_masks(string, n))
+        assert (one.real.hex(), one.imag.hex()) == (value.real.hex(), value.imag.hex())
+
+
+@pytest.mark.parametrize("masks", [(0, 8, 0), (-1, 0, 0), (8, 0, 0), ([0, 1], [0, -2], [0, 0])])
+def test_expectations_reject_masks_outside_the_register(masks):
+    # before the check, (0, 8, 0) gave 1, (-1, 0, 0) gave <XXX> and (8, 0, 0) an IndexError
+    state = random_state(3, 2, np.random.default_rng(440))
+    with pytest.raises(ValueError, match=r"masks must lie in 0\.\.2\^3-1"):
+        expectations(state, masks)
 
 
 def test_xi_state():

@@ -16,8 +16,9 @@ the mask arrays to ``tomography.mask_means``, which reads every string off
 one qubit Bell shot stream with attenuation sqrt(3)^weight, at most
 (2n+1)^k for the ternary-tree mapping, by one transform of the outcome
 histogram when it has at most 256 bins per string (n = 8, k = 2: 4^8 bins,
-1820 strings); each estimate's phase, weight and text come from its
-masks, with no PauliString per monomial.  That bound is on the
+1820 strings); each estimate's phase and weight come from its masks,
+which it keeps, with no PauliString per monomial, and its text is
+rendered from them only when ``pauli`` is read.  That bound is on the
 attenuation, not on the per-shot variance 3^weight - <P>^2, which is
 larger: at n = 8 the ternary tables reach 3^weight = 243 (k = 1) and
 2187 (k = 2), against (2n+1)^k = 17 and 289.
@@ -32,7 +33,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .pauli import _PHASES, PauliString, masks_text, to_masks
+from .pauli import _PHASES, Masks, PauliString, masks_text, to_masks
 from .statesim import (
     BellShotStream,
     DenseState,
@@ -190,15 +191,23 @@ def exact_fermionic_rdm(
 
 @dataclass(frozen=True)
 class FermionEstimate:
-    """One sampled Majorana-monomial expectation with its uncertainty."""
+    """One sampled Majorana-monomial expectation with its uncertainty; the
+    encoded string is kept as its (x, z, power) masks on num_qubits qubits,
+    in the layout of ``pauli.to_masks``."""
 
     indices: tuple[int, ...]
     value: complex
     std_error: float
     num_shots: int
-    pauli: str
+    masks: Masks
+    num_qubits: int
     weight: int
     attenuation: float
+
+    @property
+    def pauli(self) -> str:
+        """``str`` of the encoded PauliString, rendered from the masks on each read."""
+        return masks_text(self.masks, self.num_qubits)
 
 
 def _estimates(stream: BellShotStream, monomials, masks) -> list[FermionEstimate]:
@@ -207,7 +216,7 @@ def _estimates(stream: BellShotStream, monomials, masks) -> list[FermionEstimate
     columns = (column.tolist() for column in (*masks, *mask_means(stream, *masks[:2])))
     return [
         FermionEstimate(indices, _PHASES[(p - (x & z).bit_count()) % 4] * scale * mean, std_error,
-                        s, masks_text((x, z, p), n), (x | z).bit_count(), scale)
+                        s, (x, z, p), n, (x | z).bit_count(), scale)
         for indices, x, z, p, mean, scale, std_error in zip(monomials, *columns)
     ]
 

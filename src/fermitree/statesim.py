@@ -184,7 +184,8 @@ def pauli_matvec(pauli: PauliString, amplitudes: np.ndarray, num_sites: int) -> 
 
 def expectations(state: DenseState, masks: Masks) -> list[complex]:
     """<state| P |state> for every string P of the (x, z, power) masks (int64
-    arrays, or ints for one string; x or z outside 0..2^n-1 raise ValueError).
+    arrays of equal length, or ints for one string; unequal lengths, or x or
+    z outside 0..2^n-1, raise ValueError).
     As <P> = i**power sum_c conj(psi[c ^ x]) psi[c] (-1)^|c & z|, one n-step
     Walsh-Hadamard transform (``_site_products``) per distinct x, in blocks
     of ``GATHER_BLOCK`` amplitudes, holds every string with that x in bin z;
@@ -193,6 +194,9 @@ def expectations(state: DenseState, masks: Masks) -> list[complex]:
         raise ValueError("Pauli strings act on qubit registers only")
     n, amps = state.num_sites, state.amplitudes
     x, z, power = (np.asarray(m, dtype=np.int64).reshape(-1) for m in masks)
+    if not len(x) == len(z) == len(power):
+        raise ValueError(
+            f"x, z and power must be masks of equal length, got {len(x)}, {len(z)}, {len(power)}")
     if len(x) and ((x | z).min() < 0 or (x | z).max() >> n):
         raise ValueError(f"masks must lie in 0..2^{n}-1, got {(x | z).min()}..{(x | z).max()}")
     present = np.bincount(x, minlength=2 ** n) > 0  # the strings grouped by x, unsorted
@@ -201,8 +205,10 @@ def expectations(state: DenseState, masks: Masks) -> list[complex]:
     place = (row << n + 1) + z  # a transformed block reads (row, real or imaginary part, z)
     parts = np.empty((len(x), 2))
     for b, start in enumerate(range(0, len(distinct), rows)):
-        q = amps[np.arange(2 ** n)[:, None] ^ distinct[start:start + rows]].conj() * amps[:, None]
-        table = _site_products(q.view(np.float64), _WALSH, n).reshape(-1)
+        # no name holds the product, so the transform frees it after its first step
+        table = _site_products(
+            (amps[np.arange(2 ** n)[:, None] ^ distinct[start:start + rows]].conj() * amps[:, None])
+            .view(np.float64), _WALSH, n).reshape(-1)
         mine = np.flatnonzero(block_of == b)
         parts[mine] = table[place[mine, None] + [0, 2 ** n]]
     return (parts.view(complex)[:, 0] * np.take(_PHASES, power & 3)).tolist()

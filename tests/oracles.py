@@ -19,7 +19,7 @@
       reference for the text of ``fermitree.pauli.masks_text``, and
       ``reference_estimate_fermionic_rdm`` reads every monomial through
       one such string (its letters through ``sign_means``, its phase,
-      text and weight from the object), the reference for the mask path
+      masks and weight from the object), the reference for the mask path
       of ``fermitree.fermion.estimate_fermionic_rdm``;
     * ``reference_generalized_bell_state`` sets the amplitudes of one
       generalized Bell state entry by entry, the reference for
@@ -179,7 +179,8 @@ def reference_estimate_fermionic_rdm(stream: BellShotStream, mapping, k: int) ->
             value=pauli.phase * scale * mean,
             std_error=std_error,
             num_shots=stream.num_shots,
-            pauli=str(pauli),
+            masks=to_masks(pauli, n),
+            num_qubits=n,
             weight=pauli.weight,
             attenuation=scale,
         )

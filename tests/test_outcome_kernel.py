@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fermitree import statesim, tomography
+from fermitree import fermion, statesim, tomography
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
 from fermitree.fermion import (
     _monomials,
@@ -550,6 +550,31 @@ def test_fermionic_rdm_from_masks_matches_the_pauli_string_path(kind, n, k):
     got = estimate_fermionic_rdm(stream, table, k)
     assert repr(got) == repr(reference_estimate_fermionic_rdm(stream, table, k))
     assert len(got) == math.comb(2 * n, 2 * k)
+    masks = _monomials(table, k, n)[1]
+    paulis = [from_masks(product, n) for product in zip(*(m.tolist() for m in masks))]
+    assert [e.pauli for e in got] == [str(p) for p in paulis]
+
+
+@pytest.mark.parametrize("kind", ["ternary", "jw", "bk"])
+@pytest.mark.parametrize("n,k", [(6, 1), (6, 2), (5, 3)])
+def test_fermionic_estimates_render_their_text_only_on_read(monkeypatch, kind, n, k):
+    rendered = []
+    render = fermion.masks_text
+
+    def recorded(masks, num_qubits):
+        rendered.append(masks)
+        return render(masks, num_qubits)
+
+    monkeypatch.setattr(fermion, "masks_text", recorded)
+    table = {"ternary": build_mapping, "jw": jordan_wigner, "bk": bravyi_kitaev}[kind](n)
+    state = random_state(n, 2, np.random.default_rng(125 + n))
+    stream = sample_povm_shots(state, 2000, 126 + k)
+    got = estimate_fermionic_rdm(stream, table, k)
+    assert sampled_fermionic_rdm(state, table, k, 2000, 126 + k) == got
+    assert rendered == []
+    for est in got:
+        assert est.pauli == str(encode_monomial(est.indices, table))
+    assert len(rendered) == math.comb(2 * n, 2 * k)
 
 
 def counting_calls(monkeypatch):

@@ -222,6 +222,14 @@ def test_expectations_reject_masks_outside_the_register(masks):
         expectations(state, masks)
 
 
+@pytest.mark.parametrize("masks", [([1, 2], [0], [0]), ([1], [0, 2], [0]), ([1, 2], [0, 2], 0)])
+def test_expectations_reject_masks_of_unequal_length(masks):
+    # before the check, ([1, 2], [0], [0]) broadcast the one z and power over two strings
+    state = random_state(3, 2, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="x, z and power must be masks of equal length"):
+        expectations(state, masks)
+
+
 def test_xi_state():
     xi = prepare_xi()
     for letter in "XYZ":

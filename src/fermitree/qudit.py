@@ -46,8 +46,8 @@ class FiducialState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = DenseState(self.dimension, 1, self.amplitudes).amplitudes.copy()
-        amps.flags.writeable = False
+        # copied before DenseState freezes it in place, so the caller's array stays writable
+        amps = DenseState(self.dimension, 1, np.array(self.amplitudes, dtype=complex)).amplitudes
         object.__setattr__(self, "amplitudes", amps)
 
     @cached_property
@@ -65,7 +65,8 @@ class FiducialState:
         })
 
     def as_state(self) -> DenseState:
-        return DenseState(self.dimension, 1, self.amplitudes.copy())
+        """A new state on the fiducial's read-only amplitudes, which it shares."""
+        return DenseState(self.dimension, 1, self.amplitudes)
 
 
 def qubit_fiducial() -> FiducialState:

@@ -2,8 +2,12 @@
 
 States are flat complex vectors over sites of a common local dimension D,
 site 0 being the leftmost (most significant) tensor factor; on qubits,
-qubit 0 is the top bit of the state index.  Pauli strings act through
-their (x, z, power) masks, ints for one string or int64 arrays for many:
+qubit 0 is the top bit of the state index.  A ``DenseState`` is read-only,
+amplitudes included, so it can cache the normalized CDF of the last
+outcome distribution it was sampled under: one entry per state, at most
+one float64 array of D^(2n) entries (8 MiB at capacity), and every later
+run of shots on that state and measurement only draws.  Pauli strings
+act through their (x, z, power) masks, ints for one string or int64 arrays for many:
 one gather over index ^ x, a sign per index from a folded parity and one
 factor i**power per string (``masks_matvec``).  ``expectations`` reads
 any number of strings from one Walsh-Hadamard transform per distinct x,
@@ -27,10 +31,11 @@ product:
 
 The two bulk samplers share one outcome kernel (``_outcome_distribution``,
 the squared moduli after ``_site_products``, the one site-by-site product
-loop) and one blocked RNG layout (``_draw_codes``) that makes a stream
-depend only on the distribution and the seed; the capacity budget bounds
-the D^(2n) outcome distribution in both.  The collapse reference, which
-measures one site pair at a time, lives in ``tests/oracles.py``.
+loop), one CDF cache on the sampled state (``_outcome_cdf``) and one
+blocked RNG layout (``_draw_codes``) that makes a stream depend only on
+the distribution and the seed; the capacity budget bounds the D^(2n)
+outcome distribution in both.  The collapse reference, which measures
+one site pair at a time, lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -63,13 +68,27 @@ class CapacityError(ValueError):
     """Requested register exceeds the dense-simulation budget."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DenseState:
-    """Normalized pure state of ``num_sites`` qudits of dimension ``local_dim``."""
+    """Normalized pure state of ``num_sites`` qudits of dimension ``local_dim``.
+
+    The state is read-only, and so are its flat complex amplitudes: a
+    C-contiguous complex array that owns its memory is frozen in place and
+    kept, and any other input (a view, another dtype, a list) is copied
+    once, so the caller's array stays writable.  Writing through a view of
+    the amplitudes made before construction is unsupported: the bulk
+    samplers cache on the state the normalized CDF of the last outcome
+    distribution it was sampled under, which such a write would leave
+    stale.  The cache holds one entry, keyed by the measurement (the
+    register's Bell pairs, or the ancilla of the product POVM); sampling
+    under another key replaces it, so a state holds at most one float64
+    array of D^(2n) entries (8 MiB at capacity) beside its amplitudes.
+    """
 
     local_dim: int
     num_sites: int
     amplitudes: np.ndarray
+    _cdf: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.local_dim < 2:
@@ -82,15 +101,21 @@ class DenseState:
                 f"{self.num_sites} sites of dimension {self.local_dim} need "
                 f"{dim} amplitudes, budget is {CAPACITY_AMPLITUDES}"
             )
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if self.amplitudes.shape != (dim,):
-            raise ValueError(
-                f"expected {dim} amplitudes, got {self.amplitudes.shape[0]}"
-            )
-        norm = np.linalg.norm(self.amplitudes)
+        amps = self.amplitudes
+        owned = type(amps) is np.ndarray and amps.dtype == complex and amps.flags.owndata
+        if not (owned and amps.flags.c_contiguous):
+            amps = np.array(amps, dtype=complex, order="C")
+        flat = amps.reshape(-1)
+        if flat.shape != (dim,):
+            raise ValueError(f"expected {dim} amplitudes, got {flat.shape[0]}")
+        norm = np.linalg.norm(flat)
         # written so that a NaN norm fails too
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1")
+        # frozen only once valid, and before a flat view is taken, which
+        # inherits the flag
+        amps.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amps if amps.ndim == 1 else amps.reshape(-1))
 
     # -- constructors ------------------------------------------------------
 
@@ -211,6 +236,7 @@ def expectations(state: DenseState, masks: Masks) -> list[complex]:
             .view(np.float64), _WALSH, n).reshape(-1)
         mine = np.flatnonzero(block_of == b)
         parts[mine] = table[place[mine, None] + [0, 2 ** n]]
+        del table  # so the next block's product and transform do not coexist with it
     return (parts.view(complex)[:, 0] * np.take(_PHASES, power & 3)).tolist()
 
 
@@ -271,7 +297,8 @@ def attach_ancillas(system: DenseState, ancilla: DenseState | None = None) -> De
     for j in range(n):
         # a_j goes right after s_j, so no transpose or contiguous copy follows
         amps = amps.reshape(d ** (2 * j + 1), 1, -1) * ancilla.amplitudes.reshape(1, d, 1)
-    return DenseState(d, 2 * n, amps.reshape(-1))
+    # the product itself, which owns its memory, so the constructor keeps it
+    return DenseState(d, 2 * n, amps)
 
 
 # -- Heisenberg-Weyl operators and generalized Bell states -------------------
@@ -623,21 +650,38 @@ def _check_sampling(num_shots: int, workers: int) -> None:
         raise ValueError(f"need at least one worker, got {workers}")
 
 
+def _outcome_cdf(state: DenseState, key: tuple, distribution) -> np.ndarray:
+    """The normalized CDF of ``distribution()``, an outcome distribution of
+    ``state``, cached read-only on the state under ``key``.
+
+    The state's amplitudes are read-only, so the entry never goes stale.  A
+    state holds one entry: another key drops it before the new distribution
+    is computed, so at most one D^(2n)-entry CDF lives per state.
+    """
+    cdf = state._cdf.get(key)
+    if cdf is None:
+        state._cdf.clear()
+        cdf = distribution().cumsum()
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        state._cdf[key] = cdf
+    return cdf
+
+
 def _draw_codes(
-    probs: np.ndarray, n_sites: int, d: int, num_shots: int, seed: int
+    cdf: np.ndarray, n_sites: int, d: int, num_shots: int, seed: int
 ) -> np.ndarray:
-    """Draw ``num_shots`` flat outcomes from ``probs`` as (shots, n_sites) codes.
+    """Draw ``num_shots`` flat outcomes from the normalized ``cdf`` of an
+    outcome distribution (``_outcome_cdf``) as (shots, n_sites) codes.
 
     Shots come in blocks of ``SHOT_BLOCK``; block b draws its uniforms from
-    SeedSequence(seed, spawn_key=(b,)) and inverts the CDF, which is built
-    once.  Per block this draws exactly what ``Generator.choice(p=probs)``
-    draws, without rebuilding the CDF and re-validating ``probs`` per call.
-    The uniforms are looked up in sorted order, which walks the CDF once
-    front to back instead of jumping through it (about half the lookup time
-    at 2^20 outcomes), and each outcome is stored at its uniform's place.
+    SeedSequence(seed, spawn_key=(b,)) and inverts the CDF.  Per block this
+    draws exactly what ``Generator.choice(p=probs)`` draws, without
+    rebuilding the CDF and re-validating ``probs`` per call.  The uniforms
+    are looked up in sorted order, which walks the CDF once front to back
+    instead of jumping through it (about half the lookup time at 2^20
+    outcomes), and each outcome is stored at its uniform's place.
     """
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
     flat = np.empty(num_shots, dtype=np.intp)
     for b, start in enumerate(range(0, num_shots, SHOT_BLOCK)):
         stop = min(start + SHOT_BLOCK, num_shots)
@@ -662,14 +706,16 @@ def sample_bell_shots(
 
     Shots are produced in blocks of ``SHOT_BLOCK``; block b derives its RNG
     from SeedSequence(seed, spawn_key=(b,)), so the result is a pure
-    function of (state, num_shots, seed).  ``workers`` must be at least 1
-    and has no effect on the output or the speed: shots are drawn in one
-    thread.
+    function of (state, num_shots, seed).  The distribution's CDF is cached
+    on the state, so a later run on the same state only draws.  ``workers``
+    must be at least 1 and has no effect on the output or the speed: shots
+    are drawn in one thread.
     """
     _check_sampling(num_shots, workers)
     n_pairs = _paired(state)
     d = state.local_dim
-    codes = _draw_codes(bell_outcome_distribution(state), n_pairs, d, num_shots, seed)
+    cdf = _outcome_cdf(state, ("bell",), lambda: bell_outcome_distribution(state))
+    codes = _draw_codes(cdf, n_pairs, d, num_shots, seed)
     return BellShotStream(local_dim=d, num_pairs=n_pairs, codes=codes, seed=seed)
 
 
@@ -684,12 +730,16 @@ def sample_povm_shots(
     drawn from the system state alone (``povm_outcome_distribution``).
 
     The ancilla defaults to the tetrahedral state.  The stream is a pure
-    function of (system, ancilla, num_shots, seed).  ``workers`` must be at
-    least 1 and has no effect on the output or the speed: shots are drawn
-    in one thread.
+    function of (system, ancilla, num_shots, seed).  The distribution's CDF
+    is cached on ``system`` under the ancilla's amplitude bytes, so a later
+    run with an equal ancilla, even another ``DenseState`` object, only
+    draws.  ``workers`` must be at least 1 and has no effect on the output
+    or the speed: shots are drawn in one thread.
     """
     _check_sampling(num_shots, workers)
-    probs = povm_outcome_distribution(system, ancilla)
+    ancilla = _ancilla_for(system, ancilla)
     n, d = system.num_sites, system.local_dim
-    codes = _draw_codes(probs, n, d, num_shots, seed)
+    cdf = _outcome_cdf(system, ("povm", ancilla.amplitudes.tobytes()),
+                       lambda: povm_outcome_distribution(system, ancilla))
+    codes = _draw_codes(cdf, n, d, num_shots, seed)
     return BellShotStream(local_dim=d, num_pairs=n, codes=codes, seed=seed)

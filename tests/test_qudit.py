@@ -214,11 +214,7 @@ def apply_single_site(state: DenseState, matrix: np.ndarray, site: int) -> Dense
         raise ValueError(f"matrix shape {matrix.shape} does not match site")
     tensor = np.tensordot(matrix, state.as_tensor(), axes=([1], [site]))
     tensor = np.moveaxis(tensor, 0, site)
-    out = DenseState.__new__(DenseState)
-    out.local_dim = state.local_dim
-    out.num_sites = state.num_sites
-    out.amplitudes = np.ascontiguousarray(tensor).reshape(-1)
-    return out
+    return DenseState(state.local_dim, state.num_sites, np.ascontiguousarray(tensor))
 
 
 def reference_exact_hw(state: DenseState, targets) -> complex:

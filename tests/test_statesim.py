@@ -21,7 +21,6 @@ from fermitree.statesim import (
     CapacityError,
     GATHER_BLOCK,
     DenseState,
-    _draw_codes,
     attach_ancillas,
     bell_basis_matrix,
     bell_exponents,
@@ -523,9 +522,10 @@ def _choice_codes(probs, n_sites, d, num_shots, seed):
 def test_draw_codes_matches_generator_choice(num_shots):
     for d, n, seed in [(2, 4, 31), (3, 3, 32)]:
         ancilla = prepare_xi() if d == 2 else qutrit_fiducial().as_state()
-        probs = povm_outcome_distribution(random_state(n, d, np.random.default_rng(seed)), ancilla)
-        want = _choice_codes(probs, n, d, num_shots, seed)
-        assert np.array_equal(_draw_codes(probs, n, d, num_shots, seed), want)
+        state = random_state(n, d, np.random.default_rng(seed))
+        want = _choice_codes(povm_outcome_distribution(state, ancilla), n, d, num_shots, seed)
+        # the sampler's cached CDF, inverted by _draw_codes
+        assert np.array_equal(sample_povm_shots(state, num_shots, seed, ancilla=ancilla).codes, want)
 
 
 @pytest.mark.parametrize("d,n,ancilla", [(2, 1, "xi"), (2, 5, "xi"), (2, 4, "random"),
@@ -563,6 +563,93 @@ def test_povm_shots_workers_and_prefix():
         sample_povm_shots(state, 10, seed=1, ancilla=DenseState.zero_state(2))
     with pytest.raises(ValueError):
         sample_povm_shots(state, 10, seed=1, ancilla=qutrit_fiducial().as_state())
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 4)])
+def test_streams_from_a_cached_state_equal_streams_from_fresh_copies(d, n):
+    # one state object sampled as a register and as a system, under two
+    # ancillas (each given as a new but equal object per call), on
+    # consecutive seeds: every stream equals the one a fresh copy draws
+    state = random_state(n, d, np.random.default_rng(40 + d))
+    ancillas = {
+        "a": (lambda: qutrit_fiducial().as_state()) if d == 3 else prepare_xi,
+        "b": lambda: _random_ancilla(d, 41),
+    }
+
+    def draw(target, kind, num_shots, seed):
+        if kind == "bell":
+            return sample_bell_shots(target, num_shots, seed)
+        return sample_povm_shots(target, num_shots, seed, ancilla=ancillas[kind]())
+
+    calls = [("a", 3000, 5), ("b", 3000, 5), ("bell", 3000, 5), ("a", 5000, 6),
+             ("bell", 2000, 6), ("b", 4500, 6), ("b", 100, 5), ("a", 3000, 5)]
+    for kind, num_shots, seed in calls:
+        fresh = DenseState(d, n, state.amplitudes.copy())
+        got, want = draw(state, kind, num_shots, seed), draw(fresh, kind, num_shots, seed)
+        assert (got.local_dim, got.num_pairs, got.seed) == (want.local_dim, want.num_pairs, seed)
+        assert np.array_equal(got.codes, want.codes), (kind, num_shots, seed)
+
+
+def test_a_state_caches_one_outcome_cdf():
+    state = random_state(3, 3, np.random.default_rng(50))
+    a, b = qutrit_fiducial().as_state(), _random_ancilla(3, 51)
+    sample_povm_shots(state, 100, 1, ancilla=a)
+    [(key_a, cdf_a)] = state._cdf.items()
+    assert cdf_a.shape == (3 ** 6,) and not cdf_a.flags.writeable and cdf_a[-1] == 1.0
+    # an equal ancilla object reads the same entry
+    sample_povm_shots(state, 100, 2, ancilla=qutrit_fiducial().as_state())
+    assert state._cdf[key_a] is cdf_a
+    sample_povm_shots(state, 100, 1, ancilla=b)
+    [key_b] = state._cdf
+    assert key_b != key_a
+    register = attach_ancillas(random_state(2, 2, np.random.default_rng(52)))
+    sample_bell_shots(register, 100, 1)
+    sample_povm_shots(register, 100, 1)
+    assert len(register._cdf) == 1
+
+
+def test_dense_state_is_read_only():
+    state = random_state(3, 2, np.random.default_rng(60))
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 1.0
+    with pytest.raises(ValueError):
+        state.as_tensor()[0, 0, 0] = 1.0
+    for name, value in [("amplitudes", state.amplitudes.copy()), ("local_dim", 2),
+                        ("num_sites", 3), ("_cdf", {})]:
+        with pytest.raises(AttributeError):
+            setattr(state, name, value)
+
+
+def test_dense_state_freezes_only_an_owned_complex_array():
+    # an owned C-contiguous complex array is frozen in place and kept (so
+    # attach_ancillas copies no register); a view, another dtype or a list
+    # is copied once, and the caller's array stays writable
+    owned = np.zeros((2, 2), dtype=complex)
+    owned[0, 1] = 1.0
+    state = DenseState(2, 2, owned)
+    assert not owned.flags.writeable and state.amplitudes.base is owned
+    flat = np.eye(4, dtype=complex)[1].copy()
+    assert DenseState(2, 2, flat).amplitudes is flat
+    base = np.zeros((4, 2), dtype=complex)
+    base[1, 0] = 1.0
+    wide = np.zeros(8, dtype=complex)
+    wide[2] = 1.0
+    for view in (base[:, 0], base.T[0], wide[::2], base.reshape(-1)[:4], base[:2],
+                 np.asfortranarray(base[:2])):
+        got = DenseState(2, 2, view)
+        assert not got.amplitudes.flags.writeable
+        assert np.array_equal(got.amplitudes, view.reshape(-1)) and view.flags.writeable
+    assert base.flags.writeable and wide.flags.writeable
+    real = np.array([0.0, 1.0, 0.0, 0.0])
+    got = DenseState(2, 2, real)
+    assert real.flags.writeable and got.amplitudes.dtype == complex
+    # a state that fails validation leaves the caller's array as it was
+    unnormalized = np.ones(4, dtype=complex)
+    with pytest.raises(ValueError):
+        DenseState(2, 2, unnormalized)
+    assert unnormalized.flags.writeable
+    register = attach_ancillas(random_state(5, 2, np.random.default_rng(61)))
+    assert register.amplitudes.base is not None and register.amplitudes.base.flags.owndata
 
 
 @pytest.mark.parametrize("n,d", [(11, 2), (7, 3)])

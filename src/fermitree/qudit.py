@@ -11,7 +11,10 @@ g*h - f*ell mod D of ``statesim.bell_exponents``: once per stream and
 support for every label product (``statesim.residue_counts``), so a
 correlator is one index into its support's table, or, on a support with
 more possible outcome rows than shots, summed per target over the counts
-of ``statesim.joint_outcomes``.  The exact oracle is one gather per target.
+of ``statesim.joint_outcomes``.  The exact correlator is read the same
+way: one index into the state's ``statesim.displacement_table`` of its
+support, built once from the support's reduced density matrix, or, on a
+support of more than n/3 of the n sites, one gather per target.
 
 A fiducial whose calibration factors all have magnitude 1/sqrt(D+1) makes
 the POVM that the Bell measurement realizes on a system site
@@ -33,8 +36,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .statesim import (
-    BellShotStream, DenseState, bell_exponents, hw_operator, joint_outcomes, prepare_xi,
-    residue_counts,
+    BellShotStream, DenseState, bell_exponents, displacement_table, hw_operator, joint_outcomes,
+    prepare_xi, residue_counts,
 )
 
 
@@ -137,17 +140,19 @@ def _checked_targets(
             site, f, g = target
         except (TypeError, ValueError):
             raise ValueError(f"target {target!r} is not a (site, f, g) triple") from None
-        # bool is an int, and 1.0 or "1" would fail inside numpy later
-        if not all(type(v) is int or isinstance(v, np.integer) for v in (site, f, g)):
-            raise ValueError(f"target {(site, f, g)!r} needs integer site, f and g")
-        site = int(site)
+        # plain ints pass at once; bool is an int, and 1.0 or "1" would fail
+        # inside numpy later
+        if not type(site) is type(f) is type(g) is int:
+            if not all(type(v) is int or isinstance(v, np.integer) for v in (site, f, g)):
+                raise ValueError(f"target {(site, f, g)!r} needs integer site, f and g")
+            site, f, g = int(site), int(f), int(g)
         if not 0 <= site < num_pairs:
             raise ValueError(f"site {site} outside 0..{num_pairs - 1}")
         if site in seen:
             raise ValueError(f"repeated site {site}")
         seen.add(site)
-        f, g = int(f) % d, int(g) % d
-        if (f, g) == (0, 0):
+        f, g = f % d, g % d
+        if not (f or g):
             raise ValueError(f"site {site} targets the identity displacement")
         out.append((site, f, g))
     if not out:
@@ -188,7 +193,8 @@ def estimate_hw_correlator(
             f"stream dimension {stream.local_dim} != fiducial dimension {d}"
         )
     checked = _checked_targets(targets, d, stream.num_pairs)
-    if stream.num_shots == 0:
+    s = stream.num_shots
+    if s == 0:
         raise ValueError("empty shot stream")
 
     sites = tuple(t[0] for t in checked)
@@ -203,7 +209,6 @@ def estimate_hw_correlator(
             residues += exponents[f, g][column]
         # float weights are exact integers below 2^53 shots
         by_residue = np.bincount(residues % d, weights=counts, minlength=d).tolist()
-    s = stream.num_shots
     mean = sum(int(c) * w for c, w in zip(by_residue, _omega_powers(d))) / s
 
     calibration = math.prod(fiducial.overlaps[f, g] for _, f, g in checked)
@@ -233,11 +238,16 @@ def exact_hw_correlator(
 ) -> complex:
     """Oracle <prod_i X^{f_i} Z^{g_i}> on a bare system register.
 
-    X^f Z^g sends digit x to x + f with phase w^(g*x): one gather per target,
-    its indices and phases taken from one table per (D, f, g, site depth).
+    One index into the support's ``statesim.displacement_table``, built
+    once per state and support; on a support too wide for a table, X^f Z^g
+    sends digit x to x + f with phase w^(g*x): one gather per target, its
+    indices and phases taken from one table per (D, f, g, site depth).
     """
     d, n = state.local_dim, state.num_sites
     checked = _checked_targets(targets, d, n)
+    table = displacement_table(state, tuple(t[0] for t in checked))
+    if table is not None:
+        return complex(table[tuple(f * d + g for _, f, g in checked)])
     applied = state.as_tensor()
     for site, f, g in checked:
         source, phases = _hw_gather(d, f, g, n - 1 - site)

@@ -5,12 +5,13 @@
     * ``mask_product`` multiplies two strings' (x, z, power) masks as
       Python ints, and ``reference_masks_matvec`` applies one string's
       masks to a vector with a parity XORed together one z bit at a time,
-      the scalar references for ``fermitree.fermion._monomials`` and the
-      batched ``fermitree.statesim.masks_matvec``;
-    * ``reference_expectations`` applies strings' masks with
-      ``masks_matvec`` in blocks of ``GATHER_BLOCK`` amplitudes and takes
-      one ``np.vdot`` per row, the reference for the Walsh-Hadamard
-      transforms of ``fermitree.statesim.expectations``;
+      the scalar references for ``fermitree.fermion._monomials`` and
+      ``batched_masks_matvec``;
+    * ``batched_masks_matvec`` applies many strings' masks, given as int64
+      arrays, one row per string, by one gather with a folded parity, and
+      ``reference_expectations`` applies them in blocks of ``GATHER_BLOCK``
+      amplitudes and takes one ``np.vdot`` per row, the reference for the
+      Walsh-Hadamard transforms of ``fermitree.statesim.expectations``;
     * ``sign_means`` reads strings of (qubit, letter) pairs, each taken
       to its masks through a ``PauliString`` and ``to_masks``, with
       ``fermitree.tomography.mask_means``: the tests' way to read a few
@@ -44,7 +45,7 @@ import numpy as np
 from fermitree.fermion import FermionEstimate, _monomials
 from fermitree.pauli import Masks, PauliString, to_masks
 from fermitree.statesim import (
-    GATHER_BLOCK, BellShotStream, DenseState, _paired, bell_basis_matrix, hw_operator, masks_matvec,
+    GATHER_BLOCK, BellShotStream, DenseState, _paired, _parity, bell_basis_matrix, hw_operator,
 )
 from fermitree.tomography import mask_means
 
@@ -118,11 +119,32 @@ def reference_masks_matvec(masks: Masks, amplitudes: np.ndarray, num_sites: int)
     return out
 
 
+def batched_masks_matvec(masks: Masks, amplitudes: np.ndarray, num_sites: int) -> np.ndarray:
+    """P @ vec for every P = i**power X^x Z^z of three equal-length int64
+    mask arrays, one row per string, shape (M, 2**num_sites).
+
+    One gather over index ^ x for all rows at once, the sign from the
+    parity of (b ^ x) & z folded by ``fermitree.statesim._parity``, bit 0
+    also carrying the sign of i**power.
+    """
+    vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if vec.shape != (2 ** num_sites,):
+        raise ValueError(f"expected {2 ** num_sites} amplitudes, got {vec.shape[0]}")
+    x, z, power = (np.asarray(m, dtype=np.int64).reshape(-1, 1) for m in masks)
+    source = np.arange(vec.shape[0]) ^ x
+    out = vec[source]
+    source &= z
+    source ^= power >> 1 & 1
+    np.negative(out, out=out, where=_parity(source, num_sites).astype(bool))
+    np.multiply(out, 1j, out=out, where=(power & 1).astype(bool))
+    return out
+
+
 def reference_expectations(state: DenseState, masks: Masks) -> list[complex]:
     """<state| P |state> for every string P of the (x, z, power) masks.
 
     The masks are three equal-length int64 arrays (or ints, for one
-    string).  ``masks_matvec`` applies them to blocks of rows of at most
+    string).  ``batched_masks_matvec`` applies them to blocks of rows of at most
     ``GATHER_BLOCK`` amplitudes, and each value is one ``np.vdot`` of the
     state with its row.
     """
@@ -135,7 +157,7 @@ def reference_expectations(state: DenseState, masks: Masks) -> list[complex]:
     values = []
     for start in range(0, x.shape[0], rows):
         block = slice(start, start + rows)
-        applied = masks_matvec((x[block], z[block], power[block]), amps, n)
+        applied = batched_masks_matvec((x[block], z[block], power[block]), amps, n)
         values += [complex(np.vdot(amps, row)) for row in applied]
     return values
 

@@ -274,8 +274,9 @@ def test_attenuation_bound_values():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_ternary_attenuation_stays_below_the_bound_at_every_size(k):
-    # the largest sqrt(3)^weight over every degree-2k monomial's string
-    for n in range(k, 14):
+    # the largest sqrt(3)^weight over every degree-2k monomial's string, up
+    # to 63 modes for k = 1, where the ratio peaks (0.995 at n = 23)
+    for n in range(k, 64 if k == 1 else 14):
         mapping = build_mapping(n)
         _, (x, z, _) = _monomials(mapping, k, n)
         weight = max(bin(support).count("1") for support in (x | z).tolist())

@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from fermitree import qudit
+from fermitree import qudit, statesim
 from fermitree.qudit import (
     FiducialState,
+    HwEstimate,
     estimate_hw_correlator,
     exact_hw_correlator,
     load_fiducial,
@@ -24,11 +25,15 @@ from fermitree.statesim import (
     attach_ancillas,
     bell_outcome_distribution,
     bell_povm_elements,
+    displacement_table,
     hw_operator,
     prepare_xi,
     random_state,
+    residue_counts,
     sample_bell_shots,
+    sample_povm_shots,
 )
+from fermitree.tomography import exact_all_k_rdms, merge_streams
 from oracles import reference_calibration, sign_means
 
 
@@ -252,9 +257,48 @@ def test_exact_correlator_matches_reference(d, n, k):
             assert abs(got - reference_exact_hw(state, targets)) <= 1e-13
 
 
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
+def test_displacement_table_matches_reference(d, k):
+    # n = 3k sites, so the support has a table (D = 5, k = 3 would need
+    # 5^9 amplitudes, past capacity); k = 1 and the narrower registers of
+    # test_exact_correlator_matches_reference cover the rest
+    rng = np.random.default_rng(50 + 10 * d + k)
+    n = 3 * k
+    state = random_state(n, d, rng)
+    labels = [(f, g) for f in range(-d, 2 * d) for g in range(-d, 2 * d) if (f % d, g % d) != (0, 0)]
+    for _ in range(15):
+        sites = rng.permutation(n)[:k].tolist()
+        targets = [(site, *labels[c]) for site, c in zip(sites, rng.choice(len(labels), size=k))]
+        table = displacement_table(state, tuple(sites))
+        assert table.shape == (d * d,) * k and not table.flags.writeable
+        got = exact_hw_correlator(state, targets)
+        assert got == table[tuple((f % d) * d + g % d for _, f, g in targets)]
+        assert abs(got - reference_exact_hw(state, targets)) <= 1e-13
+    # one site wider and the support has no table
+    assert displacement_table(random_state(n - 1, d, rng), tuple(range(k))) is None
+
+
+def test_displacement_tables_are_cached_within_a_budget(monkeypatch):
+    state = random_state(6, 3, np.random.default_rng(51))
+    first = displacement_table(state, (4, 1))
+    assert displacement_table(state, [4, 1]) is first
+    assert displacement_table(state, (1, 4)) is not first
+    with pytest.raises(ValueError):
+        first[0, 0] = 0
+    # past the budget, a new table drops the others, and an equal one is rebuilt
+    monkeypatch.setattr(statesim, "CAPACITY_AMPLITUDES", 3 * 81)
+    for sites in [(0, 1), (2, 3)]:
+        displacement_table(state, sites)
+    assert len(state._tables) == 1
+    again = displacement_table(state, (4, 1))
+    assert again is not first and np.array_equal(again, first)
+
+
 def test_exact_correlator_tables_keep_the_per_call_arithmetic():
-    # the cached (source, phases) per (D, f, g, site depth) give values == to
-    # building them inside each call, on a first and on a repeated call
+    # on a support too wide for a displacement table, the cached (source,
+    # phases) per (D, f, g, site depth) give values == to building them
+    # inside each call, on a first and on a repeated call; a support with a
+    # table reads a value within 1e-14 of that same per-call gather
     def per_call(state, targets):
         d, n = state.local_dim, state.num_sites
         applied = state.as_tensor()
@@ -273,8 +317,12 @@ def test_exact_correlator_tables_keep_the_per_call_arithmetic():
             sites = rng.permutation(n)[:k].tolist()
             targets = [(site, *labels[c]) for site, c in zip(sites, rng.choice(len(labels), size=k))]
             want = per_call(state, targets)
-            assert exact_hw_correlator(state, targets) == want
-            assert exact_hw_correlator(state, targets) == want
+            if displacement_table(state, tuple(sites)) is None:
+                assert exact_hw_correlator(state, targets) == want
+                assert exact_hw_correlator(state, targets) == want
+            else:
+                assert abs(exact_hw_correlator(state, targets) - want) <= 1e-14
+                assert abs(exact_hw_correlator(state, targets) - want) <= 1e-14
 
 
 def test_correlators_build_no_matrix_per_call(monkeypatch):
@@ -306,6 +354,17 @@ def test_exact_correlator_matches_kron_oracle():
     op = np.kron(hw_operator(3, 1, 2), hw_operator(3, 2, 1))
     oracle = np.vdot(state.amplitudes, op @ state.amplitudes)
     assert direct == pytest.approx(oracle, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_qubit_displacements_equal_the_pauli_table(k):
+    # two independent exact kernels: displacement tables against the
+    # Walsh-Hadamard transforms of exact_all_k_rdms, with X, Z and XZ = -iY
+    state = random_state(10, 2, np.random.default_rng(54))
+    label = {"x": (1, 0), "z": (0, 1), "y": (1, 1)}
+    for (qubits, letters), value in exact_all_k_rdms(state, k).items():
+        hw = exact_hw_correlator(state, [(q, *label[a]) for q, a in zip(qubits, letters)])
+        assert abs(1j ** letters.count("y") * hw - value) <= 1e-12, (qubits, letters)
 
 
 def test_qutrit_estimates_against_oracle():
@@ -350,6 +409,60 @@ def test_variance_grows_with_dimension_factor():
     std1 = np.std(np.abs(np.array(v1) - np.mean(v1)), ddof=1)
     std2 = np.std(np.abs(np.array(v2) - np.mean(v2)), ddof=1)
     assert 1.4 < std2 / std1 < 2.8
+
+
+def reference_hw_estimate(stream: BellShotStream, targets, fid: FiducialState) -> HwEstimate:
+    """Oracle HwEstimate of (site, f, g) targets in 0..D-1: every shot's residue
+    sum_i g_i h_i - f_i ell_i mod D, then the sum of int(c_r) w^r in r order."""
+    d, s = stream.local_dim, stream.num_shots
+    h, ell = np.divmod(stream.codes.astype(np.int64), d)
+    counts = np.bincount(sum(g * h[:, q] - f * ell[:, q] for q, f, g in targets) % d, minlength=d)
+    omega = np.exp(2j * np.pi / d)
+    mean = sum(int(c) * omega ** r for r, c in enumerate(counts)) / s
+    calibration = math.prod(fid.overlaps[f, g] for _, f, g in targets)
+    std_error = math.sqrt(max(0.0, 1.0 - abs(mean) ** 2) / s) / abs(calibration)
+    return HwEstimate(tuple(targets), mean / calibration, std_error, s)
+
+
+@pytest.mark.parametrize("shots", [2000, 30])
+def test_qutrit_hw_estimates_equal_the_per_shot_oracle(shots):
+    # all 960 two-site correlators of two merged 6-qutrit runs: 4000 shots
+    # read residue tables, 60 shots (fewer than the 81 outcome rows of a
+    # pair) sum over joint outcomes; both are == to the oracle
+    fid = qutrit_fiducial()
+    state = random_state(6, 3, np.random.default_rng(52))
+    merged = merge_streams([sample_povm_shots(state, shots, 53 + r, ancilla=fid.as_state()) for r in range(2)])
+    assert (residue_counts(merged, (0, 1)) is None) == (merged.num_shots < 81)
+    labels = [(f, g) for f in range(3) for g in range(3) if (f, g) != (0, 0)]
+    for a, b in itertools.combinations(range(6), 2):
+        for p in labels:
+            for q in labels:
+                targets = [(a, *p), (b, *q)]
+                assert estimate_hw_correlator(merged, targets, fid) == reference_hw_estimate(merged, targets, fid)
+
+
+def test_qutrit_error_bars_are_calibrated():
+    # over 300 seeds, |est - exact|^2 / std_error^2 averages to 1 within
+    # 4 standard deviations of a one-degree-of-freedom chi-square mean,
+    # 4 sqrt(2 / 300); every run draws from the CDF cached on the state
+    fid = qutrit_fiducial()
+    state = random_state(3, 3, np.random.default_rng(2031))
+    targets = [
+        [(0, 1, 0)],
+        [(2, 1, 2)],
+        [(0, 2, 1), (1, 1, 1)],
+        [(0, 1, 2), (1, 2, 0), (2, 1, 1)],
+    ]
+    exact = [exact_hw_correlator(state, t) for t in targets]
+    seeds = range(8000, 8300)
+    ratios = np.zeros((len(seeds), len(targets)))
+    for i, seed in enumerate(seeds):
+        stream = sample_povm_shots(state, 2000, seed, ancilla=fid.as_state())
+        for j, t in enumerate(targets):
+            est = estimate_hw_correlator(stream, t, fid)
+            ratios[i, j] = abs(est.value - exact[j]) ** 2 / est.std_error ** 2
+    band = 4 * math.sqrt(2 / len(seeds))
+    assert np.all(np.abs(ratios.mean(axis=0) - 1) <= band), ratios.mean(axis=0)
 
 
 @pytest.mark.parametrize("amplitudes", [[[True, 0.0], [0.0, 0.0]], [[1, 0], [0, False]]])

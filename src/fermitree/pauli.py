@@ -2,14 +2,17 @@
 
 A :class:`PauliString` is a sparse tensor product of single-qubit Pauli
 letters together with a global phase restricted to {+1, +i, -1, -i}.  The
-phase is stored as an integer power of i, so products, commutation checks
-and involutions are exact integer arithmetic with no floating point.
+phase is stored as an integer power of i, so products and involutions are
+exact integer arithmetic with no floating point.
 
-Hot loops over strings on the qubits 0..n-1 of one register use their
-(x, z, power) masks instead (``to_masks``), the symplectic form of
-Aaronson and Gottesman (PRA 2004).  ``fermion`` multiplies them, and
-``statesim`` applies them to a state, as int64 arrays with one row per
-string; the integer phase arithmetic stays exact.
+Every product goes through one rule on (x, z, power) masks, the
+symplectic form of Aaronson and Gottesman (PRA 2004): x and z are XORed
+and the power gains 2 per bit set in both the left z and the right x.
+``product`` applies it to any number of strings as Python ints over their
+labels, and ``PauliString.__mul__`` is its two-string call.  Hot loops
+over strings on the qubits 0..n-1 of one register use the masks directly
+(``to_masks``): ``fermion`` multiplies them, and ``statesim`` applies them
+to a state, as int64 arrays with one row per string, or as ints for one.
 """
 
 from __future__ import annotations
@@ -18,23 +21,11 @@ import functools
 import re
 from dataclasses import dataclass
 from numbers import Integral
+from typing import Iterable
 
 _PHASES: tuple[complex, ...] = (1, 1j, -1, -1j)
 _PHASE_TOKENS = {"+": 0, "+i": 1, "-": 2, "-i": 3}
 _TOKENS_BY_POWER = {v: k for k, v in _PHASE_TOKENS.items()}
-
-# Single-qubit products: (a, b) -> (resulting letter or None, added power of i).
-_LETTER_PRODUCT: dict[tuple[str, str], tuple[str | None, int]] = {
-    ("X", "X"): (None, 0),
-    ("Y", "Y"): (None, 0),
-    ("Z", "Z"): (None, 0),
-    ("X", "Y"): ("Z", 1),
-    ("Y", "Z"): ("X", 1),
-    ("Z", "X"): ("Y", 1),
-    ("Y", "X"): ("Z", 3),
-    ("Z", "Y"): ("X", 3),
-    ("X", "Z"): ("Y", 3),
-}
 
 _LETTER_TOKEN = re.compile(r"^([XYZ])(\d+)$")
 
@@ -105,33 +96,7 @@ class PauliString:
         """Operator product self @ other with exact phase accumulation."""
         if not isinstance(other, PauliString):
             return NotImplemented
-        product = dict(self.letters)
-        power = self.phase_power + other.phase_power
-        for qubit, letter in other.letters:
-            mine = product.get(qubit)
-            if mine is None:
-                product[qubit] = letter
-            else:
-                merged, extra = _LETTER_PRODUCT[(mine, letter)]
-                power += extra
-                if merged is None:
-                    del product[qubit]
-                else:
-                    product[qubit] = merged
-        return PauliString(tuple(product.items()), power)
-
-    def anticommutes_with(self, other: "PauliString") -> bool:
-        """True iff self*other == -other*self.
-
-        Two strings anticommute exactly when the number of shared qubits
-        carrying different letters is odd.
-        """
-        mine = dict(self.letters)
-        differing = sum(
-            1 for qubit, letter in other.letters
-            if qubit in mine and mine[qubit] != letter
-        )
-        return differing % 2 == 1
+        return product((self, other))
 
     # -- text format -------------------------------------------------------
 
@@ -167,6 +132,36 @@ class PauliString:
                 raise ValueError(f"malformed Pauli token {token!r}")
             pairs.append((int(match.group(2)), match.group(1)))
         return cls(tuple(pairs), power)
+
+
+def product(strings: Iterable[PauliString]) -> PauliString:
+    """The ordered product of the strings, first factor leftmost, with its
+    exact phase; the identity when there are none.
+
+    Each string is taken to (x, z, power) masks as Python ints, one bit per
+    qubit label in the order the labels first appear, so any label works,
+    2**64 included.  The masks multiply as in ``to_masks``: x and z are
+    XORed, and the power gains the factor's power plus 2 per bit set in both
+    the z so far and the factor's x.  The result is decoded into letters once.
+    """
+    bits: dict[int, int] = {}
+    x = z = power = 0
+    for string in strings:
+        fx = fz = 0
+        power += string.phase_power
+        for qubit, letter in string.letters:
+            bit = bits.setdefault(qubit, 1 << len(bits))
+            if letter != "Z":
+                fx |= bit
+            if letter != "X":
+                fz |= bit
+            if letter == "Y":
+                power += 1
+        power += 2 * (z & fx).bit_count()
+        x ^= fx
+        z ^= fz
+    letters = ((qubit, "IXZY"[bool(x & bit) + 2 * bool(z & bit)]) for qubit, bit in bits.items())
+    return PauliString(tuple(pair for pair in letters if pair[1] != "I"), power - (x & z).bit_count())
 
 
 # -- register masks ------------------------------------------------------------

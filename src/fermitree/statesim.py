@@ -162,7 +162,9 @@ class DenseState:
 def random_state(
     num_sites: int, local_dim: int = 2, rng: np.random.Generator | int | None = None
 ) -> DenseState:
-    """Haar-random pure state via a normalized complex Gaussian vector."""
+    """Haar-random pure state via a normalized complex Gaussian vector; a
+    site count or local dimension that is not an integer raises ValueError."""
+    num_sites, local_dim = _integer(num_sites, "num_sites"), _integer(local_dim, "local_dim")
     rng = np.random.default_rng(rng)
     dim = local_dim ** num_sites
     if dim > CAPACITY_AMPLITUDES:
@@ -209,17 +211,6 @@ def masks_matvec(masks: Masks, amplitudes: np.ndarray, num_sites: int) -> np.nda
     if power & 1:
         out *= 1j
     return out
-
-
-def pauli_matvec(pauli: PauliString, amplitudes: np.ndarray, num_sites: int) -> np.ndarray:
-    """P @ vec on a register of ``num_sites`` qubits; vec need not be normalized.
-
-    Qubit 0 is the leftmost tensor factor, i.e. the most significant bit of
-    the state index.  The string is taken to its masks, where each Y adds a
-    factor i (Y = iXZ), and applied by ``masks_matvec``.  A label outside
-    the register raises ValueError before any mask or array is built.
-    """
-    return masks_matvec(to_masks(pauli, num_sites), amplitudes, num_sites)
 
 
 def expectations(state: DenseState, masks: Masks) -> list[complex]:
@@ -320,7 +311,9 @@ def attach_ancillas(system: DenseState, ancilla: DenseState | None = None) -> De
 
 
 def hw_operator(local_dim: int, f: int, g: int) -> np.ndarray:
-    """Displacement operator X^f Z^g with X|d> = |d+1 mod D>, Z|d> = w^d |d>."""
+    """Displacement operator X^f Z^g with X|d> = |d+1 mod D>, Z|d> = w^d |d>;
+    an argument that is not an integer raises ValueError."""
+    local_dim, f, g = _integer(local_dim, "local_dim"), _integer(f, "f"), _integer(g, "g")
     if local_dim < 2:
         raise ValueError(f"local dimension must be >= 2, got {local_dim}")
     omega = np.exp(2j * np.pi / local_dim)
@@ -336,8 +329,9 @@ def generalized_bell_state(local_dim: int, h: int, ell: int) -> DenseState:
     Since (M (x) I) sum_k |k>|k> = sum_jk M[j, k] |j>|k>, its amplitudes are
     the entries of X^h Z^ell over sqrt(D).  Its eigenvalues under every
     X^f Z^g (x) X^f Z^{-g} are in ``bell_exponents(D)[:, :, h*D + ell]``.
+    An argument that is not an integer raises ValueError.
     """
-    d = local_dim
+    d, h, ell = _integer(local_dim, "local_dim"), _integer(h, "h"), _integer(ell, "ell")
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
     return DenseState(d, 2, hw_operator(d, h % d, ell % d).reshape(-1) / math.sqrt(d))
@@ -508,8 +502,9 @@ class BellShotStream:
         without ``shot_index`` or ``outcomes``, a ``shot_index`` that is not
         an integer (a JSON boolean included) or repeats one of another
         record (as in two files joined with ``cat``), an unknown label, an h
-        or ell that is not an integer in 0..D-1 or a ``local_dim`` below 2
-        raises ValueError.
+        or ell that is not an integer in 0..D-1, or a ``local_dim`` that is
+        not None or an integer of at least 2 raises ValueError; it is checked
+        before the file is read.
 
         A file exactly as ``to_jsonl`` writes it is read in one canonical
         parse (``_parse_canonical``); any other file, and any file that
@@ -518,6 +513,10 @@ class BellShotStream:
         JSON values, or a record count that differs from the line count
         (two records on one line), raises ValueError too.  Both return the
         same stream for every file the canonical parse takes."""
+        if local_dim is not None:
+            local_dim = _integer(local_dim, "local_dim")
+            if local_dim < 2:
+                raise ValueError(f"local_dim must be at least 2, got {local_dim}")
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         parsed = _parse_canonical(text, local_dim)
@@ -606,9 +605,9 @@ def _parse_canonical(text: str, local_dim) -> tuple[int, np.ndarray] | None:
             return None
         codes = 2 * (raw[letters] == ord("P")) + (raw[letters + 1] == ord("-"))
     else:
-        if isinstance(local_dim, bool) or not isinstance(local_dim, (int, np.integer)):
+        if local_dim is None:
             return None
-        d, num_pairs = int(local_dim), line.count(b"[") - 1
+        d, num_pairs = local_dim, line.count(b"[") - 1
         if not (3 <= d <= 16 and num_pairs):
             return None
         # the runs of digits, none at either end: each row's index, then h

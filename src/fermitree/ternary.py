@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import weight_stats
-from .pauli import PauliString
+from .pauli import PauliString, product
 
 BRANCH_LETTERS = ("X", "Y", "Z")
 
@@ -223,15 +223,12 @@ def verify_mapping(mapping: TernaryTreeMapping) -> MappingVerification:
     appears exactly three times, once per branch.
     """
     base = verify_table(mapping.majorana_table)
-    product = PauliString.identity()
-    for op in mapping.majorana_table:
-        product = product * op
-    product = product * path_operator(mapping.dropped_path)
-    identity_ok = not product.letters
+    total = product((*mapping.majorana_table, path_operator(mapping.dropped_path)))
+    identity_ok = not total.letters
     return replace(
         base,
         identity_product_ok=identity_ok,
-        identity_product_phase_power=product.phase_power if identity_ok else None,
+        identity_product_phase_power=total.phase_power if identity_ok else None,
     )
 
 

@@ -2,6 +2,12 @@
 
     * ``to_dense`` builds the 2^n x 2^n matrix of a Pauli string, one
       Kronecker factor per qubit;
+    * ``letter_product`` multiplies two strings one shared qubit at a time
+      through the single-qubit letter table, the reference for
+      ``fermitree.pauli.product``, and ``letters_anticommute`` counts the
+      shared qubits whose letters differ, the reference for the commutation
+      checks of ``fermitree.ternary.verify_table`` and
+      ``fermitree.fermion.encoded_vacuum``;
     * ``mask_product`` multiplies two strings' (x, z, power) masks as
       Python ints, and ``reference_masks_matvec`` applies one string's
       masks to a vector with a parity XORed together one z bit at a time,
@@ -77,6 +83,45 @@ def to_dense(pauli: PauliString, num_qubits: int) -> np.ndarray:
     for qubit in range(num_qubits):
         mat = np.kron(mat, PAULI_MATRICES[lookup.get(qubit, "I")])
     return mat
+
+
+# Single-qubit products: (a, b) -> (resulting letter or None, added power of i).
+LETTER_PRODUCT: dict[tuple[str, str], tuple[str | None, int]] = {
+    ("X", "X"): (None, 0),
+    ("Y", "Y"): (None, 0),
+    ("Z", "Z"): (None, 0),
+    ("X", "Y"): ("Z", 1),
+    ("Y", "Z"): ("X", 1),
+    ("Z", "X"): ("Y", 1),
+    ("Y", "X"): ("Z", 3),
+    ("Z", "Y"): ("X", 3),
+    ("X", "Z"): ("Y", 3),
+}
+
+
+def letter_product(a: PauliString, b: PauliString) -> PauliString:
+    """a @ b, each qubit of b merged into a's letters through ``LETTER_PRODUCT``."""
+    letters = dict(a.letters)
+    power = a.phase_power + b.phase_power
+    for qubit, letter in b.letters:
+        mine = letters.get(qubit)
+        if mine is None:
+            letters[qubit] = letter
+        else:
+            merged, extra = LETTER_PRODUCT[(mine, letter)]
+            power += extra
+            if merged is None:
+                del letters[qubit]
+            else:
+                letters[qubit] = merged
+    return PauliString(tuple(letters.items()), power)
+
+
+def letters_anticommute(a: PauliString, b: PauliString) -> bool:
+    """True iff a @ b == -b @ a: an odd number of shared qubits carry
+    different letters."""
+    mine = dict(a.letters)
+    return sum(1 for qubit, letter in b.letters if qubit in mine and mine[qubit] != letter) % 2 == 1
 
 
 def mask_product(a: Masks, b: Masks) -> Masks:

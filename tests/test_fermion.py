@@ -112,9 +112,10 @@ def test_double_occupation_is_forbidden():
     table = mapping
     # applying a creation operator to an occupied mode annihilates the state
     vec = fock.amplitudes
-    from fermitree.statesim import pauli_matvec
+    from fermitree.statesim import masks_matvec
 
-    raised = pauli_matvec(table[0], vec, 2) - 1j * pauli_matvec(table[1], vec, 2)
+    raised = masks_matvec(to_masks(table[0], 2), vec, 2)
+    raised = raised - 1j * masks_matvec(to_masks(table[1], 2), vec, 2)
     assert np.linalg.norm(raised) == pytest.approx(0.0, abs=1e-10)
 
 

@@ -1,12 +1,14 @@
 """Unit tests for the phase-tracked Pauli string algebra."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermitree.pauli import PauliString, masks_text, to_masks
-from oracles import from_masks, mask_product, to_dense
+from fermitree.pauli import PauliString, masks_text, product, to_masks
+from oracles import from_masks, letter_product, letters_anticommute, mask_product, to_dense
 
 
 def test_single_qubit_product_table():
@@ -48,15 +50,15 @@ def test_weight_and_support():
 
 
 def test_known_anticommutation():
-    assert PauliString.single(0, "X").anticommutes_with(PauliString.single(0, "Y"))
-    assert not PauliString.single(0, "X").anticommutes_with(PauliString.single(1, "Y"))
+    assert letters_anticommute(PauliString.single(0, "X"), PauliString.single(0, "Y"))
+    assert not letters_anticommute(PauliString.single(0, "X"), PauliString.single(1, "Y"))
     # XX vs YZ: differs on both shared sites, even count, commutes
     a = PauliString.from_map({0: "X", 1: "X"})
     b = PauliString.from_map({0: "Y", 1: "Z"})
-    assert not a.anticommutes_with(b)
+    assert not letters_anticommute(a, b)
     # XX vs XY: one differing site
     c = PauliString.from_map({0: "X", 1: "Y"})
-    assert a.anticommutes_with(c)
+    assert letters_anticommute(a, c)
 
 
 def test_constructor_validation():
@@ -107,7 +109,7 @@ def test_anticommutation_matches_dense_oracle():
         b = _random_string(rng)
         ab = to_dense(a, 3) @ to_dense(b, 3)
         ba = to_dense(b, 3) @ to_dense(a, 3)
-        if a.anticommutes_with(b):
+        if letters_anticommute(a, b):
             assert np.allclose(ab + ba, 0, atol=1e-12)
         else:
             assert np.allclose(ab - ba, 0, atol=1e-12)
@@ -169,7 +171,7 @@ def test_product_associativity(a, b, c):
 @given(strings, strings)
 @settings(max_examples=60)
 def test_anticommutation_symmetry(a, b):
-    assert a.anticommutes_with(b) == b.anticommutes_with(a)
+    assert letters_anticommute(a, b) == letters_anticommute(b, a)
 
 
 @given(strings)
@@ -177,6 +179,52 @@ def test_square_is_scalar(p):
     sq = p * p
     assert sq.letters == ()
     assert sq.phase_power == (2 * p.phase_power) % 4
+
+
+# dense small labels beside ones past int64, so the masks cannot be int64 arrays
+product_strings = st.builds(
+    PauliString.from_map,
+    st.dictionaries(
+        st.sampled_from([0, 1, 2, 3, 4, 5, 2 ** 63, 2 ** 64, 10 ** 20 - 1]),
+        st.sampled_from("XYZ"),
+        max_size=6,
+    ),
+    st.integers(0, 3),
+)
+
+
+@given(st.lists(product_strings, max_size=5))
+@settings(max_examples=500)
+def test_product_equals_the_letter_table_fold(strings):
+    want = functools.reduce(letter_product, strings, PauliString.identity())
+    assert product(strings) == want
+    assert product(iter(strings)) == want
+    if len(strings) == 2:
+        assert strings[0] * strings[1] == want
+
+
+@given(st.lists(st.builds(
+    PauliString.from_map,
+    st.dictionaries(st.integers(0, 3), st.sampled_from("XYZ"), max_size=4),
+    st.integers(0, 3),
+), max_size=5))
+@settings(max_examples=200)
+def test_product_matches_dense_matrix_product(strings):
+    want = np.eye(16, dtype=complex)
+    for p in strings:
+        want = want @ to_dense(p, 4)
+    assert np.allclose(to_dense(product(strings), 4), want, atol=1e-12)
+
+
+def test_product_edge_cases():
+    assert product([]) == PauliString.identity()
+    assert product([PauliString.identity(3)]) == PauliString.identity(3)
+    big = PauliString.from_map({2 ** 64: "X", 10 ** 20 - 1: "Y"}, 1)
+    assert product([big, big]) == PauliString.identity(2)
+    # X Y Z = i I on one qubit, past int64 too
+    xyz = [PauliString.single(2 ** 64, letter) for letter in "XYZ"]
+    assert product(xyz) == PauliString.identity(1)
+    assert PauliString.identity().__mul__("X0") is NotImplemented
 
 
 register_strings = st.builds(

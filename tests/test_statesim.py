@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
 from fermitree.fermion import _monomials
-from fermitree.pauli import PauliString
+from fermitree.pauli import PauliString, to_masks
 from fermitree.qudit import qutrit_fiducial
 from fermitree.statesim import (
     CAPACITY_AMPLITUDES,
@@ -29,14 +29,14 @@ from fermitree.statesim import (
     expectations,
     generalized_bell_state,
     hw_operator,
-    pauli_matvec,
+    masks_matvec,
     povm_outcome_distribution,
     prepare_xi,
     random_state,
     sample_bell_shots,
     sample_povm_shots,
 )
-from fermitree.statesim import _parse_canonical, _parse_records
+from fermitree.statesim import _integer, _parse_canonical, _parse_records
 from fermitree.ternary import build_mapping
 from fermitree.tomography import _rdm_masks
 from oracles import (
@@ -96,7 +96,7 @@ def test_pauli_matvec_matches_dense_oracle():
             if c != "I":
                 letters[q] = c
         p = PauliString.from_map(letters, int(rng.integers(0, 4)))
-        assert np.allclose(pauli_matvec(p, vec, 3), to_dense(p, 3) @ vec, atol=1e-12)
+        assert np.allclose(masks_matvec(to_masks(p, 3), vec, 3), to_dense(p, 3) @ vec, atol=1e-12)
 
 
 def tensordot_matvec(pauli: PauliString, amplitudes: np.ndarray, num_sites: int) -> np.ndarray:
@@ -125,7 +125,7 @@ def strings_and_vectors(draw):
 @given(strings_and_vectors())
 def test_pauli_matvec_equals_tensordot_oracle(case):
     pauli, vec, n = case
-    assert np.array_equal(pauli_matvec(pauli, vec, n), tensordot_matvec(pauli, vec, n))
+    assert np.array_equal(masks_matvec(to_masks(pauli, n), vec, n), tensordot_matvec(pauli, vec, n))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -145,8 +145,9 @@ def test_pauli_matvec_bit_order_and_y_phase():
     # qubit 0 is the most significant index bit; Y = iXZ maps |0> to i|1>
     vec = np.zeros(4, dtype=complex)
     vec[0b01] = 1.0
-    assert np.array_equal(pauli_matvec(PauliString.single(0, "Y"), vec, 2), [0, 0, 0, 1j])
-    assert np.array_equal(pauli_matvec(PauliString.single(1, "Y", 2), vec, 2), [1j, 0, 0, 0])
+    y0, y1 = to_masks(PauliString.single(0, "Y"), 2), to_masks(PauliString.single(1, "Y", 2), 2)
+    assert np.array_equal(masks_matvec(y0, vec, 2), [0, 0, 0, 1j])
+    assert np.array_equal(masks_matvec(y1, vec, 2), [1j, 0, 0, 0])
 
 
 class _Unreadable:
@@ -158,12 +159,12 @@ class _Unreadable:
 def test_pauli_matvec_rejects_labels_outside_register(label):
     pauli = PauliString(((0, "X"), (label, "Z")))
     with pytest.raises(ValueError, match="outside the register"):
-        pauli_matvec(pauli, _Unreadable(), 3)
+        masks_matvec(to_masks(pauli, 3), _Unreadable(), 3)
 
 
 def test_pauli_matvec_rejects_wrong_vector_length():
     with pytest.raises(ValueError):
-        pauli_matvec(PauliString.single(0, "X"), np.ones(6), 3)
+        masks_matvec(to_masks(PauliString.single(0, "X"), 3), np.ones(6), 3)
 
 
 def test_expectation_ghz():
@@ -782,7 +783,8 @@ def test_to_jsonl_writes_what_json_dumps_writes(tmp_path, stream):
 
 def _read_both(path, local_dim):
     """What ``from_jsonl`` and the JSON path alone read from ``path``: each
-    (D, pairs, codes) or the message of the ValueError raised."""
+    (D, pairs, codes) or the message of the ValueError raised.  The JSON
+    path gets ``local_dim`` as ``from_jsonl`` checks it, an integer or None."""
     def outcome(read):
         try:
             stream = read()
@@ -791,8 +793,9 @@ def _read_both(path, local_dim):
         return stream.local_dim, stream.num_pairs, stream.codes.tolist()
 
     def records():
+        checked = None if local_dim is None else _integer(local_dim, "local_dim")
         with open(path, encoding="utf-8") as fh:
-            d, codes = _parse_records(fh.read(), path, local_dim)
+            d, codes = _parse_records(fh.read(), path, checked)
         return BellShotStream(d, codes.shape[1], codes)
 
     return outcome(lambda: BellShotStream.from_jsonl(path, local_dim)), outcome(records)
@@ -999,6 +1002,51 @@ def test_from_jsonl_rejects_local_dim_below_two(tmp_path, local_dim):
     # with no local_dim, an all-zero file fixes no dimension
     with pytest.raises(ValueError, match="local_dim"):
         BellShotStream.from_jsonl(str(path))
+
+
+@pytest.mark.parametrize("local_dim", ["3", 3.0, True, False, 1, 0])
+@pytest.mark.parametrize("reordered", [False, True], ids=["canonical", "reordered_keys"])
+def test_from_jsonl_checks_local_dim_before_reading(tmp_path, local_dim, reordered):
+    # "3" reached numpy's UFuncTypeError, and True, 1 and 0 a range message
+    # naming 0..0, on the JSON path
+    path = tmp_path / "shots.jsonl"
+    BellShotStream(3, 2, [[0, 8], [4, 5]]).to_jsonl(str(path))
+    if reordered:
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text("".join(
+            json.dumps({"outcomes": r["outcomes"], "shot_index": r["shot_index"]}) + "\n"
+            for r in rows
+        ))
+    with pytest.raises(ValueError, match="local_dim must be"):
+        BellShotStream.from_jsonl(str(path), local_dim=local_dim)
+    assert BellShotStream.from_jsonl(str(path), local_dim=3).codes.tolist() == [[0, 8], [4, 5]]
+
+
+@pytest.mark.parametrize(
+    "args,name", [((2.5,), "num_sites"), ((3, 2.0), "local_dim"), ((True,), "num_sites")]
+)
+def test_random_state_rejects_non_integer_arguments(args, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        random_state(*args)
+    assert random_state(np.int64(3), np.int32(2), 1).local_dim == 2
+
+
+@pytest.mark.parametrize(
+    "args,name", [((3, 1.5, 0), "f"), ((3, 0, 1.5), "g"), ((2.0, 1, 0), "local_dim"),
+                  ((3, True, 0), "f")]
+)
+def test_hw_operator_rejects_non_integer_arguments(args, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        hw_operator(*args)
+    assert np.array_equal(hw_operator(np.int64(3), np.int8(1), np.int16(-1)), hw_operator(3, 1, -1))
+
+
+@pytest.mark.parametrize(
+    "args,name", [((3, 1.5, 0), "h"), ((3, 0, 1.5), "ell"), ((3.0, 1, 0), "local_dim")]
+)
+def test_generalized_bell_state_rejects_non_integer_arguments(args, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        generalized_bell_state(*args)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 """The incidence-parity verifier against the pairwise reference loop.
 
 ``reference_verify_table`` is the direct reading of the Majorana algebra:
-every pair of entries is checked with ``anticommutes_with`` and every
-entry is squared with ``*``.  The fast verifier must return an equal
+every pair of entries is checked with ``letters_anticommute`` and every
+entry is squared with ``letter_product``, the letter-table rules of
+``tests/oracles.py``.  The fast verifier must return an equal
 ``MappingVerification``, failures and their order included.
 ``all_paths`` enumerates the tree, so the identity product over every path
 is the reference for ``verify_mapping``'s product over the table.
@@ -26,15 +27,18 @@ from fermitree.ternary import (
     verify_mapping,
     verify_table,
 )
+from oracles import letter_product, letters_anticommute
 
 
 def reference_verify_table(table):
     anti_failures = tuple(
         (a + 1, b + 1)
         for a, b in itertools.combinations(range(len(table)), 2)
-        if not table[a].anticommutes_with(table[b])
+        if not letters_anticommute(table[a], table[b])
     )
-    square_failures = tuple(u + 1 for u, op in enumerate(table) if op * op != PauliString.identity())
+    square_failures = tuple(
+        u + 1 for u, op in enumerate(table) if letter_product(op, op) != PauliString.identity()
+    )
     stats = weight_stats(table)
     return MappingVerification(
         n_operators=len(table),
@@ -64,7 +68,7 @@ def reference_verify_mapping(mapping):
     # the product over the tree's paths, not over the table it verifies
     product = PauliString.identity()
     for path in all_paths(mapping):
-        product = product * path_operator(path)
+        product = letter_product(product, path_operator(path))
     identity_ok = not product.letters
     return replace(
         reference_verify_table(mapping.majorana_table),
@@ -119,7 +123,8 @@ def test_empty_table_raises():
         verify_table(())
 
 
-@pytest.mark.parametrize("n", range(1, 65))
+# 121 and 364 are complete trees, (3^5 - 1)/2 and (3^6 - 1)/2 modes
+@pytest.mark.parametrize("n", [*range(1, 65), 121, 364])
 def test_verify_mapping_matches_oracle(n):
     mapping = build_mapping(n)
     assert verify_mapping(mapping) == reference_verify_mapping(mapping)

@@ -14,19 +14,24 @@ malformed input file, 3 register too large for dense simulation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import __version__
 from .baselines import bravyi_kitaev, jordan_wigner, weight_stats
-from .fermion import attenuation_bound, estimate_fermionic_rdm, exact_fermionic_rdm
+from .fermion import attenuation_bound, monomial_columns, monomial_masks
+from .pauli import masks_text
 from .qudit import load_fiducial, qubit_fiducial, qutrit_fiducial, validate_fiducial
 from .statesim import (
     CapacityError,
     DenseState,
     bell_povm_elements,
+    expectations,
     random_state,
     sample_povm_shots,
 )
@@ -38,7 +43,7 @@ from .ternary import (
     verify_table,
     weight_lower_bound,
 )
-from .tomography import estimate_all_k_rdms, estimates_to_rows, exact_all_k_rdms
+from .tomography import mask_means, rdm_masks
 
 KINDS = ("ternary", "jw", "bk")
 
@@ -61,10 +66,60 @@ def _write(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit(payload: dict, output: str | None) -> None:
-    """Write ``payload`` with the tool version as sorted, indented JSON."""
-    text = json.dumps({**payload, "tool_version": __version__}, indent=2, sort_keys=True)
+_ROWS = "\0estimates"  # the placeholder _emit replaces with the rendered rows
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spelling
+
+
+def _emit(payload: dict, output: str | None, rows: dict | None = None) -> None:
+    """Write ``payload`` with the tool version as sorted, indented JSON,
+    exactly as ``json.dumps(..., indent=2, sort_keys=True)`` writes it,
+    plus a newline.  ``rows`` (one equal-length column per field) becomes
+    the payload's ``estimates`` list, rendered by ``_rows_text``."""
+    envelope = {**payload, "tool_version": __version__}
+    if rows is None:
+        text = json.dumps(envelope, indent=2, sort_keys=True)
+    else:
+        envelope["estimates"] = _ROWS
+        head, tail = json.dumps(envelope, indent=2, sort_keys=True).split(json.dumps(_ROWS))
+        text = head + _rows_text(rows) + tail
     _write(text + "\n", output)
+
+
+def _rows_text(columns: dict) -> str:
+    """The rows {name: columns[name][i]} as the text of a top-level payload
+    value: one row template with the names in sorted order, filled with
+    each column's texts (``_column_texts``); columns of unequal length raise
+    ValueError."""
+    names = sorted(columns)
+    fields = (f"      {encode_basestring_ascii(name).replace('%', '%%')}: %s" for name in names)
+    template = "    {\n" + ",\n".join(fields) + "\n    }"
+    texts = (_column_texts(columns[name]) for name in names)
+    rows = [template % row for row in zip(*texts, strict=True)]
+    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+
+def _column_texts(column) -> list[str]:
+    """The JSON text of each value of a column (a numpy array or a list) at
+    the depth of a row's field.  Floats are ``float.__repr__``, with NaN and
+    infinities spelled as ``json`` spells them, ints ``int.__repr__`` and
+    strings ``json``'s ASCII escape.  A tuple of ints, or of strings, is one
+    indented block, rendered once per distinct tuple.  A column of other or
+    mixed types goes through ``json.dumps`` value by value."""
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        texts = list(map(float.__repr__, values))
+        return texts if all(map(math.isfinite, values)) else [_NONFINITE.get(t, t) for t in texts]
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    items = set(map(type, itertools.chain.from_iterable(values))) if kinds == {tuple} else None
+    if items in ({int}, {str}):  # equal tuples of ints, or of strings, have equal texts
+        text = int.__repr__ if items == {int} else encode_basestring_ascii
+        blocks = {v: "[\n        " + ",\n        ".join(map(text, v)) + "\n      ]" if v else "[]" for v in set(values)}
+        return [blocks[v] for v in values]
+    return [json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n      ") for value in values]
 
 
 def cmd_map(args: argparse.Namespace) -> int:
@@ -180,41 +235,41 @@ def cmd_tomograph(args: argparse.Namespace) -> int:
     system = _prepare_state(args.state, num_qubits, args.seed)
     # the sampler checks the shots, the workers and the capacity before it draws
     stream = sample_povm_shots(system, args.shots, args.seed, workers=args.workers)
-    exact = (exact_fermionic_rdm(system, table, args.k) if args.fermionic
-             else exact_all_k_rdms(system, args.k)).values()
     if args.fermionic:
-        estimates = estimate_fermionic_rdm(stream, table, args.k)
-        rows = [
-            {
-                "indices": list(est.indices),
-                "value_re": est.value.real,
-                "value_im": est.value.imag,
-                "std_error": est.std_error,
-                "pauli": est.pauli,
-                "weight": est.weight,
-                "attenuation": est.attenuation,
-                "exact_re": ex.real,
-                "exact_im": ex.imag,
-                "abs_error": abs(est.value - ex),
-            }
-            for est, ex in zip(estimates, exact)
-        ]
-        payload = {
-            **config,
-            "estimates": rows,
-            "max_attenuation": max(est.attenuation for est in estimates),
-            "attenuation_bound": attenuation_bound(table, args.k),
+        indices, masks = monomial_masks(table, args.k, num_qubits)
+        values, std_error, attenuation, weight = monomial_columns(stream, masks)
+        exact = expectations(system, masks)
+        rows = {
+            "indices": indices,
+            "value_re": [v.real for v in values],
+            "value_im": [v.imag for v in values],
+            "std_error": std_error,
+            "pauli": [masks_text(m, num_qubits) for m in zip(*(m.tolist() for m in masks))],
+            "weight": weight,
+            "attenuation": attenuation,
+            "exact_re": [e.real for e in exact],
+            "exact_im": [e.imag for e in exact],
+            "abs_error": [abs(v - e) for v, e in zip(values, exact)],
         }
+        config.update(max_attenuation=max(attenuation),
+                      attenuation_bound=attenuation_bound(table, args.k))
     else:
-        estimates = estimate_all_k_rdms(stream, args.k)
-        rows = estimates_to_rows(estimates)
-        for row, est, ex in zip(rows, estimates, exact):
-            row["exact"] = ex.real
-            row["abs_error"] = abs(est.value - ex.real)
-        payload = {**config, "estimates": rows}
+        keys, masks = rdm_masks(num_qubits, args.k)
+        mean, scale, std_error = mask_means(stream, masks[0], masks[1])
+        value, exact = scale * mean, np.array(expectations(system, masks)).real
+        qubits, letters = zip(*keys)
+        rows = {
+            "qubits": qubits,
+            "letters": letters,
+            "value": value,
+            "std_error": std_error,
+            "num_shots": np.full(len(keys), stream.num_shots),
+            "exact": exact,
+            "abs_error": np.abs(value - exact),
+        }
     if args.shots_output:
         stream.to_jsonl(args.shots_output)
-    _emit(payload, args.output)
+    _emit(config, args.output, rows)
     return 0
 
 

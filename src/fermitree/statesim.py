@@ -827,11 +827,19 @@ def _count_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.
     return digits, counts
 
 
-def _check_sampling(num_shots: int, workers: int) -> None:
+def _check_sampling(num_shots, seed, workers) -> tuple[int, int, int]:
+    """The samplers' counts and seed as Python ints (``_integer``); a
+    float, a bool, fewer than one shot or worker, or a negative seed raises
+    ValueError naming the argument."""
+    num_shots, seed, workers = (_integer(v, name) for v, name in
+                                ((num_shots, "num_shots"), (seed, "seed"), (workers, "workers")))
     if num_shots < 1:
         raise ValueError(f"need at least one shot, got {num_shots}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
+    return num_shots, seed, workers
 
 
 def _outcome_cdf(state: DenseState, key: tuple, distribution) -> np.ndarray:
@@ -895,7 +903,7 @@ def sample_bell_shots(
     must be at least 1 and has no effect on the output or the speed: shots
     are drawn in one thread.
     """
-    _check_sampling(num_shots, workers)
+    num_shots, seed, workers = _check_sampling(num_shots, seed, workers)
     n_pairs = _paired(state)
     d = state.local_dim
     cdf = _outcome_cdf(state, ("bell",), lambda: bell_outcome_distribution(state))
@@ -920,7 +928,7 @@ def sample_povm_shots(
     draws.  ``workers`` must be at least 1 and has no effect on the output
     or the speed: shots are drawn in one thread.
     """
-    _check_sampling(num_shots, workers)
+    num_shots, seed, workers = _check_sampling(num_shots, seed, workers)
     ancilla = _ancilla_for(system, ancilla)
     n, d = system.num_sites, system.local_dim
     cdf = _outcome_cdf(system, ("povm", ancilla.amplitudes.tobytes()),

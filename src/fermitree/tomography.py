@@ -23,7 +23,7 @@ of the outcome histogram on the union of all supports, or per support;
 ``qudit.estimate_hw_correlator`` reads the qudit phase residues from the
 same exponents.  The sums are exact, so estimates are bit-identical under
 any shot partition and either reader.  The k-RDM's strings are built
-once, as one mask table per (n, k) (``_rdm_masks``), which both
+once, as one mask table per (n, k) (``rdm_masks``), which both
 ``estimate_all_k_rdms`` and the exact ``exact_all_k_rdms`` read.
 """
 
@@ -150,7 +150,7 @@ class RdmEstimate:
     num_shots: int
 
 
-def _rdm_masks(n: int, k: int) -> tuple[list[tuple], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def rdm_masks(n: int, k: int) -> tuple[list[tuple], tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The (qubits, letters) keys of all C(n, k) 3^k k-RDM elements, letter products
     inner, and their strings' (x, z, power) masks as int64 arrays (``pauli.to_masks``):
     the qubit bits times the letters' x or z bits, one integer matrix product each,
@@ -168,7 +168,7 @@ def _rdm_masks(n: int, k: int) -> tuple[list[tuple], tuple[np.ndarray, np.ndarra
 
 def estimate_all_k_rdms(stream: BellShotStream, k: int) -> list[RdmEstimate]:
     """All C(n, k) * 3^k elements of the k-RDM, in the order of ``exact_all_k_rdms``."""
-    keys, (x, z, _) = _rdm_masks(stream.num_pairs, k)
+    keys, (x, z, _) = rdm_masks(stream.num_pairs, k)
     columns = (column.tolist() for column in mask_means(stream, x, z))
     s = stream.num_shots
     return [RdmEstimate(q, a, scale * mean, err, s) for (q, a), mean, scale, err in zip(keys, *columns)]
@@ -178,7 +178,7 @@ def exact_all_k_rdms(state: DenseState, k: int) -> dict[tuple, complex]:
     """<P> for every k-RDM element of a qubit state, keyed (qubits, letters)
     in the order of ``estimate_all_k_rdms``; real up to roundoff.  The
     strings' masks are applied by one ``statesim.expectations`` call."""
-    keys, masks = _rdm_masks(state.num_sites, k)
+    keys, masks = rdm_masks(state.num_sites, k)
     return dict(zip(keys, expectations(state, masks)))
 
 

@@ -11,7 +11,7 @@
     * ``mask_product`` multiplies two strings' (x, z, power) masks as
       Python ints, and ``reference_masks_matvec`` applies one string's
       masks to a vector with a parity XORed together one z bit at a time,
-      the scalar references for ``fermitree.fermion._monomials`` and
+      the scalar references for ``fermitree.fermion.monomial_masks`` and
       ``batched_masks_matvec``;
     * ``batched_masks_matvec`` applies many strings' masks, given as int64
       arrays, one row per string, by one gather with a folded parity, and
@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from fermitree.fermion import FermionEstimate, _monomials
+from fermitree.fermion import FermionEstimate, monomial_masks
 from fermitree.pauli import Masks, PauliString, to_masks
 from fermitree.statesim import (
     GATHER_BLOCK, BellShotStream, DenseState, _paired, _parity, bell_basis_matrix, hw_operator,
@@ -237,7 +237,7 @@ def from_masks(masks: Masks, num_qubits: int) -> PauliString:
 def reference_estimate_fermionic_rdm(stream: BellShotStream, mapping, k: int) -> list[FermionEstimate]:
     """Every degree-2k monomial read through its PauliString."""
     n = stream.num_pairs
-    monomials, masks = _monomials(mapping, k, n)
+    monomials, masks = monomial_masks(mapping, k, n)
     paulis = [from_masks(product, n) for product in zip(*(m.tolist() for m in masks))]
     means = sign_means(stream, (pauli.letters for pauli in paulis))
     return [

@@ -1,12 +1,17 @@
 """End-to-end tests of the command line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
 from fermitree import cli
@@ -491,12 +496,12 @@ def test_tomograph_rejects_a_bad_register_or_seed(argv, message, state, capsys):
     ],
 )
 def test_tomograph_checks_sampling_before_the_exact_column(argv, code, message, monkeypatch, capsys):
-    # exit at once, not after the C(n, 5) 3^5 or C(2n, 10) exact values
+    # exit at once, not after the C(n, 5) 3^5 or C(2n, 10) masks and exact values
     def exact(*args, **kwargs):
-        raise AssertionError("exact column applied before the sampling checks")
+        raise AssertionError("mask table or exact column built before the sampling checks")
 
-    monkeypatch.setattr(cli, "exact_all_k_rdms", exact)
-    monkeypatch.setattr(cli, "exact_fermionic_rdm", exact)
+    for name in ("rdm_masks", "monomial_masks", "expectations"):
+        monkeypatch.setattr(cli, name, exact)
     assert main(["tomograph", *argv, "--k", "5", "--seed", "0"]) == code
     assert message in capsys.readouterr().err
 
@@ -605,3 +610,125 @@ def test_module_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["n_modes"] == 2
+
+
+# -- the report writer -----------------------------------------------------------
+
+# floats json spells in every way: signed zeros, subnormals, the switch to
+# exponent form at 1e16 and 1e-5, and the non-finite values
+FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 9999999999999998.0, 0.0001,
+                     float("nan"), float("inf"), float("-inf")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+INTS = st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(-(10**40), 10**40))
+SCHEMAS = {
+    # field -> (strategy of one value, whether a column may be a numpy array)
+    "qubit": {
+        "qubits": (st.lists(st.integers(0, 2**70), max_size=4).map(tuple), False),
+        "letters": (st.lists(st.sampled_from("xyz"), max_size=4).map(tuple), False),
+        "value": (FLOATS, True),
+        "std_error": (FLOATS, True),
+        "num_shots": (INTS, True),
+        "exact": (FLOATS, True),
+        "abs_error": (FLOATS, True),
+    },
+    "fermionic": {
+        "indices": (st.lists(st.integers(1, 64), max_size=6).map(tuple), False),
+        "value_re": (FLOATS, True),
+        "value_im": (FLOATS, True),
+        "std_error": (FLOATS, True),
+        "pauli": (st.text(max_size=12), False),
+        "weight": (INTS, True),
+        "attenuation": (FLOATS, True),
+        "exact_re": (FLOATS, True),
+        "exact_im": (FLOATS, True),
+        "abs_error": (FLOATS, True),
+    },
+}
+
+
+def emitted(payload, rows=None):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(payload, None, rows)
+    return out.getvalue()
+
+
+def redumped(payload, rows):
+    # the oracle: the rows as dicts of Python values, through json.dumps
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in rows.values()]
+    rows = [dict(zip(rows, values)) for values in zip(*columns)]
+    full = {**payload, "estimates": rows, "tool_version": cli.__version__}
+    return json.dumps(full, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def reports(draw):
+    schema = SCHEMAS[draw(st.sampled_from(sorted(SCHEMAS)))]
+    length = draw(st.integers(0, 6))
+    rows = {}
+    for name, (values, array) in schema.items():
+        column = draw(st.lists(values, min_size=length, max_size=length))
+        if array and draw(st.booleans()):
+            try:  # the float and int64 columns the command builds with numpy
+                column = np.array(column, dtype=np.int64 if name in ("num_shots", "weight") else float)
+            except OverflowError:
+                pass
+        rows[name] = column
+    payload = {"command": "tomograph", "k": draw(INTS), "seed": draw(INTS),
+               "state": draw(st.text(max_size=5)), "max_attenuation": draw(FLOATS)}
+    return payload, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports())
+def test_emitted_rows_are_what_json_dumps_writes(report):
+    payload, rows = report
+    assert emitted(payload, rows) == redumped(payload, rows)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [True, False],
+        [None, 1],
+        [1, 2.5],
+        [(), ()],
+        [(1, "x"), (1, "x")],
+        [(1, True), (1, 1)],
+        [(0.0,), (-0.0,)],
+        [[1, [2, {"b": 1, "a": None}]], []],
+        np.array([True, False]),
+    ],
+)
+def test_emitted_rows_of_other_types_are_what_json_dumps_writes(column):
+    # a column of other or mixed types, and tuples that compare equal with
+    # different texts, go through json.dumps value by value
+    payload, rows = {"command": "tomograph"}, {"a": column, "b": [0.5, -0.0]}
+    assert emitted(payload, rows) == redumped(payload, rows)
+
+
+def test_emit_refuses_columns_of_unequal_length():
+    with pytest.raises(ValueError):
+        emitted({"command": "tomograph"}, {"a": [1, 2], "b": [0.5]})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--qubits", "4", "--k", "2", "--state", "random"],
+        ["--qubits", "4", "--k", "2", "--state", "ghz"],
+        ["--qubits", "4", "--k", "2", "--state", "zero"],
+        ["--qubits", "3", "--k", "3", "--state", "random"],
+        ["--fermionic", "--modes", "4", "--k", "2", "--kind", "ternary"],
+        ["--fermionic", "--modes", "4", "--k", "2", "--kind", "jw"],
+        ["--fermionic", "--modes", "4", "--k", "2", "--kind", "bk"],
+        ["--fermionic", "--modes", "3", "--k", "1", "--state", "zero"],
+    ],
+)
+def test_tomograph_report_is_the_redump_of_its_own_load(argv, tmp_path):
+    path = tmp_path / "report.json"
+    assert main(["tomograph", *argv, "--shots", "700", "--seed", "5", "--output", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

@@ -11,7 +11,7 @@ import pytest
 
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
 from fermitree.fermion import (
-    _monomials,
+    monomial_masks,
     attenuation_bound,
     encode_fock_state,
     encode_monomial,
@@ -56,8 +56,8 @@ def test_register_mask_products_match_string_products(kind, build):
         table = majorana_table(build(n))
         masks = [to_masks(op, n) for op in table]
         for k in (1, 2):
-            # k past the mode count has no monomials, and _monomials rejects it
-            listed, arrays = _monomials(table, k, n) if k <= n else ([], ([], [], []))
+            # k past the mode count has no monomials, and monomial_masks rejects it
+            listed, arrays = monomial_masks(table, k, n) if k <= n else ([], ([], [], []))
             rows = iter(zip(listed, *(list(a) for a in arrays)))
             for indices in itertools.combinations(range(1, 2 * n + 1), 2 * k):
                 expected = functools.reduce(operator.mul, (table[u - 1] for u in indices))
@@ -279,6 +279,18 @@ def test_ternary_attenuation_stays_below_the_bound_at_every_size(k):
     # to 63 modes for k = 1, where the ratio peaks (0.995 at n = 23)
     for n in range(k, 64 if k == 1 else 14):
         mapping = build_mapping(n)
-        _, (x, z, _) = _monomials(mapping, k, n)
+        _, (x, z, _) = monomial_masks(mapping, k, n)
         weight = max(bin(support).count("1") for support in (x | z).tolist())
         assert math.sqrt(3.0) ** weight <= attenuation_bound(mapping, k), (n, weight)
+
+
+@pytest.mark.parametrize("kind,table,weight", [("jw", jordan_wigner, 6), ("bk", bravyi_kitaev, 5)])
+def test_other_tables_exceed_the_attenuation_bound(kind, table, weight):
+    # the bound is a claim about ternary tables only: at n = 6, k = 1 the
+    # JW and BK tables reach sqrt(3)^6 = 27 and sqrt(3)^5 = 15.6, against
+    # (2n+1)^k = 13 (the max_attenuation and attenuation_bound of
+    # `fermitree tomograph --fermionic --modes 6 --k 1 --kind jw|bk`)
+    mapping = table(6)
+    _, (x, z, _) = monomial_masks(mapping, 1, 6)
+    assert max(bin(support).count("1") for support in (x | z).tolist()) == weight
+    assert attenuation_bound(mapping, 1) == 13.0 < math.sqrt(3.0) ** weight

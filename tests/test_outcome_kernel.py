@@ -16,7 +16,7 @@ import pytest
 from fermitree import fermion, statesim, tomography
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
 from fermitree.fermion import (
-    _monomials,
+    monomial_masks,
     encode_monomial,
     estimate_fermionic_rdm,
     estimate_monomial,
@@ -523,7 +523,7 @@ def test_mask_means_takes_the_transform_for_few_wide_supports(monkeypatch):
         (10, jordan_wigner(10), "_transform_means"),
         (10, build_mapping(10), "_support_means"),
     ):
-        x, z, _ = _monomials(table, 1, n)[1]
+        x, z, _ = monomial_masks(table, 1, n)[1]
         stream = random_stream(2, n, 24576, seed=150 + n)
         got = mask_means(stream, x, z)
         assert taken == [path]
@@ -550,7 +550,7 @@ def test_fermionic_rdm_from_masks_matches_the_pauli_string_path(kind, n, k):
     got = estimate_fermionic_rdm(stream, table, k)
     assert repr(got) == repr(reference_estimate_fermionic_rdm(stream, table, k))
     assert len(got) == math.comb(2 * n, 2 * k)
-    masks = _monomials(table, k, n)[1]
+    masks = monomial_masks(table, k, n)[1]
     paulis = [from_masks(product, n) for product in zip(*(m.tolist() for m in masks))]
     assert [e.pauli for e in got] == [str(p) for p in paulis]
 

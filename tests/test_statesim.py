@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
-from fermitree.fermion import _monomials
+from fermitree.fermion import monomial_masks
 from fermitree.pauli import PauliString, to_masks
 from fermitree.qudit import qutrit_fiducial
 from fermitree.statesim import (
@@ -38,7 +38,7 @@ from fermitree.statesim import (
 )
 from fermitree.statesim import _integer, _parse_canonical, _parse_records
 from fermitree.ternary import build_mapping
-from fermitree.tomography import _rdm_masks
+from fermitree.tomography import rdm_masks
 from oracles import (
     PAULI_MATRICES,
     batched_masks_matvec,
@@ -188,7 +188,7 @@ MAPPINGS = {"ternary": build_mapping, "jw": jordan_wigner, "bk": bravyi_kitaev}
 def test_expectations_are_within_4n_ulps_of_the_gather_oracle(n, kind, k):
     # each part within 4 n 2^-52 of one gather and np.vdot per string; at
     # n = 10 and 12 a block transforms 16 and 4 distinct x
-    masks = _rdm_masks(n, k)[1] if kind == "qubit" else _monomials(MAPPINGS[kind](n), k, n)[1]
+    masks = rdm_masks(n, k)[1] if kind == "qubit" else monomial_masks(MAPPINGS[kind](n), k, n)[1]
     state = random_state(n, 2, np.random.default_rng(400 + n))
     got = np.array(expectations(state, masks))
     want = np.array(reference_expectations(state, masks))
@@ -208,7 +208,7 @@ def test_one_row_expectation_is_bit_for_bit_its_value_in_a_batch(state, n, k):
         "ghz": lambda: DenseState.ghz(n),
         "zero": lambda: DenseState.zero_state(n),
     }[state]()
-    masks = _monomials(jordan_wigner(n), k, n)[1]
+    masks = monomial_masks(jordan_wigner(n), k, n)[1]
     batch = expectations(system, masks)
     for value, string in zip(batch, zip(*(m.tolist() for m in masks))):
         one = expectation(system, from_masks(string, n))
@@ -565,6 +565,48 @@ def test_povm_shots_workers_and_prefix():
         sample_povm_shots(state, 10, seed=1, ancilla=DenseState.zero_state(2))
     with pytest.raises(ValueError):
         sample_povm_shots(state, 10, seed=1, ancilla=qutrit_fiducial().as_state())
+
+
+def _sample(sampler, state, *args, **kwargs):
+    if sampler == "register":
+        return sample_bell_shots(attach_ancillas(state), *args, **kwargs)
+    return sample_povm_shots(state, *args, **kwargs)
+
+
+@pytest.mark.parametrize("sampler", ["povm", "register"])
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((10.0, 1), "num_shots must be an integer, got 10.0"),
+        ((True, 1), "num_shots must be an integer, got True"),
+        (("10", 1), "num_shots must be an integer, got '10'"),
+        ((10, True), "seed must be an integer, got True"),
+        ((10, 1.0), "seed must be an integer, got 1.0"),
+        ((10, None), "seed must be an integer, got None"),
+        ((10, -1), "seed must be non-negative, got -1"),
+        ((10, 1, 1.5), "workers must be an integer, got 1.5"),
+        ((10, 1, True), "workers must be an integer, got True"),
+    ],
+)
+def test_samplers_name_a_bad_argument(sampler, args, message):
+    # each sampler refuses a float, a bool or a negative seed by name, not
+    # through numpy's TypeError or seed check, and draws nothing
+    state = random_state(2, 2, np.random.default_rng(3))
+    num_shots, seed, *workers = args
+    with pytest.raises(ValueError) as err:
+        _sample(sampler, state, num_shots, seed, workers=workers[0] if workers else 1)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("sampler", ["povm", "register"])
+def test_samplers_take_numpy_integers_as_python_ints(sampler):
+    # numpy integer arguments draw the same codes as Python ints, and the
+    # stream keeps its seed as a Python int
+    state = random_state(3, 2, np.random.default_rng(4))
+    want = _sample(sampler, state, 5000, 17)
+    got = _sample(sampler, state, np.int64(5000), np.uint32(17), workers=np.int16(2))
+    assert np.array_equal(got.codes, want.codes)
+    assert type(got.seed) is int and got.seed == 17
 
 
 @pytest.mark.parametrize("d,n", [(2, 4), (3, 4)])

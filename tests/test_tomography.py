@@ -22,7 +22,7 @@ from fermitree.statesim import (
 )
 from fermitree.tomography import (
     BELL_EIGENVALUES,
-    _rdm_masks,
+    rdm_masks,
     estimate_all_k_rdms,
     estimates_to_rows,
     exact_all_k_rdms,
@@ -109,7 +109,7 @@ def test_estimate_count():
 def test_rdm_masks_are_the_masks_of_each_key(n):
     # qubit combinations outer, letter products inner, k = n included
     for k in range(1, n + 1):
-        keys, masks = _rdm_masks(n, k)
+        keys, masks = rdm_masks(n, k)
         assert keys == [
             (q, a)
             for q in itertools.combinations(range(n), k)
@@ -122,7 +122,7 @@ def test_rdm_masks_are_the_masks_of_each_key(n):
         assert list(zip(*(m.tolist() for m in masks))) == want
     for k in (0, n + 1, -1):
         with pytest.raises(ValueError, match=f"k must be in 1..{n}"):
-            _rdm_masks(n, k)
+            rdm_masks(n, k)
 
 
 @pytest.mark.parametrize("state", ["random", "ghz", "zero"])
@@ -135,7 +135,7 @@ def test_exact_rdms_equal_per_element_expectations(state, n):
     }[state]()
     for k in range(1, n + 1):
         exact = exact_all_k_rdms(system, k)
-        assert list(exact) == _rdm_masks(n, k)[0]
+        assert list(exact) == rdm_masks(n, k)[0]
         for (qubits, letters), value in exact.items():
             pauli = PauliString.from_map({q: a.upper() for q, a in zip(qubits, letters)})
             assert value == expectation(system, pauli)

@@ -270,16 +270,22 @@ def prepare_xi() -> DenseState:
     return DenseState(2, 1, amps)
 
 
+def _single_site(ancilla: DenseState) -> DenseState:
+    """``ancilla`` itself; ValueError unless it is a one-site ``DenseState``."""
+    if not isinstance(ancilla, DenseState):
+        raise ValueError(f"ancilla must be a single-site DenseState, got {type(ancilla).__name__}")
+    if ancilla.num_sites != 1:
+        raise ValueError("ancilla must be a single-site state")
+    return ancilla
+
+
 def _ancilla_for(system: DenseState, ancilla: DenseState | None) -> DenseState:
     """The ancilla paired with each site of ``system``, xi by default.
 
     Raises CapacityError when the D^(2n) amplitudes of the register with
     ancillas, or of its Bell outcome distribution, exceed the budget.
     """
-    if ancilla is None:
-        ancilla = prepare_xi()
-    if ancilla.num_sites != 1:
-        raise ValueError("ancilla must be a single-site state")
+    ancilla = _single_site(prepare_xi() if ancilla is None else ancilla)
     if ancilla.local_dim != system.local_dim:
         raise ValueError("ancilla local dimension differs from system")
     n, d = system.num_sites, system.local_dim
@@ -366,9 +372,7 @@ def bell_exponents(local_dim: int) -> np.ndarray:
 
 def _bell_povm_rows(ancilla: DenseState) -> np.ndarray:
     """Rows a_c = <B_c|(. (x) ancilla) on a system site, shaped (D^2, D)."""
-    if ancilla.num_sites != 1:
-        raise ValueError("ancilla must be a single-site state")
-    d = ancilla.local_dim
+    d = _single_site(ancilla).local_dim
     return bell_basis_matrix(d).conj().T.reshape(d * d, d, d) @ ancilla.amplitudes
 
 

@@ -24,8 +24,6 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .baselines import weight_stats
 from .pauli import PauliString, product
 
@@ -140,55 +138,43 @@ class MappingVerification:
         )
 
 
-# Rows of the pair-parity block accumulated at once: every table of up to
-# 1024 operators is one block, and larger tables need about this many times
-# 2n booleans of working memory instead of several 2n x 2n arrays.
-_PARITY_BLOCK_ROWS = 1024
-
-_LETTER_CODES = {"X": 1, "Y": 2, "Z": 3}
-
-
 def _anticommutation_failures(table: tuple[PauliString, ...]) -> tuple[tuple[int, int], ...]:
     """1-based pairs (a, b), a < b, of table entries that commute.
 
-    Two strings anticommute when an odd number of their shared qubits carry
-    different letters.  The letters are grouped by qubit label, and each
-    qubit XORs "letters differ" into the parity of every pair of operators
-    it carries, one block of rows at a time.  Pairs come out in
+    A letter has an x part (X, Y) and a z part (Y, Z); entries a and b
+    anticommute when the symplectic form sum_q (x_a z_b + z_a x_b) is odd
+    (Aaronson and Gottesman).  One pass gives each qubit label two Python
+    ints over entry indices: the entries whose letter there has an x part,
+    and those with a z part.  Entry a's row XORs the z set for each x part
+    of its letters and the x set for each z part, so bit b of the row is set
+    exactly when a and b anticommute.  The cost is one XOR of an m-bit int
+    per letter plus one scan per entry for the zero bits above a.  Labels
+    of any size are dict keys.  Pairs come out in
     ``itertools.combinations`` order.
     """
-    # labels may be arbitrarily large ints: only their order matters here
-    rank = {q: i for i, q in enumerate(sorted({q for op in table for q, _ in op.letters}))}
-    entries = [(rank[q], u, _LETTER_CODES[letter]) for u, op in enumerate(table) for q, letter in op.letters]
-    entries.sort()
-    qubits, ops, codes = np.array(entries, dtype=np.int64).reshape(-1, 3).T
-    cuts = np.flatnonzero(np.diff(qubits)) + 1
-    groups = list(zip(np.split(ops, cuts), np.split(codes, cuts))) if entries else []
-    first = np.array([idx[0] for idx, _ in groups], dtype=np.int64)
-    last = np.array([idx[-1] for idx, _ in groups], dtype=np.int64)
-    m = len(table)
+    x_sets: dict[int, int] = {}
+    z_sets: dict[int, int] = {}
+    for u, op in enumerate(table):
+        bit = 1 << u
+        for q, letter in op.letters:
+            if letter != "Z":
+                x_sets[q] = x_sets.get(q, 0) | bit
+            if letter != "X":
+                z_sets[q] = z_sets.get(q, 0) | bit
+    full = (1 << len(table)) - 1
     failures: list[tuple[int, int]] = []
-    for r0 in range(0, m, _PARITY_BLOCK_ROWS):
-        r1 = min(r0 + _PARITY_BLOCK_ROWS, m)
-        # parity[i, j] belongs to the pair (r0 + i, r0 + j)
-        parity = np.zeros((r1 - r0, m - r0), dtype=bool)
-        for g in np.flatnonzero((first < r1) & (last >= r0)):
-            idx, code = groups[g]
-            lo, hi = np.searchsorted(idx, (r0, r1))
-            if lo == hi:
-                continue
-            differ = code[lo:hi, None] != code[None, lo:]
-            if idx[-1] - idx[lo] == len(idx) - 1 - lo:
-                # the operators on this qubit are consecutive table entries,
-                # as in ternary and JW tables: a slice is much cheaper than
-                # the np.ix_ scatter
-                a, b = idx[lo] - r0, idx[-1] - r0 + 1
-                parity[a:a + hi - lo, a:b] ^= differ
-            else:
-                parity[np.ix_(idx[lo:hi] - r0, idx[lo:] - r0)] ^= differ
-        rows, cols = np.nonzero(~parity)
-        keep = cols > rows
-        failures.extend(zip((rows[keep] + r0 + 1).tolist(), (cols[keep] + r0 + 1).tolist()))
+    for a, op in enumerate(table):
+        row = 0
+        for q, letter in op.letters:
+            if letter != "Z":
+                row ^= z_sets.get(q, 0)
+            if letter != "X":
+                row ^= x_sets.get(q, 0)
+        # bit i of ``commuting`` is entry a + 1 + i, read lowest bit first
+        commuting = (full ^ row) >> (a + 1)
+        if commuting:
+            bits = bin(commuting)[:1:-1]
+            failures.extend((a + 1, a + 2 + i) for i, c in enumerate(bits) if c == "1")
     return tuple(failures)
 
 
@@ -196,9 +182,9 @@ def verify_table(table: tuple[PauliString, ...]) -> MappingVerification:
     """Exhaustive anticommutation and involution checks on a Majorana table.
 
     Applies to any encoding (failures are reported as 1-based index
-    pairs); the tree identity-product fields stay None.  An entry i^k P
-    squares to (-1)^k I, so it fails the involution check exactly when k
-    is odd.
+    pairs, from the bitset rows of ``_anticommutation_failures``); the
+    tree identity-product fields stay None.  An entry i^k P squares to
+    (-1)^k I, so it fails the involution check exactly when k is odd.
     """
     stats = weight_stats(table)
     return MappingVerification(

@@ -317,6 +317,153 @@ def test_map_output_is_unchanged(n, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == MAP_SHA256[n - 1]
 
 
+# sha256 of the stdout of `fermitree verify --kind K --modes n` for each n in
+# VERIFY_MODES, in that order
+VERIFY_MODES = [*range(1, 41), 200, 364]
+VERIFY_SHA256 = {
+    "ternary": [
+        "e46877dda250989e62aba9cc6ef37a9175d7d4c97c1d1793778e2a1e59aa1fb0",
+        "def47dab7599189c2ac1875f71fc319c4468ccd05c39089d58c519e91ca14b05",
+        "cc11341fbf6b3da552b588306aa23f93b9a949fdbff6ed5efffdc547db1ac785",
+        "1251b28de63749498eb014b6ccb919cc9170f761cd991d3bbc842eda4b7cb2f0",
+        "a342f64e338b0a5424fdfc8ab08dc9c5344540ce904782b0d2e75cc9debcc9dd",
+        "edb38edcf4ef08bce707516ac7b55a2fff14e97e92cae612c60a4aae7784efbe",
+        "fbf7630d3b664d8706aa5af30b4c3caa793ad47e87c196d6f508adb7147df4de",
+        "2a85ba80ca2f8a2440c8b77644bd4e64cabcf977d0913485416ac1f096be434c",
+        "5818fe5d222fed5ec7ffd4a859fdb58d924c4f44c639b681d2de7a501ba6bde2",
+        "af1df256fd64002f007cc5436609c9d0dadd80efe2a60a9228b1db33ad23e2c8",
+        "7fa37c43feace674b6680a480aa80173a61642c21f98d39a3fb62bf3f00b66fe",
+        "c9cf5beef67fb3f6ada2723f6f5fac1113da20ebce8903bd9065369a4c1a6944",
+        "2a845d3385f0d6288f57c39e0c0f93b409bcf349b2cd3de60dd01e2bfa7c5ed1",
+        "24f4d07dc91ed7769470a88c038c322ddeb812c0af54ec22a18b93632fe7f36a",
+        "393cf577c017d081ce8411c7ac0a992e1de9af329bb9df0d47be60d498032e8f",
+        "ce48394e83bee84100985da95d3d14df71d1d0981af8ea86e8eedabd0a3f2ae7",
+        "9e7c6b261df676d05de89ac03585510b779867ba58a0e9eb1017be5bb9d17a20",
+        "79e2c77e11dfbb36857c8dc8abdf1b41f4f113e7e9ace064d24328cf49cee1dd",
+        "755caa2649ddeffc67dc13945cd20c6c66a5a85508e676a3100e0a21126c4a23",
+        "b8f41176273e581b36814664f04ed575d3f52cf14397c8aebc819807891b6863",
+        "7e01c16fbbd115a3979552c74ae114894afabfdcf1ae83df1b51966b27ae91c7",
+        "fd46fc0809e4a8aa73480cf0a6d50dfae852a1c4f08de0470c0e3b65652db289",
+        "3c474bdc7e522d8f025acfccc82487f96ce0c8bb8722950a7efe08d07270a138",
+        "e050d47e46a0e7391078d53b34324bd73cb9693036f9e086e5ad0c74b0250256",
+        "0e2326933e5ec3f82250b2d9a932e78e2fd013bcbe37a326ba80ee1d01e0a8ee",
+        "86b23ff18f71853f4c617a53f64919f9c20fdc58d646206c45b9614fb00dbfa5",
+        "886128f0be70b0a958b13c0657f36a419b4dc34ce59565b359275f0c61c5bad7",
+        "e6d54ad4ec8e86d9786994cf90b52ceada1eb13fd72b5381e09138ad3eabd862",
+        "43db2045bf4dd3b3aa40ce4db3f0fb4296ee75a49bc45b8a7c05c9c51f3ea7c7",
+        "fcacd9369321c157dd1ee5a560775722a64d10ed2a7e83f19567b6be69b89e4a",
+        "42b577b812e73a64e6b0cfc741b12f31ef39221f2e460217c004a4b5a4d42e46",
+        "e535526e9fd46efcfeaf72ebc5e65d18638f8c5ac3545693adce2de9179a4f56",
+        "2d847bfeb5a4b6769ccb4ccd8a1e7122b322321c6edebc8189c051893bd9e832",
+        "226b627ccd9f3e2e317c7a2f42af2f6157d0c1ea21d23179ae157f8dc7b1753e",
+        "f91b5df7d5141985cb6eb70131b7e9840a9b20cc040f5645293c461850f3a138",
+        "8b465abcbcef9d8ff5a5c3f6fab7a895631de5bfbc858363078270cae2dc0b7f",
+        "26f9d53733a19f8a8082321203e9b6aec6105989e037ff10ed94646213ffaf66",
+        "9d19d8b0a331e92b953eb3031169273392081359c46f5631565d1ffe868a74a2",
+        "c742f552415c99face951c303ed571ffbb817c9bbd77a57d66502a354cfc0bbc",
+        "b809ef866fb2b67f96d868c25c607dd1fd5cb21138f3bd266cde1de0e703409c",
+        "d5c2c745f4ba77dbd1ed32b64d8f49c1f6204e0ddaaf7f7d67323a02016189e6",
+        "6f054f12acdd5468e30ab5d8e2755077b4ee5bb1d5fafe07aa4f1bdfd727af98",
+    ],
+    "bk": [
+        "5c0940f82e742c53fe171ad89a5e311dc3e7e611ec8874abdbb540d4384ed52a",
+        "8897cdd4730263d9d9fcdcf5676d52c810e434aade860788513cec77e65f2468",
+        "e8233c49a61177fec978286b2bd1da85360c5472f3bdecf4fb784d8c256c9f8b",
+        "902f317fd658aa6aacd15973e955cee8c0570dfa5115c9c29438226b52b04dc8",
+        "352b7e34b1d84e2b1348195799766b39183ee3de56b5f798c1363b855a4cd43e",
+        "496ec4110cce5724adbba9be5c45d570bb5d54dd221868bb704d86fabe23170e",
+        "29084a2a392e7dd279cade2719b2957db65e533684f737159003b67203670b9c",
+        "02b083099e12ec1b9bd941ac0406f5b44e1d3207e3e581e08d470ede3077c786",
+        "180db4b3a27ef46550f181ebed7fee8d6df9d5b2ee3a33d9eff644a609584ec1",
+        "b94ca27d14d4e64886e8aed6f5e9f36802aa331ed7f8221ec0e4f9ecd9340f57",
+        "e446e866414e0938c51031f5b0ff1f1d5484eb68713bc0e7e8e6bbe4ae31420a",
+        "b048d97d76cfb7bf66672350bcce0973ab1f12753a18df4bfbca4c264648524f",
+        "25c7848e7f056be534e91cdad6e2571fc44395d3fe7a9dca4e4a834a8654bfe3",
+        "b58a8ecc17110a85e62497cf8329d47c0f382413afc7ed3ba254ab807c2fcd95",
+        "4e73314921b8d95849d9a1ce9975df6659fa18ae0a50a9f9f14d8c98eb56b2ad",
+        "a1a976b2bc802a62e7f8ef3be514e5877897f41c9726be786ed326bdbf988e11",
+        "173c3fcad33d6096e23717c9cbec472bd7ff66f4b5aa50e6d1485ce89eadfdd1",
+        "0790b2353b2656121d71428496bb73ad4515198eb410985918583f45c33dd445",
+        "29ae19996bfb184cc089a1972247574473448e585f5064a2658308d1626f0ec1",
+        "07e8ecaa6c9324e0dfb77fe7d1f5d056df43811434222c58ba726741914efec1",
+        "4312c525fd4ec498626f971e427dab8332af9a08e87115526554db7f6f0d0a38",
+        "1e1a4d8d003190a2f7b940cd630d5590e56040a1f4779fddf3e481cc2b85fbc4",
+        "d1be04821422081bdeea8fd8ae570f5c0c8f86dba16e7c378eac34a04f97a2d7",
+        "cc1c8a718b9eb53494b4489413eeec97a64c49c16f61320fd8635f2c8c585333",
+        "719879f53f044a66a765d123ebc41a4ed376c204d856c0844b61535afd1115b7",
+        "e92ac7a8064ff12018939d579879910c31e747f066e2ac17e1eeb858686df696",
+        "6eeec5a45a975cd8050f8f810f40160f973f7fbf2bb4309683959540b187c554",
+        "138f09d32eb4bd9eb0e3a44617d6d043d17a822ae994a31943a4b5aa5f8c7562",
+        "16faf6c2c040388604c8626d5c15d046a4a5fb03c39e9bc3663da4ae64fa1ced",
+        "f3db55aa44274b0d50b74ef760a01384117970db46ef7c434f64de50ed4ad07a",
+        "3e7b05e3bd09449f04e7a8a8da928890e42909805e4bdc2dea8ae42ede2f4cd9",
+        "674e6bec9ff912c916dbd8a9ef1f839ae3832e9d8099b0818018f9c5de11ce92",
+        "df786e8d030eb2cbb2901d5b50f0707d7b30ea0913ae7a30d6369623c7ff6baa",
+        "02bb86bb90edf3dd7951018a7f5be36d9ba5c83e8b4b658b5b428d82137ad8b5",
+        "8b08865ee66482cec11df59adfa6e5e4145554a35c6dc9a653b735eb50ec4a81",
+        "a7668ae7a40ce88af8e702dd9aee036b9b95e6963e0b78f23e6e2a24d0053015",
+        "320ebf1a7d674147a3ac3a2721317ef09cc1aaf7e66c5e36225c325730cbc31d",
+        "50f9f5f4199a969458381f18b1020c25c19958a6fa0b046c575f6d3e9e2aec75",
+        "ea20f3d0d5aabc999b82cd29727ccfaaa865227f41f6e5708ae0bde1d9ba9f4c",
+        "07fdaedd962067ef27fc2356853f000ff17307cda1652c2bebe55866d4f9da55",
+        "f903097930c94e582f112725bdffb4f1cc7afcac89ea4b2027e37e85e4fd0a82",
+        "2f59aaa613fd60a1868e94eb01f65a0357dde9c068e8d95c0b43e72d91263ab9",
+    ],
+    "jw": [
+        "c55a84824fe2e1ba4b996855c27fc893ab0be0b1c4c5567cac9c4c19fe991522",
+        "c0c277913a0e0de1026dece62184a8530064dd30951706b8f3670d8e256c0546",
+        "fafb81b98dd35cf8aee45f1261a676fde59bd1cef691c84f75266f3d4422439d",
+        "71e7719e47ff6e424a7fd09742f3f62760e7ce0988c3e691d68bae5cc4d41df3",
+        "27ebde12282b291f91929f7ff1bc3974939d5a66ae8c8f64dffc877bd3436660",
+        "8786d50946fe8dd774b6076ca3af8388f476c0d935267597181834106c1790ca",
+        "bfccc7c45d934c93857edd8847fd5655f0ac0b7d16bab6cf7ed9699503c328a6",
+        "20e03e21235afcdb73f236746480b126b7310655e374b883394297ba97b844c7",
+        "a5ba1090675f591c95603826e6502b98f901713e0cf2b5cb85115f8fa6a0126d",
+        "42ced2af0171b8627236c69e7cd417de67f689c0f9653dbab09194b034955f60",
+        "04ca27ddb6bd6e66293dc9ccf9b8dbd0104a18cef03afe8717511ff90d0a1a47",
+        "3f6fb76c7a8c53bd4c5714340068351d46c03a7cbde4bf7461dbf4f9557384d6",
+        "e7a084e9360442febe9de50fc882bd259231030aa84b8f6245b8175774925f41",
+        "b4a5b5aaac1e85649ad878e28c54b94fee62f7cb8d06efd676e2923ce0cee253",
+        "291cb93fe140a58e60387057ca85591d2446d78cb4cfe591b49f9cdf58d1abd1",
+        "e6acdef4894262ffb9991e86b05b78479197302ab89f3e6189c470688f545c46",
+        "6b40972938a8950e21fd1ebda889455562579e1dc3dbcf490d2344fd92cb4bed",
+        "8b9e718e9c704a255c653f5a7edcb0cbfaeafe756b24a691cf2d6417bdb40d7b",
+        "9b40475440e847d2b675e3a2fe5bcaa3798f02153e92f53edc05914e04664150",
+        "cc272ca9be9f6e483c3bb696281fab85e6e6a7476e41e07ecd29f227f8651e61",
+        "ab8d1d55ba63787fb20f0dbccfce0e0743d21c6df8c3150e96119918b934d7ad",
+        "f131b22ff8fb587a6ee6b1222f281c4f91ab097d2b224a77ec695ce5ac0b7b5a",
+        "00d7b4a1350e60111c55cef23d4ce8f7f1306a05733009dff50fcf3ca096f17d",
+        "e68c61d22c31748857f9e5228be6637d28e0ebf4d8934655dce2cf5a3a4d3d71",
+        "96f4cc59fc18f4aa57ccc5a97afd8c3118ef3d86c49d93c1e93ca8147e5a8f32",
+        "d8b21f692523e28164aeb1296e3844b0bf303a0006b30360e0c323dc517983c5",
+        "e842265bd79079f9cb775f5d1c6396ccb2c9e3c384ec63485b0e0ae8e0008203",
+        "a5df8a362657b714319b11cfb607e5ce5003f25c3ce13fb2d566551aec189add",
+        "29779d42c5a938e83ac2bee8daf0d9d00fa0b555960b2d7de81a5030d1dbf451",
+        "ece0fbf627b6fd92e8486cdb2ad071030710ae049469a3e171f52eb36e520f64",
+        "d7e64a452a39e039c0923320f925b35135887960c0de2a61d912705e8d13e537",
+        "a11d139e98a63b436901b40fb4581f77796a80d8ec89f0eae7320d2f277b25ea",
+        "4106742d20a9b931eed67941199a0b53e4257c1df31b99aaa2e08931cc3cc3ca",
+        "31c0431b0b0df37e19e598f4f4d477e439522fb10a2a70c2c9e830863dc8896b",
+        "c0156b082ecc8944feda6dcbb927bef70912408a780f2a10d677dc9414a0b4c3",
+        "b3cda14ad223d2ddb1e442692be5f62a7cb1485cf5d894372e54d9a2d02e5537",
+        "d3a3485631b611388963ea04a856c5a5fa09e228aa0a3fc10d6022e28e72f215",
+        "434311a30f8cd5aef241c206bf5cbf830147092c0dd556a15bc8aa94e9fc2374",
+        "9e5d0548e4883f75237512fe4978d632bf7bc439295ac222c972969dc806203a",
+        "ad44af154556bc909ca93de03ab2ec4c6879529db92e7c7467a9719140cc4307",
+        "7ab8124ad7d92e84b44de40f74b277ed38b42a27bc5cbeb3c63bb2832e421049",
+        "d65301582e0211bd582aef1d474dfd3ee62d0c2e7107a1fb31bbf7850a58e14f",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", ["ternary", "bk", "jw"])
+@pytest.mark.parametrize("n", VERIFY_MODES)
+def test_verify_stdout_is_unchanged(kind, n, capsys):
+    assert main(["verify", "--kind", kind, "--modes", str(n)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == VERIFY_SHA256[kind][VERIFY_MODES.index(n)]
+
+
 def test_verify_needs_modes_or_input(capsys):
     assert main(["verify"]) == 2
     assert "error" in capsys.readouterr().err

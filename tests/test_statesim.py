@@ -25,6 +25,7 @@ from fermitree.statesim import (
     bell_basis_matrix,
     bell_exponents,
     bell_outcome_distribution,
+    bell_povm_elements,
     expectation,
     expectations,
     generalized_bell_state,
@@ -565,6 +566,20 @@ def test_povm_shots_workers_and_prefix():
         sample_povm_shots(state, 10, seed=1, ancilla=DenseState.zero_state(2))
     with pytest.raises(ValueError):
         sample_povm_shots(state, 10, seed=1, ancilla=qutrit_fiducial().as_state())
+
+
+@pytest.mark.parametrize("ancilla", [2, qutrit_fiducial()], ids=["int", "fiducial"])
+@pytest.mark.parametrize("call", [
+    # workers passed by position lands in the ancilla slot
+    lambda state, ancilla: sample_povm_shots(state, 10, 1, ancilla),
+    lambda state, ancilla: povm_outcome_distribution(state, ancilla),
+    lambda state, ancilla: attach_ancillas(state, ancilla),
+    lambda state, ancilla: bell_povm_elements(ancilla),
+], ids=["sample_povm_shots", "povm_outcome_distribution", "attach_ancillas", "bell_povm_elements"])
+def test_ancilla_that_is_no_state_raises_value_error(call, ancilla):
+    state = random_state(2, 3, np.random.default_rng(4))
+    with pytest.raises(ValueError, match="ancilla"):
+        call(state, ancilla)
 
 
 def _sample(sampler, state, *args, **kwargs):

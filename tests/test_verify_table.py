@@ -1,4 +1,4 @@
-"""The incidence-parity verifier against the pairwise reference loop.
+"""The bitset-row verifier against the pairwise reference loop.
 
 ``reference_verify_table`` is the direct reading of the Majorana algebra:
 every pair of entries is checked with ``letters_anticommute`` and every
@@ -11,7 +11,6 @@ is the reference for ``verify_mapping``'s product over the table.
 
 import itertools
 from dataclasses import replace
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -99,11 +98,9 @@ def tables(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tables(), st.sampled_from([1, 2, 3, 7, 1024]))
-def test_verify_table_matches_pairwise_oracle(table, block_rows):
-    # small blocks make every table span many row blocks
-    with mock.patch.object(ternary, "_PARITY_BLOCK_ROWS", block_rows):
-        assert verify_table(table) == reference_verify_table(table)
+@given(tables())
+def test_verify_table_matches_pairwise_oracle(table):
+    assert verify_table(table) == reference_verify_table(table)
 
 
 @given(OPERATORS)
@@ -137,7 +134,7 @@ def test_baseline_tables_match_oracle(n):
 
 
 def test_corrupted_table_beyond_one_block_matches_oracle():
-    # 1200 operators span two blocks of the default size
+    # 1200 operators: each row is an int of 1200 bits, beyond one 64-bit word
     table = list(build_mapping(600).majorana_table)
     table[3] = table[700]
     table[1100] = PauliString.identity()
@@ -146,3 +143,53 @@ def test_corrupted_table_beyond_one_block_matches_oracle():
     report = verify_table(table)
     assert report == reference_verify_table(table)
     assert report.anticommutation_failures and report.square_failures == (1151,)
+
+
+def _corrupted(table, how):
+    """``table`` with its last entry, the one at the top bit of each row,
+    replaced by a duplicate, an identity, or a copy with one qubit relabelled."""
+    table = list(table)
+    last = table[-1]
+    if how == "duplicate":
+        table[-1] = table[len(table) // 2]
+    elif how == "identity":
+        table[-1] = PauliString.identity()
+    else:
+        # a qubit where the first entry has another letter, so the pair
+        # (1, last) loses one differing qubit and commutes
+        first = dict(table[0].letters)
+        q = next(q for q, a in last.letters if first.get(q, a) != a)
+        letters = dict(last.letters)
+        letters[2 ** 64] = letters.pop(q)
+        table[-1] = PauliString.from_map(letters, last.phase_power)
+    return tuple(table)
+
+
+# rows of 63 to 129 bits: either side of one and two 64-bit words
+@pytest.mark.parametrize("size", [63, 64, 65, 128, 129])
+@pytest.mark.parametrize("how", ["duplicate", "identity", "relabelled"])
+@pytest.mark.parametrize("build", [lambda n: build_mapping(n).majorana_table, bravyi_kitaev, jordan_wigner],
+                         ids=["ternary", "bk", "jw"])
+def test_tables_at_word_edges_match_oracle(size, how, build):
+    table = _corrupted(build(65)[:size], how)
+    report = verify_table(table)
+    assert report == reference_verify_table(table)
+    assert report.anticommutation_failures
+    if how == "relabelled":
+        assert (1, size) in report.anticommutation_failures
+
+
+def test_jw_table_with_broken_z_chain_matches_oracle():
+    table = list(jordan_wigner(48))
+    # mode 30's X-type Majorana loses the Z on qubit 10 of its 30-long chain
+    table[60] = PauliString.from_map({q: a for q, a in table[60].letters if q != 10})
+    table = tuple(table)
+    report = verify_table(table)
+    assert report == reference_verify_table(table)
+    assert report.anticommutation_failures
+
+
+@pytest.mark.parametrize("op", [PauliString.single(5, "Y"), PauliString.identity(1)])
+def test_single_entry_table_matches_oracle(op):
+    assert verify_table((op,)) == reference_verify_table((op,))
+    assert verify_table((op,)).anticommutation_failures == ()

@@ -14,6 +14,7 @@ malformed input file, 3 register too large for dense simulation.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -238,7 +239,7 @@ def cmd_tomograph(args: argparse.Namespace) -> int:
     if args.fermionic:
         indices, masks = monomial_masks(table, args.k, num_qubits)
         values, std_error, attenuation, weight = monomial_columns(stream, masks)
-        exact = expectations(system, masks)
+        exact = expectations(system, masks).tolist()
         rows = {
             "indices": indices,
             "value_re": [v.real for v in values],
@@ -256,7 +257,7 @@ def cmd_tomograph(args: argparse.Namespace) -> int:
     else:
         keys, masks = rdm_masks(num_qubits, args.k)
         mean, scale, std_error = mask_means(stream, masks[0], masks[1])
-        value, exact = scale * mean, np.array(expectations(system, masks)).real
+        value, exact = scale * mean, expectations(system, masks).real
         qubits, letters = zip(*keys)
         rows = {
             "qubits": qubits,
@@ -316,7 +317,10 @@ def cmd_qudit_sic(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built once per process:
+    ``parse_args`` keeps no state on it, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="fermitree",
         description="Ternary-tree Majorana mappings and Bell-basis RDM estimation.",

@@ -180,7 +180,7 @@ def exact_fermionic_rdm(
     distinct X mask; a table entry outside the register raises ValueError.
     """
     indices, masks = monomial_masks(mapping, k, state.num_sites)
-    return dict(zip(indices, expectations(state, masks)))
+    return dict(zip(indices, expectations(state, masks).tolist()))
 
 
 # -- sampled pipeline ----------------------------------------------------------

@@ -213,14 +213,15 @@ def masks_matvec(masks: Masks, amplitudes: np.ndarray, num_sites: int) -> np.nda
     return out
 
 
-def expectations(state: DenseState, masks: Masks) -> list[complex]:
+def expectations(state: DenseState, masks: Masks) -> np.ndarray:
     """<state| P |state> for every string P of the (x, z, power) masks (int64
     arrays of equal length, or ints for one string; unequal lengths, or x or
     z outside 0..2^n-1, raise ValueError).
     As <P> = i**power sum_c conj(psi[c ^ x]) psi[c] (-1)^|c & z|, one n-step
     Walsh-Hadamard transform (``_site_products``) per distinct x, in blocks
     of ``GATHER_BLOCK`` amplitudes, holds every string with that x in bin z;
-    each part is within 4n 2^-52 of one gather and ``np.vdot`` per string."""
+    each part is within 4n 2^-52 of one gather and ``np.vdot`` per string.
+    Returns a complex128 array, one entry per string in input order."""
     if state.local_dim != 2:
         raise ValueError("Pauli strings act on qubit registers only")
     n, amps = state.num_sites, state.amplitudes
@@ -243,12 +244,12 @@ def expectations(state: DenseState, masks: Masks) -> list[complex]:
         mine = np.flatnonzero(block_of == b)
         parts[mine] = table[place[mine, None] + [0, 2 ** n]]
         del table  # so the next block's product and transform do not coexist with it
-    return (parts.view(complex)[:, 0] * np.take(_PHASES, power & 3)).tolist()
+    return parts.view(complex)[:, 0] * np.take(_PHASES, power & 3)
 
 
 def expectation(state: DenseState, pauli: PauliString) -> complex:
     """<state| P |state>; real up to roundoff when P is Hermitian (phase +-1)."""
-    [value] = expectations(state, to_masks(pauli, state.num_sites))
+    [value] = expectations(state, to_masks(pauli, state.num_sites)).tolist()
     return value
 
 
@@ -451,8 +452,11 @@ def povm_outcome_distribution(
 class BellShotStream:
     """Bell outcome codes 0..D^2-1 (D >= 2) as read-only uint8, shaped (num_shots, num_pairs).
 
-    A uint8 array that owns its memory is frozen in place and kept; a view
-    or any other integer dtype is copied, so the caller's array stays
+    The samplers return the codes column-major (``order="F"``), so each
+    site's outcomes are one contiguous column, the layout ``joint_outcomes``
+    reads; every other layout gives the same results.  A uint8 array that
+    owns its memory, in any layout, is frozen in place and kept; a view or
+    any other integer dtype is copied, so the caller's array stays
     writable.  Writing through a view of the codes made before construction
     is unsupported: ``joint_outcomes`` caches each support's outcome counts
     on the stream, and such a write would leave them stale.  A merged or
@@ -812,16 +816,23 @@ def _count_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.
     rows per shot, D^(2w) <= 32 * num_shots, and sorted as byte strings past
     that.  Both give the same arrays; their costs cross between about 32 and
     64 possible rows per shot (D = 2, 3, 4 and 500 to 100000 shots, on one
-    CPU), as the sort grows with the shots and ``bincount`` with the rows."""
+    CPU), as the sort grows with the shots and ``bincount`` with the rows.
+    The keys are built in the narrowest unsigned dtype that holds D^(2w)
+    (uint8 for a qubit pair), one site's column at a time: the samplers'
+    codes are column-major, so each column is contiguous, and any other
+    layout gives the same arrays."""
     base = stream.local_dim ** 2
     width = len(sites)
     if base ** width > 32 * stream.num_shots:
         rows = np.ascontiguousarray(stream.codes[:, list(sites)]).view(np.dtype((np.void, width)))
         distinct, counts = np.unique(rows, return_counts=True)
         return distinct.view(np.uint8).reshape(len(distinct), width), counts
-    keys = np.zeros(stream.num_shots, dtype=np.int64)
+    # bincount takes no uint64, so keys past uint32 (2^27 shots and more) stay int64
+    dtype = np.min_scalar_type(base ** width) if base ** width >> 32 == 0 else np.int64
+    keys = np.zeros(stream.num_shots, dtype=dtype)
     for site in sites:
-        keys = keys * base + stream.codes[:, site]
+        keys *= base
+        keys += stream.codes[:, site]
     counts = np.bincount(keys, minlength=base ** width)
     keys = np.flatnonzero(counts)
     counts = counts[keys]
@@ -847,17 +858,20 @@ def _check_sampling(num_shots, seed, workers) -> tuple[int, int, int]:
 
 
 def _outcome_cdf(state: DenseState, key: tuple, distribution) -> np.ndarray:
-    """The normalized CDF of ``distribution()``, an outcome distribution of
-    ``state``, cached read-only on the state under ``key``.
+    """The normalized CDF of ``distribution()``, a fresh float64 outcome
+    distribution of ``state``, cached read-only on the state under ``key``.
 
-    The state's amplitudes are read-only, so the entry never goes stale.  A
-    state holds one entry: another key drops it before the new distribution
-    is computed, so at most one D^(2n)-entry CDF lives per state.
+    The cumulative sum is taken in place in the distribution's own array,
+    so building the CDF holds one D^(2n)-entry array, not two.  The state's
+    amplitudes are read-only, so the entry never goes stale.  A state holds
+    one entry: another key drops it before the new distribution is
+    computed, so at most one D^(2n)-entry CDF lives per state.
     """
     cdf = state._cdf.get(key)
     if cdf is None:
         state._cdf.clear()
-        cdf = distribution().cumsum()
+        cdf = distribution()
+        np.cumsum(cdf, out=cdf)
         cdf /= cdf[-1]
         cdf.flags.writeable = False
         state._cdf[key] = cdf
@@ -871,23 +885,37 @@ def _draw_codes(
     outcome distribution (``_outcome_cdf``) as (shots, n_sites) codes.
 
     Shots come in blocks of ``SHOT_BLOCK``; block b draws its uniforms from
-    SeedSequence(seed, spawn_key=(b,)) and inverts the CDF.  Per block this
-    draws exactly what ``Generator.choice(p=probs)`` draws, without
-    rebuilding the CDF and re-validating ``probs`` per call.  The uniforms
-    are looked up in sorted order, which walks the CDF once front to back
-    instead of jumping through it (about half the lookup time at 2^20
-    outcomes), and each outcome is stored at its uniform's place.
+    SeedSequence(seed, spawn_key=(b,)), and each uniform u becomes the
+    outcome ``cdf.searchsorted(u, side="right")``.  Per block this draws
+    exactly what ``Generator.choice(p=probs)`` draws, without rebuilding
+    the CDF and re-validating ``probs`` per call.  The lookup maps every
+    uniform on its own, so the uniforms of several blocks are grouped and
+    looked up together: as many whole blocks as hold at most
+    max(``SHOT_BLOCK``, cdf.size) uniforms, so no group's temporaries
+    outgrow the CDF itself.  Each group is looked up in sorted order, which
+    walks the CDF once front to back instead of jumping through it, and
+    each outcome is stored at its uniform's place.
+
+    The codes are uint8 in column-major (``order="F"``) layout, so each
+    site's outcomes are one contiguous column; a flat outcome is below
+    ``CAPACITY_AMPLITUDES``, so its base-D^2 digits come from uint32
+    ``divmod``, last site first.
     """
-    flat = np.empty(num_shots, dtype=np.intp)
-    for b, start in enumerate(range(0, num_shots, SHOT_BLOCK)):
-        stop = min(start + SHOT_BLOCK, num_shots)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        uniforms = rng.random(stop - start)
-        order = uniforms.argsort()
-        flat[start + order] = cdf.searchsorted(uniforms[order], side="right")
-    codes = np.empty((num_shots, n_sites), dtype=np.uint8)
+    group = max(SHOT_BLOCK, cdf.size) // SHOT_BLOCK * SHOT_BLOCK
+    flat = np.empty(num_shots, dtype=np.uint32)
+    uniforms = np.empty(min(group, num_shots))
+    for start in range(0, num_shots, group):
+        stop = min(start + group, num_shots)
+        part = uniforms[: stop - start]
+        for first in range(start, stop, SHOT_BLOCK):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(first // SHOT_BLOCK,)))
+            rng.random(out=part[first - start : min(first + SHOT_BLOCK, stop) - start])
+        order = part.argsort()
+        flat[start + order] = cdf.searchsorted(part[order], side="right")
+    codes = np.empty((num_shots, n_sites), dtype=np.uint8, order="F")
+    base = np.uint32(d * d)
     for j in range(n_sites - 1, -1, -1):
-        flat, codes[:, j] = np.divmod(flat, d * d)
+        np.divmod(flat, base, out=(flat, codes[:, j]))
     return codes
 
 

@@ -179,7 +179,7 @@ def exact_all_k_rdms(state: DenseState, k: int) -> dict[tuple, complex]:
     in the order of ``estimate_all_k_rdms``; real up to roundoff.  The
     strings' masks are applied by one ``statesim.expectations`` call."""
     keys, masks = rdm_masks(state.num_sites, k)
-    return dict(zip(keys, expectations(state, masks)))
+    return dict(zip(keys, expectations(state, masks).tolist()))
 
 
 def merge_streams(parts: list[BellShotStream]) -> BellShotStream:

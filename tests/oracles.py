@@ -31,6 +31,9 @@
     * ``reference_generalized_bell_state`` sets the amplitudes of one
       generalized Bell state entry by entry, the reference for
       ``fermitree.statesim.generalized_bell_state`` and the Bell basis;
+    * ``reference_draw_codes`` looks the uniforms of each ``SHOT_BLOCK``
+      up in the CDF on their own and decodes them into C-ordered codes,
+      the reference for ``fermitree.statesim._draw_codes``;
     * ``bell_measure_all_pairs`` measures a register's site pairs by
       sequential collapse, one pair at a time, the reference semantics of
       the two bulk samplers in ``fermitree.statesim``;
@@ -51,7 +54,8 @@ import numpy as np
 from fermitree.fermion import FermionEstimate, monomial_masks
 from fermitree.pauli import Masks, PauliString, to_masks
 from fermitree.statesim import (
-    GATHER_BLOCK, BellShotStream, DenseState, _paired, _parity, bell_basis_matrix, hw_operator,
+    GATHER_BLOCK, SHOT_BLOCK, BellShotStream, DenseState, _paired, _parity, bell_basis_matrix,
+    hw_operator,
 )
 from fermitree.tomography import mask_means
 
@@ -264,6 +268,27 @@ def reference_generalized_bell_state(local_dim: int, h: int, ell: int) -> np.nda
     for k in range(d):
         amps[((k + h) % d) * d + k] = omega ** (ell * k) / math.sqrt(d)
     return amps
+
+
+def reference_draw_codes(
+    cdf: np.ndarray, n_sites: int, d: int, num_shots: int, seed: int
+) -> np.ndarray:
+    """One sorted CDF lookup per ``SHOT_BLOCK`` shots, block b drawing its
+    uniforms from SeedSequence(seed, spawn_key=(b,)), and an intp decode
+    into C-ordered (shots, n_sites) uint8 codes: the reference for the
+    grouped lookup and column-major decode of
+    ``fermitree.statesim._draw_codes``."""
+    flat = np.empty(num_shots, dtype=np.intp)
+    for b, start in enumerate(range(0, num_shots, SHOT_BLOCK)):
+        stop = min(start + SHOT_BLOCK, num_shots)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+        uniforms = rng.random(stop - start)
+        order = uniforms.argsort()
+        flat[start + order] = cdf.searchsorted(uniforms[order], side="right")
+    codes = np.empty((num_shots, n_sites), dtype=np.uint8)
+    for j in range(n_sites - 1, -1, -1):
+        flat, codes[:, j] = np.divmod(flat, d * d)
+    return codes
 
 
 def bell_measure_all_pairs(

@@ -112,6 +112,27 @@ def test_joint_outcomes_counts_every_row(d, sites):
     assert dict(zip(rows, counts.tolist())) == dict(want)
 
 
+@pytest.mark.parametrize(
+    "d,sites,num_shots",
+    [
+        (2, (3, 1), 3000),  # bincount on uint8 keys
+        (2, (4, 0, 2, 1, 3), 5000),  # bincount on uint16 keys
+        (3, (4, 0, 2, 1, 3), 2000),  # bincount on uint32 keys
+        (2, (4, 0, 2, 1, 3), 20),  # 1024 possible rows on 20 shots: sorted
+        (3, (2, 0, 1, 3), 40),  # 6561 possible rows on 40 shots: sorted
+    ],
+)
+def test_count_outcomes_read_either_code_layout(d, sites, num_shots):
+    codes = random_stream(d, 5, num_shots, seed=80 + d).codes
+    by_column, by_row = (BellShotStream(d, 5, np.array(codes, order=o)) for o in "FC")
+    assert by_column.codes.flags.f_contiguous and by_row.codes.flags.c_contiguous
+    got, want = statesim._count_outcomes(by_column, sites), statesim._count_outcomes(by_row, sites)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    counted = Counter(tuple(int(c) for c in row) for row in codes[:, list(sites)])
+    assert dict(zip(map(tuple, got[0].tolist()), got[1].tolist())) == dict(counted)
+
+
 @pytest.mark.parametrize("d,fiducial", [(2, qubit_fiducial()), (3, qutrit_fiducial())])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_counting_branches_at_key_range_threshold(monkeypatch, d, fiducial, extra):

@@ -37,7 +37,7 @@ from fermitree.statesim import (
     sample_bell_shots,
     sample_povm_shots,
 )
-from fermitree.statesim import _integer, _parse_canonical, _parse_records
+from fermitree.statesim import _draw_codes, _integer, _parse_canonical, _parse_records
 from fermitree.ternary import build_mapping
 from fermitree.tomography import rdm_masks
 from oracles import (
@@ -45,6 +45,7 @@ from oracles import (
     batched_masks_matvec,
     bell_measure_all_pairs,
     from_masks,
+    reference_draw_codes,
     reference_expectations,
     reference_generalized_bell_state,
     reference_masks_matvec,
@@ -529,6 +530,32 @@ def test_draw_codes_matches_generator_choice(num_shots):
         want = _choice_codes(povm_outcome_distribution(state, ancilla), n, d, num_shots, seed)
         # the sampler's cached CDF, inverted by _draw_codes
         assert np.array_equal(sample_povm_shots(state, num_shots, seed, ancilla=ancilla).codes, want)
+
+
+@pytest.mark.parametrize("num_shots", [1, 4095, 4096, 4097, 6 * 4096 + 5])
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 7), (3, 4), (3, 5), (4, 3), (4, 4)])
+def test_draw_codes_equal_the_per_block_lookup(d, n, num_shots):
+    # CDFs of 16 to 65536 outcomes, whose lookup groups hold 1 block (16,
+    # 6561 and 4096 outcomes), 4 (16384), 14 (59049) and 16 (65536): the
+    # 7 blocks of 6 * 4096 + 5 shots take 7, 2 or 1 lookups
+    rng = np.random.default_rng(1000 * d + n)
+    for seed in (0, 1, 2 ** 40 + 7):
+        probs = rng.random(d ** (2 * n)) ** 4
+        probs[rng.random(probs.size) < 0.3] = 0.0  # runs of equal CDF values
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        got = _draw_codes(cdf, n, d, num_shots, seed)
+        assert got.dtype == np.uint8 and got.shape == (num_shots, n) and got.flags.f_contiguous
+        assert np.array_equal(got, reference_draw_codes(cdf, n, d, num_shots, seed))
+
+
+def test_samplers_keep_their_column_major_codes():
+    # both samplers hand the stream an owned column-major array, kept as is
+    state = random_state(3, 2, np.random.default_rng(33))
+    for stream in (sample_povm_shots(state, 5000, 1), sample_bell_shots(attach_ancillas(state), 5000, 1)):
+        codes = stream.codes
+        assert codes.flags.f_contiguous and not codes.flags.c_contiguous and codes.flags.owndata
+        assert not codes.flags.writeable
 
 
 @pytest.mark.parametrize("d,n,ancilla", [(2, 1, "xi"), (2, 5, "xi"), (2, 4, "random"),

@@ -6,15 +6,16 @@ basis, and read off displacement-operator correlators.  The (h, ell)
 outcome on a pair contributes the exact eigenvalue exp(2*pi*i*(g*h -
 f*ell)/D) of X^f Z^g (x) X^f Z^{-g}, and each ancilla attenuates the
 signal by its calibration factor tr(X^f Z^{-g} xi), computed once per
-fiducial (``FiducialState.overlaps``).  Shots are counted per residue
-g*h - f*ell mod D of ``statesim.bell_exponents``: once per stream and
-support for every label product (``statesim.residue_counts``), so a
-correlator is one index into its support's table, or, on a support with
-more possible outcome rows than shots, summed per target over the counts
-of ``statesim.joint_outcomes``.  The exact correlator is read the same
-way: one index into the state's ``statesim.displacement_table`` of its
-support, built once from the support's reduced density matrix, or, on a
-support of more than n/3 of the n sites, one gather per target.
+fiducial (``FiducialState.overlaps``).  The shots' eigenvalues are summed
+once per stream and support for every label product
+(``statesim.displacement_sums``), so a correlator is one index into its
+support's table, or, on a support with more possible outcome rows than
+shots, one ``statesim.outcome_sums`` column over its joint outcomes; the
+qubit Pauli strings of ``tomography`` are read by the same two kernels.
+The exact correlator is read the same way: one index into the state's
+``statesim.displacement_table`` of its support, built once from the
+support's reduced density matrix, or, on a support of more than n/3 of
+the n sites, one gather per target.
 
 A fiducial whose calibration factors all have magnitude 1/sqrt(D+1) makes
 the POVM that the Bell measurement realizes on a system site
@@ -36,8 +37,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .statesim import (
-    BellShotStream, DenseState, bell_exponents, displacement_table, hw_operator, joint_outcomes,
-    prepare_xi, residue_counts,
+    CAPACITY_AMPLITUDES, BellShotStream, DenseState, displacement_sums, displacement_table, hw_operator,
+    outcome_sums, prepare_xi,
 )
 
 
@@ -160,13 +161,6 @@ def _checked_targets(
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _omega_powers(d: int) -> tuple:
-    """w^r for r in 0..D-1, w = exp(2 pi i / D), as np.complex128."""
-    omega = np.exp(2j * np.pi / d)
-    return tuple(omega ** r for r in range(d))
-
-
 def estimate_hw_correlator(
     stream: BellShotStream,
     targets: Sequence[tuple[int, int, int]],
@@ -181,11 +175,12 @@ def estimate_hw_correlator(
         fiducial: the ancilla state, needed for calibration.
 
     Per shot the product of pair eigenvalues is the root of unity
-    w^(sum_i g_i h_i - f_i ell_i); the D residue counts are one index into
-    the support's ``residue_counts`` table, or summed over its joint
-    outcomes when it has none.  They are exact integers, so the result is
-    independent of how shots are partitioned.  A target that is not a
-    (site, f, g) triple of integers raises ValueError.
+    w^(sum_i g_i h_i - f_i ell_i); their sum is one index into the support's
+    ``statesim.displacement_sums`` table when it has at most as many entries
+    as the stream has shots and at most ``CAPACITY_AMPLITUDES``, and one
+    ``statesim.outcome_sums`` column over its joint outcomes otherwise.  The
+    value is a Python complex.  A target that is not a (site, f, g) triple of
+    integers raises ValueError.
     """
     d = fiducial.dimension
     if stream.local_dim != d:
@@ -198,18 +193,12 @@ def estimate_hw_correlator(
         raise ValueError("empty shot stream")
 
     sites = tuple(t[0] for t in checked)
-    table = residue_counts(stream, sites)
-    if table is not None:
-        by_residue = table[tuple(f * d + g for _, f, g in checked)].tolist()
+    labels = [f * d + g for _, f, g in checked]
+    if d ** (2 * len(sites)) <= min(s, CAPACITY_AMPLITUDES):
+        total = displacement_sums(stream, sites)[tuple(labels)]
     else:
-        digits, counts = joint_outcomes(stream, sites)
-        exponents = bell_exponents(d)
-        residues = np.zeros(len(counts), dtype=np.int64)
-        for column, (_, f, g) in zip(digits.T, checked):
-            residues += exponents[f, g][column]
-        # float weights are exact integers below 2^53 shots
-        by_residue = np.bincount(residues % d, weights=counts, minlength=d).tolist()
-    mean = sum(int(c) * w for c, w in zip(by_residue, _omega_powers(d))) / s
+        [total] = outcome_sums(stream, sites, [[label] for label in labels])
+    mean = complex(total) / s
 
     calibration = math.prod(fiducial.overlaps[f, g] for _, f, g in checked)
     if abs(calibration) < 1e-12:

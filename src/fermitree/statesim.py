@@ -20,9 +20,7 @@ everything about a Bell outcome code h * D + ell: the Bell states and
 basis, built from the displacements; the one eigenvalue table,
 ``bell_exponents``; and the one counting kernel, ``joint_outcomes``,
 which caches each support's counts on the read-only ``BellShotStream``
-that the two bulk samplers return, beside the support's
-``residue_counts``, those counts per phase residue of every displacement
-product:
+that the two bulk samplers return:
 
     * ``sample_bell_shots`` samples the exact joint outcome distribution
       of a register whose ancillas are attached (``attach_ancillas``);
@@ -39,6 +37,12 @@ blocked RNG layout (``_draw_codes``) that makes a stream depend only on
 the distribution and the seed; the capacity budget bounds the D^(2n)
 outcome distribution in both.  The collapse reference, which measures
 one site pair at a time, lives in ``tests/oracles.py``.
+
+One reader turns the counts into estimates at every D, through the
+characters w^e of ``bell_exponents``: ``displacement_sums``, the sampled
+twin of ``displacement_table``, cached on the stream beside the counts,
+or ``outcome_sums`` over the distinct outcomes.  Qubit Pauli strings are
+the D = 2 case, whose characters are exactly +-1.
 """
 
 from __future__ import annotations
@@ -458,9 +462,9 @@ class BellShotStream:
     owns its memory, in any layout, is frozen in place and kept; a view or
     any other integer dtype is copied, so the caller's array stays
     writable.  Writing through a view of the codes made before construction
-    is unsupported: ``joint_outcomes`` caches each support's outcome counts
-    on the stream, and such a write would leave them stale.  A merged or
-    reloaded stream starts with an empty cache.
+    is unsupported: ``joint_outcomes`` and ``displacement_sums`` cache each
+    support's counts and sums on the stream, and such a write would leave
+    them stale.  A merged or reloaded stream starts with an empty cache.
     """
 
     local_dim: int
@@ -714,47 +718,61 @@ def joint_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.n
     return _cached(stream, "outcomes", sites, _count_outcomes)
 
 
-def residue_counts(stream: BellShotStream, sites: tuple[int, ...]) -> np.ndarray | None:
-    """Shots per phase residue of every displacement product on ``sites``.
+def displacement_sums(stream: BellShotStream, sites: tuple[int, ...]) -> np.ndarray:
+    """Sum over the shots of the eigenvalue of every displacement product on ``sites``.
 
-    Entry [f_1 D + g_1, ..., f_w D + g_w, r] of the read-only int64 table,
-    shaped (D^2,) * w + (D,), is the number of shots whose residue
-    sum_j (g_j h_j - f_j ell_j) mod D is r, (h_j, ell_j) being the outcome
-    on ``sites[j]``: with the counts of ``bell_exponents(D)``, every
-    product of X^f Z^g (x) X^f Z^{-g} on the support is one index.  The
-    table is built once per stream and support, and only when it has no
-    more rows than the stream has shots, D^(2w) <= num_shots; otherwise
-    the result is None and the caller reads ``joint_outcomes``.
+    Entry [f_1 D + g_1, ..., f_w D + g_w] of the read-only table, shaped
+    (D^2,) * w, is the sum over shots of w^e, e = sum_j (g_j h_j - f_j ell_j)
+    mod D the exponent of X^f Z^g (x) X^f Z^{-g} on the outcome (h_j, ell_j) of
+    ``sites[j]`` (``bell_exponents``), so every product on the support is one
+    index: the sampled twin of ``displacement_table``.  The support's
+    ``joint_outcomes`` histogram of D^(2w) bins takes one ``_site_products``
+    step per site with the D^2 x D^2 ``_characters`` table.  The table is
+    float64 at D = 2, whose characters are exactly +-1: partial sums are then
+    integers of at most the shot count, so every entry is exact.  At D >= 3 it
+    is complex.  It is built once per stream and support.  A support of
+    more than ``CAPACITY_AMPLITUDES`` entries raises ``CapacityError``.
     """
-    if stream.local_dim ** (2 * len(sites)) > stream.num_shots:
-        return None
-    return _cached(stream, "residues", sites, _count_residues)
+    return _cached(stream, "sums", sites, _sum_displacements)
 
 
-def _count_residues(stream: BellShotStream, sites: tuple[int, ...]) -> np.ndarray:
-    """The table of ``residue_counts``, site by site from the dense histogram.
-
-    Axis layout (c_j, ..., c_w, fg_1, ..., fg_{j-1}, r): each step takes the
-    leading outcome axis c_j to a trailing label axis fg_j before the residue
-    axis, new[m, fg, r] = sum_{c, e} [E(fg, c) = e] old[c, m, (r - e) mod D],
-    as one gather over the residue axis and one matrix product with the
-    one-hot exponents.  Partial sums are integers of at most the shot
-    count, so float64 is exact."""
-    d = stream.local_dim
-    base, width = d * d, len(sites)
+def _sum_displacements(stream: BellShotStream, sites: tuple[int, ...]) -> np.ndarray:
+    """The table of ``displacement_sums``, uncached, from the support's histogram."""
+    base, width = stream.local_dim ** 2, len(sites)
+    if base ** width > CAPACITY_AMPLITUDES:
+        raise CapacityError(f"{base ** width} displacement sums exceed budget {CAPACITY_AMPLITUDES}")
     digits, counts = joint_outcomes(stream, sites)
-    table = np.zeros((base ** width, d))
-    table[digits @ base ** np.arange(width - 1, -1, -1), 0] = counts
-    # row (c, e), column fg: 1 where the exponent of fg on outcome c is e
-    one_hot = (bell_exponents(d).reshape(base, base).T[:, None, :] == np.arange(d)[:, None])
-    one_hot = one_hot.reshape(base * d, base).astype(float)
-    shifted = (np.arange(d) - np.arange(d)[:, None]) % d  # row e, column r: r - e
-    for _ in range(width):
-        rest = table.shape[0] // base
-        gathered = table.reshape(base, rest, d)[:, :, shifted]  # (c, m, e, r)
-        product = gathered.transpose(1, 3, 0, 2).reshape(rest * d, base * d) @ one_hot
-        table = product.reshape(rest, d, base).transpose(0, 2, 1).reshape(-1, d)
-    return table.astype(np.int64).reshape((base,) * width + (d,))
+    hist = np.zeros(base ** width)
+    hist[digits @ base ** np.arange(width - 1, -1, -1)] = counts
+    return _site_products(hist, _characters(stream.local_dim), width).reshape((base,) * width)
+
+
+def outcome_sums(stream: BellShotStream, sites: tuple[int, ...], labels) -> np.ndarray:
+    """The ``displacement_sums`` entries of the label columns, read per outcome.
+
+    Row j of the (w, m) integer ``labels`` holds the labels f D + g on
+    ``sites[j]``, one column per product; entry i of the result is the sum
+    over the support's distinct ``joint_outcomes`` rows of their count times
+    the product of the characters of column i.  It reads at most min(D^(2w),
+    num_shots) rows, so it serves supports too wide for a table.  The dtype
+    is that of ``displacement_sums``, and at D = 2 the sums are exact too.
+    """
+    digits, counts = joint_outcomes(stream, sites)
+    characters = _characters(stream.local_dim)
+    products = np.ones((len(counts), np.shape(labels)[1]), dtype=characters.dtype)
+    for column, row in zip(digits.T, labels):
+        products *= characters[:, row][column]
+    return counts @ products
+
+
+@lru_cache(maxsize=None)
+def _characters(d: int) -> np.ndarray:
+    """Read-only (code, f D + g) table of w^e, e from ``bell_exponents(d)``:
+    float64 +-1 at D = 2, complex otherwise."""
+    roots = np.exp(2j * np.pi * np.arange(d) / d)
+    table = (roots.real if d == 2 else roots)[bell_exponents(d).reshape(d * d, d * d).T]
+    table.flags.writeable = False
+    return table
 
 
 def displacement_table(state: DenseState, sites: tuple[int, ...]) -> np.ndarray | None:

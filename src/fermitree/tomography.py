@@ -15,15 +15,16 @@ grows as sqrt(3)^k, uniform over all C(n,k) 3^k elements of the k-RDM
 (acceptance criterion 08 checks the k=2 / k=1 standard-error ratio).
 
 The estimators share one outcome-counting kernel,
-``statesim.joint_outcomes``, which counts each support once per stream and
-caches the counts on it.  ``mask_means`` reads every qubit and fermionic
-Pauli string, as (x, z) mask arrays, from ``BELL_EIGENVALUES``, the qubit
-slice of ``statesim.bell_exponents``: from one Walsh-Hadamard transform
-of the outcome histogram on the union of all supports, or per support;
-``qudit.estimate_hw_correlator`` reads the qudit phase residues from the
-same exponents.  The sums are exact, so estimates are bit-identical under
-any shot partition and either reader.  The k-RDM's strings are built
-once, as one mask table per (n, k) (``rdm_masks``), which both
+``statesim.joint_outcomes``, and one reader, which ``qudit`` uses too: a
+qubit string X^x Z^z is the D = 2 displacement with labels f = x, g = z on
+each qubit, times -1 per Y letter (Y (x) Y = -XZ (x) XZ), so
+``BELL_EIGENVALUES`` are the characters of ``statesim.bell_exponents(2)``
+up to that sign.  ``mask_means`` reads every qubit and fermionic Pauli
+string, as (x, z) mask arrays, from the ``statesim.displacement_sums`` of
+the union of all supports or from ``statesim.outcome_sums`` per support.
+The sums are exact integers, so estimates are bit-identical under any
+shot partition and either reader.  The k-RDM's strings are built once, as
+one mask table per (n, k) (``rdm_masks``), which both
 ``estimate_all_k_rdms`` and the exact ``exact_all_k_rdms`` read.
 """
 
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statesim import (
-    CAPACITY_AMPLITUDES, BellShotStream, DenseState, _site_products, bell_exponents, expectations,
-    joint_outcomes,
+    CAPACITY_AMPLITUDES, BellShotStream, DenseState, _sum_displacements, bell_exponents, expectations,
+    outcome_sums,
 )
 
 LETTERS = ("x", "y", "z")
@@ -48,9 +49,6 @@ LETTERS = ("x", "y", "z")
 # because Y = iXZ makes Y (x) Y = -XZ (x) XZ.  Each row multiplies to -1.
 BELL_EIGENVALUES = (1 - 2 * bell_exponents(2)[[1, 1, 0], [0, 1, 1]].T).astype(np.int8)
 BELL_EIGENVALUES[:, 1] *= -1
-_MASK_COLUMNS = np.array([0, 0, 2, 1], dtype=np.int8)  # column of x bit + 2 * z bit
-# Row: Bell outcome code; column: letter code x bit + 2 * z bit (I, x, z, y).
-_SIGN_TABLE = np.column_stack([np.ones(4), BELL_EIGENVALUES[:, _MASK_COLUMNS[1:]]])
 _SCALES = np.array([math.sqrt(3.0) ** w for w in range(64)])  # by string weight
 
 
@@ -60,13 +58,13 @@ def mask_means(stream: BellShotStream, x, z) -> tuple[np.ndarray, np.ndarray, np
     scaled plug-in std error, in input order.
 
     With U the union of all supports x | z, ``_transform_means`` reads every
-    string off one histogram of 4^|U| <= ``CAPACITY_AMPLITUDES`` bins when
-    there are at most 256 bins per string or 14 per row that ``_support_means``
-    (which reads each support's counts once) would read; the results are
-    bit-identical.  On one CPU the costs cross at about 100 to 500 bins per
-    string and 13 to 15 per row, reached by Jordan-Wigner k = 1 at n = 9, 10
-    (n = 3..10 qubit k-RDMs and ternary, JW and BK fermionic RDMs, 4096 and
-    24576 shots).  An empty, non-qubit or over-63-qubit stream, masks of
+    string off the 4^|U| <= ``CAPACITY_AMPLITUDES`` displacement sums of U
+    when there are at most 256 sums per string or 14 per row that
+    ``_support_means`` (which reads each support's counts once) would read;
+    the results are bit-identical.  On one CPU the costs cross at about 100
+    to 500 bins per string and 13 to 15 per row, reached by Jordan-Wigner
+    k = 1 at n = 9, 10 (n = 3..10 qubit k-RDMs and ternary, JW and BK
+    fermionic RDMs, 4096 and 24576 shots).  An empty, non-qubit or over-63-qubit stream, masks of
     unequal length or outside 0..2^num_pairs-1 raise ValueError."""
     if stream.local_dim != 2:
         raise ValueError("Pauli-string estimation needs a qubit stream")
@@ -94,49 +92,41 @@ def mask_means(stream: BellShotStream, x, z) -> tuple[np.ndarray, np.ndarray, np
     return _support_means(stream, x, z)
 
 
-def _means(sums: np.ndarray, weight: np.ndarray, s: int):
-    """Means, sqrt(3)^weight scales and scaled plug-in std errors of eigenvalue sums."""
-    mean = sums / s
-    scale = _SCALES[weight]
+def _means(sums: np.ndarray, codes: np.ndarray, s: int):
+    """Means, sqrt(3)^weight scales and scaled plug-in std errors of the strings
+    whose letter codes 2 x + z (the labels f D + g at D = 2) are the columns of
+    ``codes``, from their displacement sums: each Y letter negates its string's
+    sum, as Y (x) Y = -XZ (x) XZ, and adding 0.0 keeps a negated zero sum 0.0."""
+    mean = (1 - 2 * (np.count_nonzero(codes == 3, axis=0) & 1)) * sums + 0.0
+    mean /= s
+    scale = _SCALES[np.count_nonzero(codes, axis=0)]
     return mean, scale, scale * np.sqrt(np.maximum(0.0, 1.0 - mean * mean)) / math.sqrt(s)
 
 
 def _support_means(stream: BellShotStream, x: np.ndarray, z: np.ndarray):
-    """``mask_means`` with one ``joint_outcomes`` call per support: one ±1
-    eigenvalue product per distinct outcome, summed against the counts."""
+    """``mask_means`` with one ``statesim.outcome_sums`` call per support."""
     n = stream.num_pairs
     supports, inverse = np.unique(x | z, return_inverse=True)
     groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
     shifts = np.arange(n - 1, -1, -1)[:, None]  # row q: qubit q of every string
-    columns = _MASK_COLUMNS[(x >> shifts & 1) + 2 * (z >> shifts & 1)]
-    sums, weight = np.empty((2, len(x)), dtype=np.int64)
+    codes = 2 * (x >> shifts & 1) + (z >> shifts & 1)
+    sums = np.empty(len(x))
     for support, positions in zip(supports.tolist(), groups):
         qubits = [q for q in range(n) if support >> (n - 1 - q) & 1]
-        digits, counts = joint_outcomes(stream, tuple(qubits))
-        signs = np.ones((len(counts), len(positions)), dtype=np.int8)
-        for j, row in enumerate(columns[:, positions][qubits]):
-            signs *= BELL_EIGENVALUES[:, row][digits[:, j]]
-        sums[positions] = counts @ signs
-        weight[positions] = len(qubits)
-    return _means(sums, weight, stream.num_shots)
+        sums[positions] = outcome_sums(stream, tuple(qubits), codes[qubits][:, positions])
+    return _means(sums, codes, stream.num_shots)
 
 
 def _transform_means(stream: BellShotStream, x: np.ndarray, z: np.ndarray, sites: list[int]):
-    """``mask_means`` of strings within ``sites`` from one ``joint_outcomes``
-    call: a Walsh-Hadamard transform takes the histogram of 4^|sites| bins
-    site by site through ``_SIGN_TABLE``, so that bin sum_j 4^(|sites|-1-j) c_j
-    holds the sum of the string with letter code c_j on site j.  Partial sums
-    are integers of at most the shot count, so float64 is exact."""
-    width = len(sites)
-    places = 4 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    digits, counts = joint_outcomes(stream, tuple(sites))
-    hist = np.zeros(4 ** width)
-    hist[digits @ places] = counts
-    hist = _site_products(hist, _SIGN_TABLE, width)
+    """``mask_means`` of strings within ``sites``, each one index into the
+    ``statesim.displacement_sums`` table of ``sites``, built uncached: one
+    call reads every string it serves, and 4^|U| float64 entries would
+    otherwise stay on the stream."""
     shifts = (stream.num_pairs - 1 - np.array(sites, dtype=np.int64))[:, None]
-    codes = (x >> shifts & 1) + 2 * (z >> shifts & 1)  # row j: site j of every string
-    sums = hist.reshape(-1)[places @ codes]
-    return _means(sums, np.count_nonzero(codes, axis=0), stream.num_shots)
+    codes = 2 * (x >> shifts & 1) + (z >> shifts & 1)  # row j: site j of every string
+    table = _sum_displacements(stream, tuple(sites)).reshape(-1)
+    sums = table[4 ** np.arange(len(sites) - 1, -1, -1) @ codes]
+    return _means(sums, codes, stream.num_shots)
 
 
 @dataclass(frozen=True)

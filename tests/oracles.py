@@ -39,6 +39,22 @@
       the two bulk samplers in ``fermitree.statesim``;
     * ``reference_calibration`` computes a fiducial's calibration factor
       from its D x D density and displacement matrices;
+    * ``reference_residue_hw`` estimates a displacement correlator from
+      the shots per phase residue g*h - f*ell mod D, summed against the
+      powers of w: read from a (D^2,) * w + (D,) residue table built site
+      by site with one-hot exponents when the support has at most as many
+      outcome rows as shots, and by ``bincount`` over the joint outcomes
+      otherwise; the ulp reference for ``fermitree.qudit.estimate_hw_correlator``
+      and the displacement sums of ``fermitree.statesim``;
+    * ``reference_sign_hw`` estimates a qubit displacement correlator from
+      the per-shot products of the +-1 eigenvalues 1 - 2e in int64, exact
+      at any shot count, and ``reference_row_sum_hw`` estimates one at any
+      D from the support's distinct rows counted with a ``Counter``, each
+      count times the site-by-site product of its characters w^e, summed
+      by one matrix product: the exact references for
+      ``fermitree.qudit.estimate_hw_correlator`` on one stream, per shot
+      at D = 2 and per outcome row of ``fermitree.statesim.outcome_sums``
+      at any D;
     * ``FenwickTree`` holds the interval-halving tree with its parent,
       children and interval lists and its update, parity and remainder
       sets, and ``reference_bravyi_kitaev`` builds the Bravyi-Kitaev table
@@ -48,14 +64,17 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 
 from fermitree.fermion import FermionEstimate, monomial_masks
 from fermitree.pauli import Masks, PauliString, to_masks
+from fermitree.qudit import HwEstimate, _checked_targets
 from fermitree.statesim import (
     GATHER_BLOCK, SHOT_BLOCK, BellShotStream, DenseState, _paired, _parity, bell_basis_matrix,
-    hw_operator,
+    bell_exponents, hw_operator, joint_outcomes,
 )
 from fermitree.tomography import mask_means
 
@@ -327,6 +346,102 @@ def reference_calibration(fiducial, f: int, g: int) -> complex:
     d = fiducial.dimension
     density = np.outer(fiducial.amplitudes, fiducial.amplitudes.conj())
     return complex(np.trace(hw_operator(d, f % d, (-g) % d) @ density))
+
+
+@lru_cache(maxsize=64)
+def reference_residue_counts(stream: BellShotStream, sites: tuple[int, ...]) -> np.ndarray:
+    """Shots per phase residue of every displacement product on ``sites``:
+    entry [f_1 D + g_1, ..., f_w D + g_w, r] counts the shots whose residue
+    sum_j (g_j h_j - f_j ell_j) mod D is r.
+
+    Axis layout (c_j, ..., c_w, fg_1, ..., fg_{j-1}, r): each step takes the
+    leading outcome axis c_j to a trailing label axis fg_j before the residue
+    axis, new[m, fg, r] = sum_{c, e} [E(fg, c) = e] old[c, m, (r - e) mod D],
+    as one gather over the residue axis and one matrix product with the
+    one-hot exponents.  Partial sums are integers of at most the shot
+    count, so float64 is exact."""
+    d = stream.local_dim
+    base, width = d * d, len(sites)
+    digits, counts = joint_outcomes(stream, sites)
+    table = np.zeros((base ** width, d))
+    table[digits @ base ** np.arange(width - 1, -1, -1), 0] = counts
+    # row (c, e), column fg: 1 where the exponent of fg on outcome c is e
+    one_hot = (bell_exponents(d).reshape(base, base).T[:, None, :] == np.arange(d)[:, None])
+    one_hot = one_hot.reshape(base * d, base).astype(float)
+    shifted = (np.arange(d) - np.arange(d)[:, None]) % d  # row e, column r: r - e
+    for _ in range(width):
+        rest = table.shape[0] // base
+        gathered = table.reshape(base, rest, d)[:, :, shifted]  # (c, m, e, r)
+        product = gathered.transpose(1, 3, 0, 2).reshape(rest * d, base * d) @ one_hot
+        table = product.reshape(rest, d, base).transpose(0, 2, 1).reshape(-1, d)
+    return table.astype(np.int64).reshape((base,) * width + (d,))
+
+
+def reference_residue_hw(stream: BellShotStream, targets, fiducial) -> tuple[complex, HwEstimate]:
+    """(mean, estimate) of <prod_i X^{f_i} Z^{g_i}> from the D residue counts:
+    one index into ``reference_residue_counts`` when D^(2w) <= num_shots,
+    else a ``bincount`` of the residues of the joint outcomes, then the sum
+    of int(c_r) w^r in r order, w^r = exp(2 pi i / D) ** r as np.complex128."""
+    d = fiducial.dimension
+    checked = _checked_targets(targets, d, stream.num_pairs)
+    s = stream.num_shots
+    sites = tuple(t[0] for t in checked)
+    if d ** (2 * len(sites)) <= s:
+        table = reference_residue_counts(stream, sites)
+        by_residue = table[tuple(f * d + g for _, f, g in checked)].tolist()
+    else:
+        digits, counts = joint_outcomes(stream, sites)
+        exponents = bell_exponents(d)
+        residues = np.zeros(len(counts), dtype=np.int64)
+        for column, (_, f, g) in zip(digits.T, checked):
+            residues += exponents[f, g][column]
+        # float weights are exact integers below 2^53 shots
+        by_residue = np.bincount(residues % d, weights=counts, minlength=d).tolist()
+    omega = np.exp(2j * np.pi / d)
+    mean = sum(int(c) * w for c, w in zip(by_residue, (omega ** r for r in range(d)))) / s
+    calibration = math.prod(fiducial.overlaps[f, g] for _, f, g in checked)
+    return mean, HwEstimate(
+        targets=checked,
+        value=mean / calibration,
+        std_error=math.sqrt(max(0.0, 1.0 - abs(mean) ** 2) / s) / abs(calibration),
+        num_shots=s,
+    )
+
+
+
+def _hw_moments(mean, targets, fiducial, s: int) -> tuple[complex, float]:
+    """(value, std error) of a correlator whose mean eigenvalue is ``mean``,
+    in the arithmetic of ``reference_calibration``."""
+    calibration = complex(np.prod([reference_calibration(fiducial, f, g) for _, f, g in targets]))
+    return mean / calibration, math.sqrt(max(0.0, 1.0 - abs(mean) ** 2) / s) / abs(calibration)
+
+
+def reference_sign_hw(stream: BellShotStream, targets, fiducial) -> tuple[complex, float]:
+    """(value, std error) of a qubit correlator from the int64 sum over shots
+    of the product of its +-1 eigenvalues 1 - 2e, e = g h - f ell mod 2."""
+    if fiducial.dimension != 2:
+        raise ValueError("the sign reference reads qubit streams only")
+    products = np.ones(stream.num_shots, dtype=np.int64)
+    for site, f, g in targets:
+        h, ell = np.divmod(stream.codes[:, site].astype(np.int64), 2)
+        products *= 1 - 2 * ((g * h - f * ell) % 2)
+    return _hw_moments(complex(int(products.sum())) / stream.num_shots, targets, fiducial, stream.num_shots)
+
+
+def reference_row_sum_hw(stream: BellShotStream, targets, fiducial) -> tuple[complex, float]:
+    """(value, std error) of a correlator from the distinct rows of its
+    support, counted with a ``Counter`` and sorted: the counts times the
+    site-by-site products of the characters w^e, w^e = exp(2 pi i e / D)
+    (real at D = 2), summed by one matrix product as ``outcome_sums`` sums."""
+    d = fiducial.dimension
+    rows = sorted(Counter(map(tuple, stream.codes[:, [t[0] for t in targets]].tolist())).items())
+    roots = np.exp(2j * np.pi * np.arange(d) / d)
+    products = np.ones((len(rows), 1), dtype=float if d == 2 else complex)
+    for j, (_, f, g) in enumerate(targets):
+        h, ell = np.divmod(np.array([row[j] for row, _ in rows]), d)
+        products *= (roots.real if d == 2 else roots)[(g * h - f * ell) % d][:, None]
+    [total] = np.array([count for _, count in rows], dtype=np.int64) @ products
+    return _hw_moments(complex(total) / stream.num_shots, targets, fiducial, stream.num_shots)
 
 
 class FenwickTree:

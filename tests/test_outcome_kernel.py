@@ -2,8 +2,13 @@
 
 Each reference below gathers one eigenvalue (or phase residue) per shot
 and per site, the direct reading of the estimator formulas.  The kernel
-sums the same integers grouped by joint outcome, so values and standard
-errors must agree exactly, not within a tolerance.
+sums the same integers grouped by joint outcome, so qubit and fermionic
+values and standard errors must agree exactly, not within a tolerance.
+Qudit means multiply and add roots of unity in another order than the
+per-residue sums, so they agree within ``ULPS``; a correlator read per
+outcome row agrees exactly with ``reference_row_sum_hw``, which sums the
+same characters over rows counted apart, and a qubit one with the integer
+sign sums of ``reference_sign_hw``.
 """
 
 import itertools
@@ -13,7 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fermitree import fermion, statesim, tomography
+from fermitree import fermion, qudit, statesim, tomography
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
 from fermitree.fermion import (
     monomial_masks,
@@ -30,9 +35,13 @@ from fermitree.qudit import (
 )
 from fermitree.statesim import (
     BellShotStream,
+    CapacityError,
     attach_ancillas,
+    bell_exponents,
+    displacement_sums,
+    joint_outcomes,
+    outcome_sums,
     random_state,
-    residue_counts,
     sample_bell_shots,
     sample_povm_shots,
 )
@@ -42,12 +51,14 @@ from fermitree.tomography import (
     LETTERS,
     RdmEstimate,
     estimate_all_k_rdms,
-    joint_outcomes,
     mask_means,
     merge_streams,
 )
-from oracles import from_masks, reference_calibration, reference_estimate_fermionic_rdm, sign_means
-from test_qudit import _complex_fiducial
+from oracles import (
+    from_masks, reference_calibration, reference_estimate_fermionic_rdm, reference_residue_hw, reference_row_sum_hw,
+    reference_sign_hw, sign_means,
+)
+from test_qudit import ULPS, _complex_fiducial, assert_within_ulps
 
 
 def random_stream(d, num_pairs, num_shots, seed, distinct=None):
@@ -163,7 +174,8 @@ def test_counting_branches_at_key_range_threshold(monkeypatch, d, fiducial, extr
     for choice in itertools.product(labels, repeat=len(sites)):
         targets = [(site, f, g) for site, (f, g) in zip(sites, choice)]
         est = estimate_hw_correlator(stream, targets, fiducial)
-        assert (est.value, est.std_error) == reference_hw(stream, targets, fiducial)
+        reference = reference_sign_hw if d == 2 else reference_row_sum_hw
+        assert (est.value, est.std_error) == reference(stream, targets, fiducial)
     if d == 2:
         for letters in itertools.product(LETTERS, repeat=len(sites)):
             [(mean, scale, std_error)] = sign_means(stream, [tuple(zip(sites, letters))])
@@ -205,57 +217,130 @@ def test_hw_estimator_is_bit_identical(d, fiducial, k):
         for choice in itertools.product(labels, repeat=k):
             targets = [(site, f, g) for site, (f, g) in zip(sites, choice)]
             est = estimate_hw_correlator(stream, targets, fiducial)
-            assert (est.value, est.std_error) == reference_hw(stream, targets, fiducial)
+            assert_within_ulps(est, reference_hw(stream, targets, fiducial), fiducial)
 
 
 @pytest.mark.parametrize("j", range(len(HW_FIDUCIALS)))
 @pytest.mark.parametrize("width", [1, 2, 3])
 @pytest.mark.parametrize("table_fits", [False, True])
-def test_residue_table_matches_per_shot_residues(j, width, table_fits):
-    # D^(2w) - 1 shots read each target's residues from the joint outcomes,
-    # D^(2w) shots read them from the residue table; both equal the per-shot
-    # reference, whatever order the sites come in
+def test_residue_table_matches_per_shot_residues(monkeypatch, j, width, table_fits):
+    # D^(2w) - 1 shots read each target from the joint outcomes (outcome_sums),
+    # D^(2w) shots from the support's displacement sums; both lie within ULPS
+    # of the per-shot reference, whatever order the sites come in
     d, fiducial = HW_FIDUCIALS[j]
     rng = np.random.default_rng(200 + 10 * d + width)
     num_shots = d ** (2 * width) - (0 if table_fits else 1)
     stream = random_stream(d, 4, num_shots, seed=210 + 10 * d + width)
+    read = []
+    monkeypatch.setattr(qudit, "outcome_sums", lambda *args: (read.append(args[1]), outcome_sums(*args))[1])
     labels = [(f, g) for f in range(d) for g in range(d) if (f, g) != (0, 0)]
+    omega = np.exp(2j * np.pi / d)
     for _ in range(3):
         sites = tuple(rng.permutation(4)[:width].tolist())
-        table = residue_counts(stream, sites)
-        assert (table is not None) == table_fits
         for choice in rng.choice(len(labels), size=(12, width)):
             targets = [(site, *labels[c]) for site, c in zip(sites, choice)]
             est = estimate_hw_correlator(stream, targets, fiducial)
-            assert (est.value, est.std_error) == reference_hw(stream, targets, fiducial)
+            assert_within_ulps(est, reference_hw(stream, targets, fiducial), fiducial)
             if table_fits:
                 h, ell = np.divmod(stream.codes.astype(np.int64), d)
                 residues = sum(g * h[:, site] - f * ell[:, site] for site, f, g in targets)
-                want = np.bincount(residues % d, minlength=d)
-                assert table[tuple(f * d + g for _, f, g in targets)].tolist() == want.tolist()
+                want = sum(int(c) * omega ** r for r, c in enumerate(np.bincount(residues % d, minlength=d)))
+                got = displacement_sums(stream, sites)[tuple(f * d + g for _, f, g in targets)]
+                assert abs(got - want) <= ULPS * num_shots
+    assert len(read) == (0 if table_fits else 36)
 
 
-def test_residue_table_is_cached_read_only(monkeypatch):
-    built = residue_building_calls(monkeypatch)
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("table_fits", [False, True])
+def test_hw_estimates_lie_within_ulps_of_the_residue_reader(d, width, table_fits):
+    # the means of both paths, displacement_sums and outcome_sums, each
+    # within ULPS of the residue reader's, and the estimate, which reads the
+    # sums when D^(2w) <= shots and the outcome rows otherwise, within
+    # ULPS / |calibration| in value and std error
+    fiducial = qubit_fiducial() if d == 2 else _complex_fiducial(d, d)
+    num_shots = d ** (2 * width) - (0 if table_fits else 1)
+    stream = random_stream(d, 4, num_shots, seed=240 + 10 * d + width)
+    rng = np.random.default_rng(250 + 10 * d + width)
+    labels = [(f, g) for f in range(d) for g in range(d) if (f, g) != (0, 0)]
+    for _ in range(3):
+        sites = tuple(rng.permutation(4)[:width].tolist())
+        for choice in rng.choice(len(labels), size=(8, width)):
+            targets = [(site, *labels[c]) for site, c in zip(sites, choice)]
+            mean, want = reference_residue_hw(stream, targets, fiducial)
+            column = [f * d + g for _, f, g in targets]
+            by_table = complex(displacement_sums(stream, sites)[tuple(column)]) / num_shots
+            [by_rows] = outcome_sums(stream, sites, [[c] for c in column]).tolist()
+            by_rows /= num_shots
+            assert abs(by_table - mean) <= ULPS and abs(by_rows - mean) <= ULPS
+            est = estimate_hw_correlator(stream, targets, fiducial)
+            calibration = math.prod(fiducial.overlaps[f, g] for _, f, g in targets)
+            assert est.value == (by_table if table_fits else by_rows) / calibration
+            assert_within_ulps(est, (want.value, want.std_error), fiducial)
+
+
+def test_displacement_sums_are_cached_read_only(monkeypatch):
+    built = sum_building_calls(monkeypatch)
     stream = random_stream(3, 4, 100, seed=230)
-    table = residue_counts(stream, (3, 1))
-    assert table.shape == (9, 9, 3) and table.dtype == np.int64
+    table = displacement_sums(stream, (3, 1))
+    assert table.shape == (9, 9) and table.dtype == np.complex128
     assert not table.flags.writeable
     with pytest.raises(ValueError):
-        table[0, 0, 0] = 0
-    # every label pair sums to the shot count; the identity label holds them at residue 0
-    assert (table.sum(axis=-1) == 100).all() and table[0, 0, 0] == 100
-    assert residue_counts(stream, [3, 1]) is table
-    assert residue_counts(stream, (np.int64(3), np.int64(1))) is table
+        table[0, 0] = 0
+    # the identity label sums every shot's eigenvalue 1
+    assert table[0, 0] == 100
+    assert displacement_sums(stream, [3, 1]) is table
+    assert displacement_sums(stream, (np.int64(3), np.int64(1))) is table
     assert built == [(3, 1)]
-    residue_counts(stream, (1, 3))
+    displacement_sums(stream, (1, 3))
     assert built == [(3, 1), (1, 3)]
-    # 729 rows on three sites exceed the 100 shots: no table is built
-    assert residue_counts(stream, (0, 1, 2)) is None
+    # 729 rows on three sites exceed the 100 shots: the estimate reads the
+    # outcome rows and builds no table
+    estimate_hw_correlator(stream, [(0, 1, 0), (1, 0, 1), (2, 1, 1)], qutrit_fiducial())
     assert len(built) == 2
     # a fresh stream over the same codes builds again
-    residue_counts(BellShotStream(3, 4, stream.codes), (3, 1))
+    displacement_sums(BellShotStream(3, 4, stream.codes), (3, 1))
     assert len(built) == 3
+
+
+def test_displacement_sums_refuse_supports_beyond_capacity(monkeypatch):
+    # 9^7 and 4^11 sums exceed CAPACITY_AMPLITUDES: refused before counting
+    counted = counting_calls(monkeypatch)
+    for d, width in ((3, 7), (2, 11)):
+        stream = random_stream(d, width, 50, seed=235 + d)
+        with pytest.raises(CapacityError, match="displacement sums exceed budget"):
+            displacement_sums(stream, tuple(range(width)))
+        assert counted == [] and stream._tables == {}
+        assert displacement_sums(stream, tuple(range(width - 1))).shape == (d * d,) * (width - 1)
+        counted.clear()
+    # with a budget below a qutrit pair's 81 sums, the estimate reads the
+    # outcome rows although the stream has more shots than sums
+    monkeypatch.setattr(qudit, "CAPACITY_AMPLITUDES", 80)
+    monkeypatch.setattr(statesim, "CAPACITY_AMPLITUDES", 80)
+    stream = random_stream(3, 2, 100, seed=238)
+    targets = [(0, 1, 2), (1, 2, 0)]
+    est = estimate_hw_correlator(stream, targets, qutrit_fiducial())
+    assert (est.value, est.std_error) == reference_row_sum_hw(stream, targets, qutrit_fiducial())
+    assert list(stream._tables) == [("outcomes", (0, 1))]
+
+
+@pytest.mark.parametrize("width,num_shots", [(1, 500), (2, 500), (3, 500), (3, 40)])
+def test_qubit_displacement_sums_are_exact_integers(width, num_shots):
+    # at D = 2 every entry of both readers is an integer-valued float64, ==
+    # to the sum over shots of the product of +-1 eigenvalues (-1)^e
+    stream = random_stream(2, 5, num_shots, seed=260 + width + num_shots)
+    signs = 1 - 2 * bell_exponents(2).reshape(4, 4).astype(np.int64)  # row f * 2 + g, column code
+    rng = np.random.default_rng(270 + width)
+    for _ in range(3):
+        sites = tuple(rng.permutation(5)[:width].tolist())
+        per_shot = [signs[:, stream.codes[:, site]] for site in sites]  # (label, shot) per site
+        want = np.einsum(",".join("as bs cs".split()[:width]) + "->" + "abc"[:width], *per_shot)
+        table = displacement_sums(stream, sites)
+        assert table.dtype == np.float64 and table.shape == (4,) * width
+        assert np.array_equal(table, want) and np.array_equal(table, np.round(table))
+        columns = np.array(list(itertools.product(range(4), repeat=width))).T
+        rows = outcome_sums(stream, sites, columns)
+        assert rows.dtype == np.float64 and np.array_equal(rows, want.reshape(-1))
 
 
 @pytest.mark.parametrize("table", [build_mapping(5).majorana_table, jordan_wigner(5), bravyi_kitaev(5)])
@@ -331,7 +416,7 @@ def test_keys_beyond_int64_are_compacted():
 
     targets = [(site, 1, 1) for site in range(24)]
     est = estimate_hw_correlator(qutrits, targets, qutrit_fiducial())
-    assert (est.value, est.std_error) == reference_hw(qutrits, targets, qutrit_fiducial())
+    assert (est.value, est.std_error) == reference_row_sum_hw(qutrits, targets, qutrit_fiducial())
 
 
 def test_sign_means_follow_input_order():
@@ -549,17 +634,23 @@ def test_mask_means_takes_the_transform_for_few_wide_supports(monkeypatch):
         got = mask_means(stream, x, z)
         assert taken == [path]
         taken.clear()
+        # the transform keeps the union's counts, not its 4^n sums
+        assert [kind for kind, _ in stream._tables] == ["outcomes"] * len(stream._tables)
         assert all(np.array_equal(a, b) for a, b in zip(got, support_means(stream, x, z)))
 
 
-def test_sign_table_is_the_eigenvalue_table_in_mask_code_order():
-    # column x bit + 2 * z bit: identity, x, z, y, as from_masks reads masks
-    letters = {1: "x", 2: "z", 3: "y"}
+def test_qubit_characters_are_the_eigenvalue_table():
+    # column 2 x + z, as the qubit readers code a letter: identity, z, x and
+    # XZ, whose sign a Y letter flips (Y (x) Y = -XZ (x) XZ)
+    characters = statesim._characters(2)
+    assert characters.dtype == np.float64 and not characters.flags.writeable
+    letters = {1: "z", 2: "x", 3: "y"}
     for code in range(4):
-        assert tomography._SIGN_TABLE[code, 0] == 1
+        assert characters[code, 0] == 1
         for column, letter in letters.items():
-            assert tomography._SIGN_TABLE[code, column] == BELL_EIGENVALUES[code, LETTERS.index(letter)]
-            assert from_masks((column & 1, column >> 1, 0), 1).letters == ((0, letter.upper()),)
+            sign = -1 if letter == "y" else 1
+            assert sign * characters[code, column] == BELL_EIGENVALUES[code, LETTERS.index(letter)]
+            assert from_masks((column >> 1, column & 1, 0), 1).letters == ((0, letter.upper()),)
 
 
 @pytest.mark.parametrize("kind", ["ternary", "jw", "bk"])
@@ -611,16 +702,16 @@ def counting_calls(monkeypatch):
     return counted
 
 
-def residue_building_calls(monkeypatch):
-    """Record the supports whose residue table ``residue_counts`` builds rather than reads."""
+def sum_building_calls(monkeypatch):
+    """Record the supports whose table ``displacement_sums`` builds rather than reads."""
     built = []
-    build = statesim._count_residues
+    build = statesim._sum_displacements
 
     def recorded(stream, sites):
         built.append(sites)
         return build(stream, sites)
 
-    monkeypatch.setattr(statesim, "_count_residues", recorded)
+    monkeypatch.setattr(statesim, "_sum_displacements", recorded)
     return built
 
 
@@ -653,7 +744,7 @@ def test_qutrit_hw_sized_stream_counts_fifteen_tables(monkeypatch):
     parts = [sample_povm_shots(state, 2000, 96 + r, ancilla=fid.as_state()) for r in range(2)]
     joint_outcomes(parts[0], (0, 1))
     counted = counting_calls(monkeypatch)
-    tabled = residue_building_calls(monkeypatch)
+    tabled = sum_building_calls(monkeypatch)
     merged = merge_streams(parts)
     labels = [(f, g) for f in range(3) for g in range(3) if (f, g) != (0, 0)]
     targets = [
@@ -665,7 +756,7 @@ def test_qutrit_hw_sized_stream_counts_fifteen_tables(monkeypatch):
     assert len(targets) == 960
     for pair in targets:
         estimate_hw_correlator(merged, pair, fid)
-    # 81 possible rows per pair against 4000 shots: one residue table each
+    # 81 possible rows per pair against 4000 shots: one table of displacement sums each
     assert sorted(counted) == list(itertools.combinations(range(6), 2))
     assert sorted(tabled) == list(itertools.combinations(range(6), 2))
 

@@ -29,7 +29,6 @@ from fermitree.statesim import (
     hw_operator,
     prepare_xi,
     random_state,
-    residue_counts,
     sample_bell_shots,
     sample_povm_shots,
 )
@@ -136,6 +135,21 @@ def _complex_fiducial(d, seed):
     return FiducialState(d, vec / np.linalg.norm(vec))
 
 
+# How far a qudit mean may lie from the same mean summed per phase residue:
+# the displacement sums multiply and add roots of unity in another order.
+ULPS = 4 * 2.0 ** -52
+
+
+def assert_within_ulps(est: HwEstimate, want: tuple, fiducial: FiducialState) -> None:
+    """The estimate's value and std error within ULPS / |calibration| of the
+    (value, std_error) pair ``want``, and its value a Python complex."""
+    value, std_error = want
+    calibration = abs(math.prod(fiducial.overlaps[f, g] for _, f, g in est.targets))
+    assert type(est.value) is complex
+    assert abs(est.value - value) <= ULPS / calibration, (est, want)
+    assert abs(est.std_error - std_error) <= ULPS / calibration, (est, want)
+
+
 @pytest.mark.parametrize("fid", [qubit_fiducial(), _complex_fiducial(3, 11)])
 def test_sic_elements_reproduce_bell_probabilities(fid):
     # p(h, ell) = tr(rho E_(h, ell)) for complex states and complex
@@ -208,6 +222,21 @@ def test_targets_come_back_as_python_ints():
     assert est.targets == ((2, 1, 2), (0, 2, 1))
     assert all(type(v) is int for target in est.targets for v in target)
     assert est == estimate_hw_correlator(stream, [(2, 1, 2), (0, 2, 1)], qutrit_fiducial())
+
+
+@pytest.mark.parametrize("d,fid", [(2, qubit_fiducial()), (3, qutrit_fiducial())])
+@pytest.mark.parametrize("shots", [16, 15])
+def test_hw_values_are_python_complex(d, fid, shots):
+    # a qubit pair (16 possible rows) is read from the displacement sums on
+    # 16 shots and from the outcome rows on 15, a qutrit pair (81) from the
+    # rows and one qutrit (9) from the sums; the value is a Python complex
+    # on both paths, like the exact correlator's
+    stream = BellShotStream(d, 2, np.random.default_rng(shots).integers(0, d * d, size=(shots, 2)))
+    state = random_state(2, d, np.random.default_rng(2))
+    for targets in ([(0, 1, 1)], [(1, 0, 1), (0, 1, 0)]):
+        est = estimate_hw_correlator(stream, targets, fid)
+        assert type(est.value) is complex and type(est.std_error) is float
+        assert type(exact_hw_correlator(state, targets)) is complex
 
 
 def apply_single_site(state: DenseState, matrix: np.ndarray, site: int) -> DenseState:
@@ -342,8 +371,8 @@ def test_correlators_build_no_matrix_per_call(monkeypatch):
     h, ell = np.divmod(stream.codes.astype(np.int64), 3)
     counts = np.bincount((2 * h[:, 1] - ell[:, 1] - 2 * ell[:, 0]) % 3, minlength=3)
     mean = sum(int(c) * np.exp(2j * np.pi / 3) ** r for r, c in enumerate(counts)) / 500
-    assert est.value == mean / want[0]
-    assert est.std_error == math.sqrt(max(0.0, 1.0 - abs(mean) ** 2) / 500) / abs(want[0])
+    std_error = math.sqrt(max(0.0, 1.0 - abs(mean) ** 2) / 500) / abs(want[0])
+    assert_within_ulps(est, (mean / want[0], std_error), fid)
     assert exact_hw_correlator(state, [(2, 1, 2), (0, 2, 0)]) == want[1]
 
 
@@ -425,20 +454,24 @@ def reference_hw_estimate(stream: BellShotStream, targets, fid: FiducialState) -
 
 
 @pytest.mark.parametrize("shots", [2000, 30])
-def test_qutrit_hw_estimates_equal_the_per_shot_oracle(shots):
+def test_qutrit_hw_estimates_equal_the_per_shot_oracle(monkeypatch, shots):
     # all 960 two-site correlators of two merged 6-qutrit runs: 4000 shots
-    # read residue tables, 60 shots (fewer than the 81 outcome rows of a
-    # pair) sum over joint outcomes; both are == to the oracle
+    # read the displacement sums of each pair, 60 shots (fewer than the 81
+    # outcome rows of a pair) sum over joint outcomes; both lie within ULPS
+    # of the oracle
     fid = qutrit_fiducial()
     state = random_state(6, 3, np.random.default_rng(52))
     merged = merge_streams([sample_povm_shots(state, shots, 53 + r, ancilla=fid.as_state()) for r in range(2)])
-    assert (residue_counts(merged, (0, 1)) is None) == (merged.num_shots < 81)
+    read = []
+    monkeypatch.setattr(qudit, "outcome_sums", lambda *args: (read.append(args[1]), statesim.outcome_sums(*args))[1])
     labels = [(f, g) for f in range(3) for g in range(3) if (f, g) != (0, 0)]
     for a, b in itertools.combinations(range(6), 2):
         for p in labels:
             for q in labels:
                 targets = [(a, *p), (b, *q)]
-                assert estimate_hw_correlator(merged, targets, fid) == reference_hw_estimate(merged, targets, fid)
+                want = reference_hw_estimate(merged, targets, fid)
+                assert_within_ulps(estimate_hw_correlator(merged, targets, fid), (want.value, want.std_error), fid)
+    assert len(read) == (960 if merged.num_shots < 81 else 0)
 
 
 def test_qutrit_error_bars_are_calibrated():

@@ -245,7 +245,7 @@ def cmd_tomograph(args: argparse.Namespace) -> int:
             "value_re": [v.real for v in values],
             "value_im": [v.imag for v in values],
             "std_error": std_error,
-            "pauli": [masks_text(m, num_qubits) for m in zip(*(m.tolist() for m in masks))],
+            "pauli": masks_text(masks, num_qubits),
             "weight": weight,
             "attenuation": attenuation,
             "exact_re": [e.real for e in exact],

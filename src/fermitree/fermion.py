@@ -203,7 +203,8 @@ class FermionEstimate:
 
     @property
     def pauli(self) -> str:
-        """``str`` of the encoded PauliString, rendered from the masks on each read."""
+        """``str`` of the encoded PauliString, rendered from the masks on each
+        read: a one-row ``masks_text`` call."""
         return masks_text(self.masks, self.num_qubits)
 
 

@@ -11,8 +11,9 @@ and the power gains 2 per bit set in both the left z and the right x.
 ``product`` applies it to any number of strings as Python ints over their
 labels, and ``PauliString.__mul__`` is its two-string call.  Hot loops
 over strings on the qubits 0..n-1 of one register use the masks directly
-(``to_masks``): ``fermion`` multiplies them, and ``statesim`` applies them
-to a state, as int64 arrays with one row per string, or as ints for one.
+(``to_masks``): ``fermion`` multiplies them, ``statesim`` applies them
+to a state and ``masks_text`` renders their text, as int64 arrays with one
+row per string, or as ints for one.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import re
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable
+
+import numpy as np
 
 _PHASES: tuple[complex, ...] = (1, 1j, -1, -1j)
 _PHASE_TOKENS = {"+": 0, "+i": 1, "-": 2, "-i": 3}
@@ -197,21 +200,35 @@ def to_masks(pauli: PauliString, num_qubits: int) -> Masks:
 
 
 @functools.cache
-def _qubit_tokens(num_qubits: int) -> dict[int, tuple[str | None, ...]]:
-    # each qubit's mask bit -> its tokens, indexed by x bit + 2 * z bit
-    return {1 << (num_qubits - 1 - q): (None, f"X{q}", f"Z{q}", f"Y{q}") for q in range(num_qubits)}
+def _qubit_tokens(num_qubits: int) -> np.ndarray:
+    """Read-only (qubit, x bit + 2 * z bit) table of each letter's token,
+    " X3" and the like, and "" for the identity."""
+    tokens = np.array([("", f" X{q}", f" Z{q}", f" Y{q}") for q in range(num_qubits)], dtype=object)
+    tokens = tokens.reshape(num_qubits, 4)
+    tokens.flags.writeable = False
+    return tokens
 
 
-def masks_text(masks: Masks, num_qubits: int) -> str:
-    """``str`` of the PauliString of (x, z, power) on num_qubits qubits, made
-    without one; masks outside 0..2**num_qubits-1 raise ValueError."""
-    x, z, power = masks
-    rest = x | z
-    if rest >> num_qubits:
-        raise ValueError(f"masks {x:#x}, {z:#x} reach outside the register of {num_qubits} qubits")
-    tokens, letters = _qubit_tokens(num_qubits), []
-    while rest:
-        low = rest & -rest  # the highest qubit left
-        rest ^= low
-        letters.append(tokens[low][bool(x & low) + 2 * bool(z & low)])
-    return f"{_TOKENS_BY_POWER[(power - (x & z).bit_count()) % 4]} {' '.join(reversed(letters)) or 'I'}"
+def masks_text(masks, num_qubits: int) -> list[str] | str:
+    """``str`` of the PauliString of each (x, z, power) string on num_qubits
+    qubits, made without one.
+
+    The masks are int64 arrays of equal length, one entry per string, which
+    give a list of texts, or ints for one string, which give its text.  The
+    table is read in one pass over its x and z bit planes: a token per qubit
+    column, then one join per row.  Since Y = iXZ, the phase is i to the
+    power less the number of Y letters.  Masks outside 0..2**num_qubits-1
+    raise ValueError.
+    """
+    x, z, power = (np.asarray(m, dtype=np.int64).reshape(-1) for m in masks)
+    if len(x) and ((x | z).min() < 0 or (x | z).max() >> num_qubits):
+        raise ValueError(f"masks reach outside the register of {num_qubits} qubits")
+    shifts = np.arange(num_qubits - 1, -1, -1)[:, None]  # qubit 0 is the top bit
+    xbits, zbits = x >> shifts & 1, z >> shifts & 1  # (qubit, string)
+    powers = ((power - (xbits & zbits).sum(axis=0)) % 4).tolist()
+    tokens = _qubit_tokens(num_qubits)
+    columns = (tokens[q][codes].tolist() for q, codes in enumerate(xbits + 2 * zbits))
+    texts = list(map("".join, zip(map(_TOKENS_BY_POWER.__getitem__, powers), *columns)))
+    for identity in np.flatnonzero((x | z) == 0).tolist():
+        texts[identity] += " I"
+    return texts if np.ndim(masks[0]) else texts[0]

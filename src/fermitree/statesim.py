@@ -6,16 +6,17 @@ qubit 0 is the top bit of the state index.  A ``DenseState`` is read-only,
 amplitudes included, so it keeps two caches.  The first holds the
 normalized CDF of the last outcome distribution it was sampled under: one
 entry per state, at most one float64 array of D^(2n) entries (8 MiB at
-capacity), and every later run of shots on that state and measurement
-only draws.  The second holds ``displacement_table``s, the exact
-expectation of every displacement product on a support, one per support
-read with 3w <= n sites, at most ``CAPACITY_AMPLITUDES`` complex entries
-(16 MiB) in all.  A Pauli string acts through its (x, z, power) masks:
-one gather over index ^ x, a sign per index from a folded parity and one
-factor i**power (``masks_matvec``).  ``expectations`` reads
-any number of strings from one Walsh-Hadamard transform per distinct x,
-in blocks of ``GATHER_BLOCK`` amplitudes.  The module also provides the
-tetrahedral ancilla state and the displacements X^f Z^g, and owns
+capacity), built in that array and one block of outcomes beside it, and
+every later run of shots on that state and measurement only draws.  The
+second holds ``displacement_table``s, the exact expectation of every
+displacement product on a support, one per support read with 3w <= n
+sites, at most ``CAPACITY_AMPLITUDES`` complex entries (16 MiB) in all.
+A Pauli string acts through its (x, z, power) masks: one gather over
+index ^ x, a sign per index from a folded parity and one factor i**power
+(``masks_matvec``).  ``expectations`` reads any number of strings from
+one Walsh-Hadamard transform per distinct x, in blocks of
+``GATHER_BLOCK`` amplitudes.  The module also provides the tetrahedral
+ancilla state and the displacements X^f Z^g, and owns
 everything about a Bell outcome code h * D + ell: the Bell states and
 basis, built from the displacements; the one eigenvalue table,
 ``bell_exponents``; and the one counting kernel, ``joint_outcomes``,
@@ -32,9 +33,11 @@ that the two bulk samplers return:
 
 The two bulk samplers share one outcome kernel (``_outcome_distribution``,
 the squared moduli after ``_site_products``, the one site-by-site product
-loop), one CDF cache on the sampled state (``_outcome_cdf``) and one
-blocked RNG layout (``_draw_codes``) that makes a stream depend only on
-the distribution and the seed; the capacity budget bounds the D^(2n)
+loop, whose steps that widen the array, as the POVM rows do, run one
+block of ``_OUTCOME_BLOCK`` outcomes at a time), one CDF cache on the
+sampled state (``_outcome_cdf``) and one blocked RNG layout
+(``_draw_codes``) that makes a stream depend only on the distribution and
+the seed; the capacity budget bounds the D^(2n)
 outcome distribution in both.  The collapse reference, which measures
 one site pair at a time, lives in ``tests/oracles.py``.
 
@@ -66,6 +69,10 @@ SHOT_BLOCK = 4096
 # Pauli strings are read in blocks of rows of at most this many amplitudes,
 # so the temporaries stay small however many strings.
 GATHER_BLOCK = 2 ** 14
+# The product-POVM outcome distribution is built in blocks of at most this
+# many outcomes (``_outcome_distribution``): (16^2)^2, two sites' outcomes
+# at every D <= 16.
+_OUTCOME_BLOCK = 2 ** 16
 _WALSH = np.array([[1.0, 1.0], [1.0, -1.0]])  # row: bit of c, column: bit of z
 
 QUBIT_BELL_LABELS = ("F+", "F-", "P+", "P-")
@@ -97,7 +104,8 @@ class DenseState:
     stale.  The cache holds one entry, keyed by the measurement (the
     register's Bell pairs, or the ancilla of the product POVM); sampling
     under another key replaces it, so a state holds at most one float64
-    array of D^(2n) entries (8 MiB at capacity) beside its amplitudes.  The
+    array of D^(2n) entries (8 MiB at capacity) beside its amplitudes, and
+    building it takes that array and one block of outcomes.  The
     exact correlators cache beside it one ``displacement_table`` per
     support, at most ``CAPACITY_AMPLITUDES`` complex entries (16 MiB) in
     all, which such a write would leave stale too.
@@ -415,13 +423,42 @@ def _site_products(values: np.ndarray, rows_t: np.ndarray, steps: int) -> np.nda
 
 
 def _outcome_distribution(amps: np.ndarray, rows_t: np.ndarray, steps: int) -> np.ndarray:
-    """Normalized |amplitudes|^2 after ``steps`` ``_site_products`` steps."""
-    # square real and imaginary parts in place (the last product, never the
-    # caller's array): a fresh 2^20-entry temporary costs page faults
-    # comparable to the products above
-    parts = _site_products(amps, rows_t, steps).reshape(-1).view(np.float64)
-    np.square(parts, out=parts)
-    probs = parts[0::2] + parts[1::2]
+    """Normalized |amplitudes|^2 after ``steps`` ``_site_products`` steps,
+    built one block of outcome prefixes at a time.
+
+    After j steps the values form a (remaining system index, prefix) table,
+    and the outcomes that begin with prefix p depend on column p alone and
+    fill one contiguous run of the result.  So the first j steps run on the
+    whole array, j the fewest after which one prefix's outcomes fit
+    ``_OUTCOME_BLOCK``, and the rest run on a copy of each block of
+    consecutive prefix columns, whose squared moduli go straight into their
+    slice of the result.  Each entry is the same sequence of products as on
+    the whole array, so the result is too, bit for bit, provided no block
+    makes a product of one row, which numpy hands to BLAS gemv, whose
+    rounding may differ from gemm's: so at least two steps run per block.
+    The working set is the result and one block.  Rows that do not widen
+    the array (the register's D^2 x D^2 Bell rows) gain nothing from
+    blocks: all their steps run whole.
+    """
+    in_dim, out_dim = rows_t.shape
+    tail = 0  # the steps run per block
+    while out_dim > in_dim and tail < steps and (tail < 2 or out_dim ** (tail + 1) <= _OUTCOME_BLOCK):
+        tail += 1
+    table = _site_products(amps, rows_t, steps - tail).reshape(in_dim ** tail, -1)
+    outcomes = out_dim ** tail  # per prefix
+    width = max(1, _OUTCOME_BLOCK // outcomes) if tail else table.shape[1]
+    for start in range(0, table.shape[1], width):
+        block = np.ascontiguousarray(table[:, start:start + width])
+        # squared in place: a product of at least one step, never the caller's array
+        parts = _site_products(block, rows_t, tail).reshape(-1).view(np.float64)
+        np.square(parts, out=parts)
+        if not start:
+            # allocated only now, so that it can take the pages of the freed
+            # products, which a fresh array would fault in: at 2^16 outcomes
+            # that cost about as much as all the products
+            probs = np.empty(table.shape[1] * outcomes)
+        np.add(parts[0::2], parts[1::2], out=probs[start * outcomes:start * outcomes + parts.size // 2])
+        del block, parts  # so the next block's products do not coexist with these
     probs /= probs.sum()
     return probs
 
@@ -880,8 +917,9 @@ def _outcome_cdf(state: DenseState, key: tuple, distribution) -> np.ndarray:
     distribution of ``state``, cached read-only on the state under ``key``.
 
     The cumulative sum is taken in place in the distribution's own array,
-    so building the CDF holds one D^(2n)-entry array, not two.  The state's
-    amplitudes are read-only, so the entry never goes stale.  A state holds
+    which ``_outcome_distribution`` fills one block of outcomes at a time,
+    so building the CDF holds one D^(2n)-entry array and one block.  The
+    state's amplitudes are read-only, so the entry never goes stale.  A state holds
     one entry: another key drops it before the new distribution is
     computed, so at most one D^(2n)-entry CDF lives per state.
     """

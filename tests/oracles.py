@@ -31,6 +31,9 @@
     * ``reference_generalized_bell_state`` sets the amplitudes of one
       generalized Bell state entry by entry, the reference for
       ``fermitree.statesim.generalized_bell_state`` and the Bell basis;
+    * ``reference_outcome_distribution`` runs every ``_site_products`` step
+      on the whole array and squares the last product, the reference for
+      the block-by-block ``fermitree.statesim._outcome_distribution``;
     * ``reference_draw_codes`` looks the uniforms of each ``SHOT_BLOCK``
       up in the CDF on their own and decodes them into C-ordered codes,
       the reference for ``fermitree.statesim._draw_codes``;
@@ -73,8 +76,8 @@ from fermitree.fermion import FermionEstimate, monomial_masks
 from fermitree.pauli import Masks, PauliString, to_masks
 from fermitree.qudit import HwEstimate, _checked_targets
 from fermitree.statesim import (
-    GATHER_BLOCK, SHOT_BLOCK, BellShotStream, DenseState, _paired, _parity, bell_basis_matrix,
-    bell_exponents, hw_operator, joint_outcomes,
+    GATHER_BLOCK, SHOT_BLOCK, BellShotStream, DenseState, _paired, _parity, _site_products,
+    bell_basis_matrix, bell_exponents, hw_operator, joint_outcomes,
 )
 from fermitree.tomography import mask_means
 
@@ -287,6 +290,19 @@ def reference_generalized_bell_state(local_dim: int, h: int, ell: int) -> np.nda
     for k in range(d):
         amps[((k + h) % d) * d + k] = omega ** (ell * k) / math.sqrt(d)
     return amps
+
+
+def reference_outcome_distribution(amps: np.ndarray, rows_t: np.ndarray, steps: int) -> np.ndarray:
+    """Normalized |amplitudes|^2 after ``steps`` ``_site_products`` steps,
+    each on the whole array."""
+    # square real and imaginary parts in place (the last product, never the
+    # caller's array): a fresh 2^20-entry temporary costs page faults
+    # comparable to the products above
+    parts = _site_products(amps, rows_t, steps).reshape(-1).view(np.float64)
+    np.square(parts, out=parts)
+    probs = parts[0::2] + parts[1::2]
+    probs /= probs.sum()
+    return probs
 
 
 def reference_draw_codes(

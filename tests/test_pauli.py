@@ -254,6 +254,25 @@ def test_masks_text_matches_the_string(case):
     assert masks_text(masks, n) == str(from_masks(masks, n))
 
 
+@st.composite
+def register_tables(draw):
+    n = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 2 ** n - 1)] * 2, st.integers(0, 3)), max_size=40))
+    return [np.array(column, dtype=np.int64) for column in zip(*rows)] or [np.zeros(0, np.int64)] * 3, n
+
+
+@given(register_tables())
+@settings(max_examples=300)
+def test_masks_text_renders_a_table_row_by_row(case):
+    # one pass over the table's bit planes gives each row's text, which is
+    # also the one-row call on that row's ints
+    table, n = case
+    rows = list(zip(*(column.tolist() for column in table)))
+    texts = masks_text(table, n)
+    assert texts == [str(from_masks(row, n)) for row in rows]
+    assert texts == [masks_text(row, n) for row in rows]
+
+
 def test_masks_text_phases_and_range():
     # Y = iXZ: each Y letter takes one power of i from the masks' power
     assert [masks_text((0, 0, p), 3) for p in range(4)] == ["+ I", "+i I", "- I", "-i I"]
@@ -264,6 +283,8 @@ def test_masks_text_phases_and_range():
     for masks in [(8, 0, 0), (0, 8, 0), (-1, 0, 0), (0, -2, 0)]:
         with pytest.raises(ValueError, match="outside the register"):
             masks_text(masks, 3)
+        with pytest.raises(ValueError, match="outside the register"):
+            masks_text([np.array([0, m]) for m in masks], 3)
 
 
 def test_masks_layout():

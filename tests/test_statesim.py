@@ -1,5 +1,6 @@
 """Tests for the dense simulator and Bell-basis sampling."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermitree import statesim
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
 from fermitree.fermion import monomial_masks
 from fermitree.pauli import PauliString, to_masks
@@ -49,6 +51,7 @@ from oracles import (
     reference_expectations,
     reference_generalized_bell_state,
     reference_masks_matvec,
+    reference_outcome_distribution,
     to_dense,
 )
 
@@ -506,6 +509,103 @@ def test_povm_distribution_defaults_to_xi():
     assert np.array_equal(
         povm_outcome_distribution(state), povm_outcome_distribution(state, prepare_xi())
     )
+
+
+# -- the block-by-block outcome kernel against the whole-array loop ---------
+
+CAPACITY_CASES = [
+    (d, n) for d in (2, 3, 4, 5, 7, 16) for n in range(1, 11) if d ** (2 * n) <= CAPACITY_AMPLITUDES
+]
+
+
+def record_blocks(monkeypatch, block):
+    """Set the outcome block to ``block`` outcomes and record, per
+    ``_site_products`` call of ``_outcome_distribution``, the prefix columns
+    of its block (None for the first call, on the whole flat array)."""
+    monkeypatch.setattr(statesim, "_OUTCOME_BLOCK", block)
+    widths, run = [], statesim._site_products
+
+    def recorded(values, rows_t, steps):
+        widths.append(values.shape[1] if values.ndim == 2 else None)
+        return run(values, rows_t, steps)
+
+    monkeypatch.setattr(statesim, "_site_products", recorded)
+    return widths
+
+
+def forced_layout(layout, out_dim, n):
+    """(block size, prefix columns per block) that force ``layout``: the
+    blocks run t >= 2 steps (or all n), so the prefixes number out_dim^(n - t)."""
+    t = min(n, max(2, n - (2 if layout == "ragged" else 1)))
+    prefixes = out_dim ** (n - t)
+    if layout == "one block":
+        return out_dim ** n, [1]
+    if layout == "one prefix per block":
+        return out_dim ** t, [1] * prefixes
+    width = next(w for w in itertools.count(2) if prefixes % w)
+    return width * out_dim ** t, [width] * (prefixes // width) + [prefixes % width]
+
+
+@pytest.mark.parametrize("layout", ["default", "one block", "one prefix per block", "ragged"])
+@pytest.mark.parametrize("d,n", CAPACITY_CASES)
+def test_povm_distribution_is_the_whole_array_loop_bit_for_bit(monkeypatch, d, n, layout):
+    state, anc = random_state(n, d, np.random.default_rng(20 * n + d)), _random_ancilla(d, 200 + n)
+    rows_t = statesim._bell_povm_rows(anc).T
+    want = reference_outcome_distribution(state.amplitudes, rows_t, n)
+    if layout != "default":
+        block, widths = forced_layout(layout, d * d, n)
+        recorded = record_blocks(monkeypatch, block)
+    got = povm_outcome_distribution(state, anc)
+    assert np.array_equal(got, want)
+    if layout != "default":
+        assert recorded == [None] + widths
+    if layout == "ragged" and n >= 3:
+        assert 0 < widths[-1] < widths[0]
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 5), (2, 7), (3, 4), (4, 3), (5, 3), (16, 2)])
+def test_povm_blocks_run_two_steps_however_small(monkeypatch, d, n):
+    # a block below D^4 outcomes still runs two steps: a block of one prefix
+    # then ends in a product of D^2 rows, where one step would end in a
+    # one-row product, which numpy hands to BLAS gemv and rounds otherwise
+    state, anc = random_state(n, d, np.random.default_rng(60 * n + d)), _random_ancilla(d, 600 + n)
+    want = reference_outcome_distribution(state.amplitudes, statesim._bell_povm_rows(anc).T, n)
+    recorded = record_blocks(monkeypatch, d * d)
+    assert np.array_equal(povm_outcome_distribution(state, anc), want)
+    assert recorded == [None] + [1] * d ** (2 * n - 4)
+
+
+@pytest.mark.parametrize("d,n", CAPACITY_CASES)
+def test_bell_distribution_steps_run_whole(monkeypatch, d, n):
+    # the register's D^2 x D^2 rows do not widen the array: however small
+    # the block, every step runs on it whole, as one block
+    register = attach_ancillas(random_state(n, d, np.random.default_rng(30 * n + d)), _random_ancilla(d, 300 + n))
+    want = reference_outcome_distribution(register.amplitudes, bell_basis_matrix(d).conj(), n)
+    recorded = record_blocks(monkeypatch, d * d)
+    assert np.array_equal(bell_outcome_distribution(register), want)
+    assert recorded == [None, d ** (2 * n)]
+
+
+@pytest.mark.parametrize("d,n,num_shots", [(2, 10, 24576), (2, 7, 5000), (3, 6, 4000), (5, 4, 3000), (16, 2, 4097)])
+def test_povm_shots_are_drawn_from_the_whole_array_distribution(d, n, num_shots):
+    state, anc = random_state(n, d, np.random.default_rng(40 * n + d)), _random_ancilla(d, 400 + n)
+    cdf = np.cumsum(reference_outcome_distribution(state.amplitudes, statesim._bell_povm_rows(anc).T, n))
+    cdf /= cdf[-1]
+    got = sample_povm_shots(state, num_shots, 41, ancilla=anc).codes
+    assert np.array_equal(got, reference_draw_codes(cdf, n, d, num_shots, 41))
+
+
+def test_povm_distribution_working_set():
+    # the 8 MiB result and one block of outcomes; the whole-array loop's
+    # site products and squared moduli peaked at 24 MiB
+    state = random_state(10, 2, np.random.default_rng(50))
+    tracemalloc.start()
+    try:
+        povm_outcome_distribution(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
 
 
 def _choice_codes(probs, n_sites, d, num_shots, seed):

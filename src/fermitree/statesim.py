@@ -793,13 +793,20 @@ def outcome_sums(stream: BellShotStream, sites: tuple[int, ...], labels) -> np.n
     the product of the characters of column i.  It reads at most min(D^(2w),
     num_shots) rows, so it serves supports too wide for a table.  The dtype
     is that of ``displacement_sums``, and at D = 2 the sums are exact too.
+
+    The products are laid out one product per row, one outcome per column,
+    and each row is multiplied by the counts and summed by numpy's pairwise
+    ``sum`` along it.  That order is fixed by the row's length alone, so the
+    BLAS thread count, which reorders a dot product's sum, changes no bit
+    of the result.
     """
     digits, counts = joint_outcomes(stream, sites)
     characters = _characters(stream.local_dim)
-    products = np.ones((len(counts), np.shape(labels)[1]), dtype=characters.dtype)
+    products = np.ones((np.shape(labels)[1], len(counts)), dtype=characters.dtype)
     for column, row in zip(digits.T, labels):
-        products *= characters[:, row][column]
-    return counts @ products
+        products *= characters.T.take(row, 0).take(column, 1)
+    products *= counts
+    return products.sum(axis=1)
 
 
 @lru_cache(maxsize=None)

@@ -54,7 +54,7 @@
       at any shot count, and ``reference_row_sum_hw`` estimates one at any
       D from the support's distinct rows counted with a ``Counter``, each
       count times the site-by-site product of its characters w^e, summed
-      by one matrix product: the exact references for
+      by numpy's pairwise ``sum``: the exact references for
       ``fermitree.qudit.estimate_hw_correlator`` on one stream, per shot
       at D = 2 and per outcome row of ``fermitree.statesim.outcome_sums``
       at any D;
@@ -448,15 +448,16 @@ def reference_row_sum_hw(stream: BellShotStream, targets, fiducial) -> tuple[com
     """(value, std error) of a correlator from the distinct rows of its
     support, counted with a ``Counter`` and sorted: the counts times the
     site-by-site products of the characters w^e, w^e = exp(2 pi i e / D)
-    (real at D = 2), summed by one matrix product as ``outcome_sums`` sums."""
+    (real at D = 2), times the counts and summed by numpy's pairwise ``sum``
+    as ``outcome_sums`` sums."""
     d = fiducial.dimension
     rows = sorted(Counter(map(tuple, stream.codes[:, [t[0] for t in targets]].tolist())).items())
     roots = np.exp(2j * np.pi * np.arange(d) / d)
-    products = np.ones((len(rows), 1), dtype=float if d == 2 else complex)
+    products = np.ones(len(rows), dtype=float if d == 2 else complex)
     for j, (_, f, g) in enumerate(targets):
         h, ell = np.divmod(np.array([row[j] for row, _ in rows]), d)
-        products *= (roots.real if d == 2 else roots)[(g * h - f * ell) % d][:, None]
-    [total] = np.array([count for _, count in rows], dtype=np.int64) @ products
+        products *= (roots.real if d == 2 else roots)[(g * h - f * ell) % d]
+    total = (products * np.array([count for _, count in rows], dtype=np.int64)).sum()
     return _hw_moments(complex(total) / stream.num_shots, targets, fiducial, stream.num_shots)
 
 

@@ -1,9 +1,13 @@
 """Tests for the fermionic RDM pipeline."""
 
+import dataclasses
 import functools
+import hashlib
+import inspect
 import itertools
 import math
 import operator
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -11,11 +15,13 @@ import pytest
 
 from fermitree.baselines import bravyi_kitaev, jordan_wigner
 from fermitree.fermion import (
+    FermionEstimate,
     monomial_masks,
     attenuation_bound,
     encode_fock_state,
     encode_monomial,
     encoded_vacuum,
+    estimate_fermionic_rdm,
     estimate_monomial,
     exact_fermionic_rdm,
     majorana_table,
@@ -29,6 +35,7 @@ from fermitree.statesim import (
     expectation,
     random_state,
     sample_bell_shots,
+    sample_povm_shots,
 )
 from fermitree.ternary import build_mapping
 from oracles import from_masks, mask_product, reference_masks_matvec, to_dense
@@ -51,11 +58,13 @@ def test_encode_monomial_jw():
 
 @pytest.mark.parametrize("kind,build", ALL_MAPPINGS)
 def test_register_mask_products_match_string_products(kind, build):
-    # every degree-2k monomial, k <= 2, of every table up to n = 10
+    # every degree-2k monomial, k <= 2, of every table up to n = 10, k = 3 up
+    # to n = 7 (C(14, 6) = 3003 monomials), and the one monomial of all 2n
+    # operators (k = n)
     for n in range(1, 11):
         table = majorana_table(build(n))
         masks = [to_masks(op, n) for op in table]
-        for k in (1, 2):
+        for k in sorted({1, 2, n, *([3] if n <= 7 else [])}):
             # k past the mode count has no monomials, and monomial_masks rejects it
             listed, arrays = monomial_masks(table, k, n) if k <= n else ([], ([], [], []))
             rows = iter(zip(listed, *(list(a) for a in arrays)))
@@ -294,3 +303,83 @@ def test_other_tables_exceed_the_attenuation_bound(kind, table, weight):
     _, (x, z, _) = monomial_masks(mapping, 1, 6)
     assert max(bin(support).count("1") for support in (x | z).tolist()) == weight
     assert attenuation_bound(mapping, 1) == 13.0 < math.sqrt(3.0) ** weight
+
+
+# sha256 of repr(estimate_fermionic_rdm(stream, table, k)) for each table
+# kind at n = 8 and k = 1, 2, 3, on one 4096-shot stream
+# (sample_povm_shots(random_state(8, 2, np.random.default_rng(801)), 4096, 802)),
+# as the generated-init FermionEstimate printed them
+ESTIMATE_REPR_SHA256 = {
+    ("ternary", 1): "07c34a8867428e45c0f0ea87a02f09c378ee3afa34ef8d965a64d9186ef79a5a",
+    ("ternary", 2): "fbfcf9f75b502e4d87f65a79d13bea7871a4f061cf9fde9e853317e5df3e0fe4",
+    ("ternary", 3): "632bc075ba9a66e1e29e7aae7622d11f3317ca79e2ff41f3c37d25727704563f",
+    ("jw", 1): "107da1154bd6bcecdeaf0ff90a8ad123e6f187386a84203adcf2cf1307a4cbf1",
+    ("jw", 2): "792c6f0859186834aeba640d68eb5e86aeab1c36092cb09c8d282d813dc33cac",
+    ("jw", 3): "2e5dde8933b58ed21da0eaec6f2c9949b8a5b112b1ecb0e61bf94148a145a941",
+    ("bk", 1): "b4c37b41e44c1fa5d7dafd97044d8d323b08d523d75a3747f96464ccaa79106d",
+    ("bk", 2): "ecbe0984f08038378db1fa870636c770486e1628cd5be41bcb8eee9a271d8bf7",
+    ("bk", 3): "48df93ca53fe59e74959a2354be4031cfac92d595a80ceca8240045a21473e6a",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _record_stream() -> BellShotStream:
+    return sample_povm_shots(random_state(8, 2, np.random.default_rng(801)), 4096, 802)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("kind,build", ALL_MAPPINGS)
+def test_fermionic_estimate_reprs_are_unchanged(kind, build, k):
+    estimates = estimate_fermionic_rdm(_record_stream(), build(8), k)
+    assert len(estimates) == math.comb(16, 2 * k)
+    digest = hashlib.sha256(repr(estimates).encode()).hexdigest()
+    assert digest == ESTIMATE_REPR_SHA256[kind, k]
+
+
+def test_fermionic_estimates_are_frozen_value_records():
+    estimates = estimate_fermionic_rdm(_record_stream(), build_mapping(8), 1)
+    est = estimates[5]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        est.value = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del est.weight
+    assert not hasattr(est, "__dict__")
+    # replace builds a new record through __init__ by keyword
+    flipped = dataclasses.replace(est, value=-est.value)
+    assert flipped.value == -est.value and flipped != est
+    assert dataclasses.replace(flipped, value=est.value) == est
+    assert dataclasses.astuple(flipped)[2:] == dataclasses.astuple(est)[2:]
+    copies = pickle.loads(pickle.dumps(estimates))
+    assert copies == estimates and repr(copies) == repr(estimates)
+    assert [hash(e) for e in copies] == [hash(e) for e in estimates]
+    assert copies[5].pauli == est.pauli
+
+
+def test_fermionic_estimate_init_takes_the_fields_in_order():
+    # the hand-written __init__ stores every field, under the field's name
+    names = [f.name for f in dataclasses.fields(FermionEstimate)]
+    assert list(inspect.signature(FermionEstimate).parameters) == names
+    est = FermionEstimate(*range(len(names)))
+    assert dataclasses.astuple(est) == tuple(range(len(names)))
+    assert FermionEstimate(**dict(zip(names, range(len(names))))) == est
+
+
+def test_fermionic_estimates_take_no_more_memory_than_generated_init_records():
+    # the same records built by a frozen dataclass with a generated init,
+    # with and without slots
+    estimates = estimate_fermionic_rdm(_record_stream(), build_mapping(8), 2)
+    rows = [dataclasses.astuple(e) for e in estimates]
+    spec = [(f.name, f.type) for f in dataclasses.fields(FermionEstimate)]
+    twins = [dataclasses.make_dataclass("Twin", spec, frozen=True, slots=slots) for slots in (False, True)]
+
+    def traced(cls):
+        tracemalloc.start()
+        try:
+            records = [cls(*row) for row in rows]
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == len(rows)
+        return size
+
+    assert traced(FermionEstimate) <= min(traced(twin) for twin in twins)

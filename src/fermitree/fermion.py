@@ -70,23 +70,37 @@ def monomial_masks(
     order; k outside 1..modes or a table entry outside the register raises
     ValueError.
 
-    The products are taken one factor at a time over all subsets at once,
-    in the algebra of ``pauli.to_masks``: x and z are XORed, and the power
-    gains the factor's power plus 2 per bit set in both the z so far and
-    the factor's x.
+    The products are built level by level, each shared prefix once.  Level
+    1 is the factor masks of the operators that leave room for 2k - 1 after
+    them; level j + 1 repeats each level-j row once per later operator that
+    still leaves room for the 2k - j - 1 after it (``np.repeat`` of the row
+    numbers, the next operator a cumulative-sum offset plus ``np.arange``)
+    and multiplies that factor in, in the algebra of ``pauli.to_masks``: x
+    and z are XORed, and the power gains the factor's power plus 2 per bit
+    set in both the z so far and the factor's x.  Each row is the integer
+    sequence of multiplying its factors in one at a time, and the rows come
+    out in ``itertools.combinations`` order; n = 8, k = 2 multiplies
+    91 + 455 + 1820 = 2366 factors in, against 4 * 1820 = 7280 one monomial
+    at a time.
     """
     table = majorana_table(mapping)
     if not 1 <= k <= len(table) // 2:
         raise ValueError(f"k must be in 1..{len(table) // 2}, got {k}")
-    factors = np.array([to_masks(op, n) for op in table], dtype=np.int64)
-    indices = list(itertools.combinations(range(1, len(table) + 1), 2 * k))
-    x, z, power = np.zeros((3, len(indices)), dtype=np.int64)
-    flat = np.fromiter(itertools.chain.from_iterable(indices), np.int64, count=2 * k * len(indices))
-    for column in flat.reshape(-1, 2 * k).T - 1:
-        fx, fz, fp = factors[column].T
+    factors = np.array([to_masks(op, n) for op in table], dtype=np.int64).T.copy()
+    # level j's operators (0-based) end at len(table) - 2k + j - 1, leaving room for the rest
+    room = len(table) - 2 * k
+    last = np.arange(room + 1)
+    x, z, power = factors.take(last, 1)
+    for j in range(1, 2 * k):
+        children = room + j - last
+        parents = np.repeat(np.arange(len(last)), children)
+        last = np.arange(len(parents)) - np.repeat(np.cumsum(children) - children - last - 1, children)
+        fx, fz, fp = factors.take(last, 1)
+        x, z, power = x.take(parents), z.take(parents), power.take(parents)
         power += fp + 2 * _parity(z & fx, n)
         x ^= fx
         z ^= fz
+    indices = list(itertools.combinations(range(1, len(table) + 1), 2 * k))
     return indices, (x, z, power % 4)
 
 
@@ -274,7 +288,8 @@ def attenuation_bound(mapping: MappingLike, k: int) -> float:
 
     For ternary-tree tables it bounds the attenuation sqrt(3)^weight of
     every degree-2k monomial; this is tested, not proven, for k = 1 up to
-    n = 63 and for k = 2 up to n = 13.  Other tables can exceed it: at
+    n = 63 and for k = 2 up to n = 26 (at most 0.198 of the bound, at
+    n = 17; 420.9 against 2809 at n = 26).  Other tables can exceed it: at
     n = 6, k = 1 the Jordan-Wigner table reaches 27 and the Bravyi-Kitaev
     table 15.6, against 13."""
     return float((2 * mode_count(mapping) + 1) ** k)

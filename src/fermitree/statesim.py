@@ -882,25 +882,30 @@ def _count_outcomes(stream: BellShotStream, sites: tuple[int, ...]) -> tuple[np.
     The keys are built in the narrowest unsigned dtype that holds D^(2w)
     (uint8 for a qubit pair), one site's column at a time: the samplers'
     codes are column-major, so each column is contiguous, and any other
-    layout gives the same arrays."""
+    layout gives the same arrays.  The occupied bins are found by a scan of
+    ``counts > 0``, and their digits are decoded in place in that unsigned
+    dtype by ``divmod``, last site first, as ``_draw_codes`` decodes its
+    codes."""
     base = stream.local_dim ** 2
     width = len(sites)
     if base ** width > 32 * stream.num_shots:
         rows = np.ascontiguousarray(stream.codes[:, list(sites)]).view(np.dtype((np.void, width)))
         distinct, counts = np.unique(rows, return_counts=True)
         return distinct.view(np.uint8).reshape(len(distinct), width), counts
-    # bincount takes no uint64, so keys past uint32 (2^27 shots and more) stay int64
-    dtype = np.min_scalar_type(base ** width) if base ** width >> 32 == 0 else np.int64
-    keys = np.zeros(stream.num_shots, dtype=dtype)
+    dtype = np.min_scalar_type(base ** width)
+    # bincount takes no uint64, so keys past uint32 (2^27 shots and more) are
+    # counted as int64; they are decoded as uint64, whose digits cast to uint8
+    keys = np.zeros(stream.num_shots, dtype=np.dtype(np.int64) if dtype == np.uint64 else dtype)
     for site in sites:
         keys *= base
         keys += stream.codes[:, site]
     counts = np.bincount(keys, minlength=base ** width)
-    keys = np.flatnonzero(counts)
+    keys = (counts > 0).nonzero()[0]
     counts = counts[keys]
+    keys = keys.astype(dtype)
     digits = np.empty((len(keys), width), dtype=np.uint8)
     for j in reversed(range(width)):
-        keys, digits[:, j] = np.divmod(keys, base)
+        np.divmod(keys, base, out=(keys, digits[:, j]))
     return digits, counts
 
 

@@ -78,6 +78,28 @@ def test_register_mask_products_match_string_products(kind, build):
             assert next(rows, None) is None
 
 
+# sha256 of repr(indices) and the little-endian bytes of x, z and power from
+# monomial_masks(table, k, n), as the one-factor-per-column build printed
+# them: sizes past the row-for-row check above
+MONOMIAL_MASKS_SHA256 = {
+    ("ternary", 13, 2): "ba7918914c03f244713528bc3880bc934bdeaccb724ae1f0ab4701bf845d5211",
+    ("ternary", 10, 3): "223ce588f6d9e765d0fc40b62a4115a58fa474ff7a0e8874309f20ee4c337952",
+    ("ternary", 63, 1): "f158ad83a78771cfa2da8aac191682b78adedd59cd7ff485311f3fe92150436b",
+    ("jw", 10, 2): "8b74e69c4068f9d0b4ed6934d612c8b930f31ba06f558fb857d59f5d05b4056b",
+    ("bk", 10, 2): "a1fdfee9171147a8633ed9d5c6039a8790f0b9b6e00ebde7d52f8f7a119f7fd2",
+}
+
+
+@pytest.mark.parametrize("kind,n,k", sorted(MONOMIAL_MASKS_SHA256))
+def test_monomial_masks_digests_are_unchanged(kind, n, k):
+    indices, masks = monomial_masks(dict(ALL_MAPPINGS)[kind](n), k, n)
+    digest = hashlib.sha256(repr(indices).encode())
+    for array in masks:
+        assert array.dtype == np.int64 and array.shape == (math.comb(2 * n, 2 * k),)
+        digest.update(array.astype("<i8").tobytes())
+    assert digest.hexdigest() == MONOMIAL_MASKS_SHA256[kind, n, k]
+
+
 def test_encode_monomial_matches_dense_oracle():
     # the encoded product must equal the matrix product of encoded factors
     mapping = build_mapping(2)
@@ -285,11 +307,13 @@ def test_attenuation_bound_values():
 @pytest.mark.parametrize("k", [1, 2])
 def test_ternary_attenuation_stays_below_the_bound_at_every_size(k):
     # the largest sqrt(3)^weight over every degree-2k monomial's string, up
-    # to 63 modes for k = 1, where the ratio peaks (0.995 at n = 23)
-    for n in range(k, 64 if k == 1 else 14):
+    # to 63 modes for k = 1, where the ratio peaks (0.995 at n = 23), and to
+    # 26 modes for k = 2 (C(52, 4) = 270725 strings; the ratio peaks at
+    # 0.198, n = 17)
+    for n in range(k, 64 if k == 1 else 27):
         mapping = build_mapping(n)
         _, (x, z, _) = monomial_masks(mapping, k, n)
-        weight = max(bin(support).count("1") for support in (x | z).tolist())
+        weight = int(sum(((x | z) >> bit) & 1 for bit in range(n)).max())
         assert math.sqrt(3.0) ** weight <= attenuation_bound(mapping, k), (n, weight)
 
 

@@ -128,14 +128,17 @@ def test_joint_outcomes_counts_every_row(d, sites):
     [
         (2, (3, 1), 3000),  # bincount on uint8 keys
         (2, (4, 0, 2, 1, 3), 5000),  # bincount on uint16 keys
-        (3, (4, 0, 2, 1, 3), 2000),  # bincount on uint32 keys
+        (3, (4, 0, 2, 1, 3), 2000),  # bincount on uint16 keys: 9^5 = 59049
         (2, (4, 0, 2, 1, 3), 20),  # 1024 possible rows on 20 shots: sorted
         (3, (2, 0, 1, 3), 40),  # 6561 possible rows on 40 shots: sorted
+        (2, (7, 0, 5, 2, 6, 1, 4, 3), 4096),  # bincount on uint32 keys: 4^8, a k = 2 union's shape
+        (3, (5, 0, 3, 1, 4, 2), 20000),  # bincount on uint32 keys: 9^6 = 531441
     ],
 )
 def test_count_outcomes_read_either_code_layout(d, sites, num_shots):
-    codes = random_stream(d, 5, num_shots, seed=80 + d).codes
-    by_column, by_row = (BellShotStream(d, 5, np.array(codes, order=o)) for o in "FC")
+    num_sites = max(5, max(sites) + 1)
+    codes = random_stream(d, num_sites, num_shots, seed=80 + d).codes
+    by_column, by_row = (BellShotStream(d, num_sites, np.array(codes, order=o)) for o in "FC")
     assert by_column.codes.flags.f_contiguous and by_row.codes.flags.c_contiguous
     got, want = statesim._count_outcomes(by_column, sites), statesim._count_outcomes(by_row, sites)
     for a, b in zip(got, want):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pauli import PauliString
+from .pauli import PauliString, _canonical
 
 
 def jordan_wigner(n_modes: int) -> tuple[PauliString, ...]:
@@ -20,10 +20,11 @@ def jordan_wigner(n_modes: int) -> tuple[PauliString, ...]:
     if n_modes < 1:
         raise ValueError(f"need at least one mode, got {n_modes}")
     table = []
+    chain: tuple[tuple[int, str], ...] = ()  # Z on qubits 0..j-1
     for j in range(n_modes):
-        chain = {q: "Z" for q in range(j)}
-        table.append(PauliString.from_map({**chain, j: "X"}))
-        table.append(PauliString.from_map({**chain, j: "Y"}))
+        table.append(_canonical((*chain, (j, "X")), 0))
+        table.append(_canonical((*chain, (j, "Y")), 0))
+        chain += ((j, "Z"),)
     return tuple(table)
 
 
@@ -35,7 +36,10 @@ def bravyi_kitaev(n_modes: int) -> tuple[PauliString, ...]:
     ancestors (the update set) and as Z on the nodes whose intervals tile
     0..j-1 (the parity set).  gamma_{2j+2} swaps the local X for Y and
     drops the Z's of j's children, which tile left[j]..j-1; the rest tile
-    0..left[j]-1 (the remainder set).
+    0..left[j]-1 (the remainder set).  Each tiling lies below j and every
+    ancestor above it, so the letters are made in qubit order: the tiling
+    of 0..end extends that of 0..left[end]-1 by end, and j's update set
+    prepends j's parent to its parent's.
     """
     if n_modes < 1:
         raise ValueError(f"need at least one mode, got {n_modes}")
@@ -46,7 +50,7 @@ def bravyi_kitaev(n_modes: int) -> tuple[PauliString, ...]:
         if lo >= hi:
             return
         pivot = (lo + hi) >> 1
-        parent[pivot] = up
+        parent[pivot] = up  # up == hi > pivot: a parent lies above its children
         left[pivot] = lo
         descend(lo, pivot, pivot)
         descend(pivot + 1, hi, up)
@@ -54,22 +58,18 @@ def bravyi_kitaev(n_modes: int) -> tuple[PauliString, ...]:
     descend(0, n_modes - 1, n_modes - 1)
     left[n_modes - 1] = 0
 
-    def tiling(end: int) -> list[tuple[int, str]]:
-        out = []
-        while end >= 0:
-            out.append((end, "Z"))
-            end = left[end] - 1
-        return out
+    # tiling[end + 1]: Z on the nodes tiling 0..end, so tiling[0] is empty
+    tiling: list[tuple[tuple[int, str], ...]] = [()]
+    for end in range(n_modes):
+        tiling.append((*tiling[left[end]], (end, "Z")))
+    update: list[tuple[tuple[int, str], ...]] = [()] * n_modes
+    for j in range(n_modes - 2, -1, -1):
+        update[j] = ((parent[j], "X"), *update[parent[j]])
 
     table = []
     for j in range(n_modes):
-        update = []
-        node = parent[j]
-        while node != -1:
-            update.append((node, "X"))
-            node = parent[node]
-        table.append(PauliString((*tiling(j - 1), *update, (j, "X"))))
-        table.append(PauliString((*tiling(left[j] - 1), *update, (j, "Y"))))
+        table.append(_canonical((*tiling[j], (j, "X"), *update[j]), 0))
+        table.append(_canonical((*tiling[left[j]], (j, "Y"), *update[j]), 0))
     return tuple(table)
 
 

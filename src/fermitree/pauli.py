@@ -14,12 +14,17 @@ over strings on the qubits 0..n-1 of one register use the masks directly
 (``to_masks``): ``fermion`` multiplies them, ``statesim`` applies them
 to a state and ``masks_text`` renders their text, as int64 arrays with one
 row per string, or as ints for one.
+
+A string is checked once, where it enters: the public constructor (with
+``single`` and ``from_map``) and ``parse`` reject bad labels, letters and
+repeated qubits.  The table builders of ``ternary`` and ``baselines`` and
+``product``'s decode make canonical strings directly, through
+``_canonical``, and check nothing again.
 """
 
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable
@@ -29,8 +34,6 @@ import numpy as np
 _PHASES: tuple[complex, ...] = (1, 1j, -1, -1j)
 _PHASE_TOKENS = {"+": 0, "+i": 1, "-": 2, "-i": 3}
 _TOKENS_BY_POWER = {v: k for k, v in _PHASE_TOKENS.items()}
-
-_LETTER_TOKEN = re.compile(r"^([XYZ])(\d+)$")
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,7 @@ class PauliString:
             seen.add(qubit)
         pairs = [(int(q), a) for q, a in self.letters] if converted else self.letters
         object.__setattr__(self, "letters", tuple(sorted(pairs)))
+        # _canonical sets these two fields directly for letters already in this form
 
     # -- constructors ------------------------------------------------------
 
@@ -115,7 +119,10 @@ class PauliString:
         """Parse the text format, e.g. ``"+i X0 Z3 Y7"`` or ``"+ I"``.
 
         The leading phase token is optional and defaults to ``+``.  Round-trips
-        with :meth:`__str__`.
+        with :meth:`__str__`.  Each letter token is checked once: X, Y or Z
+        followed by decimal digits (any Unicode decimal digit, as the regex
+        ``\\d`` reads them).  A repeated qubit raises the constructor's
+        ValueError, naming the first label repeated in text order.
         """
         tokens = text.split()
         if not tokens:
@@ -125,16 +132,32 @@ class PauliString:
             power = _PHASE_TOKENS[tokens[0]]
             tokens = tokens[1:]
         if tokens == ["I"]:
-            return cls.identity(power)
+            return _canonical((), power)
         if not tokens:
             raise ValueError("missing letter tokens (identity is spelled 'I')")
-        pairs = []
+        letters = {}
         for token in tokens:
-            match = _LETTER_TOKEN.match(token)
-            if match is None:
+            digits = token[1:]
+            if token[0] not in "XYZ" or not digits.isdecimal():
                 raise ValueError(f"malformed Pauli token {token!r}")
-            pairs.append((int(match.group(2)), match.group(1)))
-        return cls(tuple(pairs), power)
+            letters[int(digits)] = token[0]
+        if len(letters) < len(tokens):  # a qubit repeats: the constructor raises, naming it
+            cls(tuple((int(token[1:]), token[0]) for token in tokens))
+        return _canonical(tuple(sorted(letters.items())), power)
+
+
+def _canonical(letters: tuple[tuple[int, str], ...], phase_power: int) -> PauliString:
+    """The PauliString of canonical letters, made without checking them.
+
+    ``letters`` must be what ``PauliString.__post_init__`` leaves: (qubit,
+    letter) pairs sorted by qubit, each qubit a distinct Python int >= 0 and
+    each letter "X", "Y" or "Z".  The power is taken mod 4.
+    """
+    string = object.__new__(PauliString)
+    state = string.__dict__
+    state["letters"] = letters
+    state["phase_power"] = phase_power % 4
+    return string
 
 
 def product(strings: Iterable[PauliString]) -> PauliString:
@@ -145,7 +168,8 @@ def product(strings: Iterable[PauliString]) -> PauliString:
     qubit label in the order the labels first appear, so any label works,
     2**64 included.  The masks multiply as in ``to_masks``: x and z are
     XORed, and the power gains the factor's power plus 2 per bit set in both
-    the z so far and the factor's x.  The result is decoded into letters once.
+    the z so far and the factor's x.  The result is decoded once, into letters
+    sorted by qubit.
     """
     bits: dict[int, int] = {}
     x = z = power = 0
@@ -163,8 +187,13 @@ def product(strings: Iterable[PauliString]) -> PauliString:
         power += 2 * (z & fx).bit_count()
         x ^= fx
         z ^= fz
-    letters = ((qubit, "IXZY"[bool(x & bit) + 2 * bool(z & bit)]) for qubit, bit in bits.items())
-    return PauliString(tuple(pair for pair in letters if pair[1] != "I"), power - (x & z).bit_count())
+    support = x | z
+    letters = tuple(
+        (qubit, "IXZY"[bool(x & bit) + 2 * bool(z & bit)])
+        for qubit, bit in sorted(bits.items())
+        if support & bit
+    )
+    return _canonical(letters, power - (x & z).bit_count())
 
 
 # -- register masks ------------------------------------------------------------

@@ -23,9 +23,10 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 from .baselines import weight_stats
-from .pauli import PauliString, product
+from .pauli import PauliString, _canonical, product
 
 BRANCH_LETTERS = ("X", "Y", "Z")
 
@@ -36,15 +37,22 @@ def path_operator(path: TreePath) -> PauliString:
     """Pauli string of a root-to-leaf path: branch letter at each visited node.
 
     Nodes are numbered level by level, so branch b of node k is node 3k + 1 + b.
+    A branch is an int or numpy integer in 0..2; anything else (a bool,
+    float or str too) raises ValueError.  Node numbers only grow along a
+    path, so its letters come out sorted, each label a Python int.
     """
-    letters = {}
+    letters = []
     node = 0
     for step in path:
-        if step not in (0, 1, 2):
+        if type(step) is not int:
+            if isinstance(step, bool) or not isinstance(step, Integral):
+                raise ValueError(f"invalid branch {step!r}")
+            step = int(step)
+        if not 0 <= step <= 2:
             raise ValueError(f"invalid branch {step}")
-        letters[node] = BRANCH_LETTERS[step]
+        letters.append((node, BRANCH_LETTERS[step]))
         node = 3 * node + 1 + step
-    return PauliString.from_map(letters)
+    return _canonical(tuple(letters), 0)
 
 
 def _tree_shape(n_modes: int) -> tuple[int, tuple[TreePath, ...], TreePath]:
@@ -250,7 +258,8 @@ def mapping_from_dict(data: dict) -> TernaryTreeMapping:
     """Rebuild a mapping from its JSON payload; ValueError if it is malformed.
 
     The tree fields must equal the ones ``n_modes`` determines.  They are
-    compared as JSON texts, so ``true`` does not pass for ``1``.
+    compared as JSON texts, so ``true`` does not pass for ``1``.  Every
+    table entry must act only on the mapping's qubits 0..n_modes-1.
     """
     kind = data.get("kind") if isinstance(data, dict) else None
     if kind != "ternary":
@@ -265,7 +274,14 @@ def mapping_from_dict(data: dict) -> TernaryTreeMapping:
     for key, value in _tree_fields(n_modes).items():
         if json.dumps(data.get(key)) != json.dumps(value):
             raise ValueError(f"{key} does not match the tree of n_modes = {n_modes}")
-    return TernaryTreeMapping(n_modes, tuple(PauliString.parse(s) for s in table))
+    parsed = tuple(map(PauliString.parse, table))
+    for u, op in enumerate(parsed, 1):
+        if op.letters and op.letters[-1][0] >= n_modes:  # letters are sorted by qubit
+            raise ValueError(
+                f"majorana_table entry {u} ({table[u - 1]!r}) acts on qubit {op.letters[-1][0]},"
+                f" not below n_modes = {n_modes}"
+            )
+    return TernaryTreeMapping(n_modes, parsed)
 
 
 def load_mapping(path: str) -> TernaryTreeMapping:

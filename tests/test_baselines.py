@@ -10,6 +10,7 @@ from fermitree.baselines import (
 )
 from fermitree.ternary import verify_table
 from oracles import FenwickTree, reference_bravyi_kitaev
+from test_pauli import assert_canonical
 
 
 def children(tree, j):
@@ -132,3 +133,12 @@ def test_guards():
         bravyi_kitaev(-1)
     with pytest.raises(ValueError):
         bravyi_kitaev_max_weight_bound(0)
+
+
+def test_built_tables_are_canonical():
+    for n in range(1, 201):
+        for op in bravyi_kitaev(n):
+            assert_canonical(op)
+    for n in range(1, 61):
+        for op in jordan_wigner(n):
+            assert_canonical(op)

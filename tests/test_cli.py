@@ -18,7 +18,8 @@ from fermitree import cli
 from fermitree.cli import main
 from fermitree.fermion import estimate_fermionic_rdm
 from fermitree.statesim import BellShotStream
-from fermitree.ternary import build_mapping, load_mapping, verify_mapping
+from fermitree.pauli import PauliString
+from fermitree.ternary import build_mapping, load_mapping, verify_mapping, verify_table
 
 
 def run_json(capsys, argv):
@@ -176,6 +177,8 @@ def test_verify_corrupted_file_output_is_unchanged(tmp_path, capsys):
 
 
 def test_verify_file_with_labels_beyond_int64(tmp_path, capsys):
+    # labels past int64 parse, but a mapping file's labels must lie below
+    # n_modes, so the file is refused; its table still verifies as a table
     path = tmp_path / "mapping.json"
     main(["map", "--modes", "4", "--output", str(path)])
     capsys.readouterr()
@@ -184,18 +187,32 @@ def test_verify_file_with_labels_beyond_int64(tmp_path, capsys):
     table[2] += " X99999999999999999999"  # still anticommutes with the rest
     table[4] = "+ Z18446744073709551616"  # shares no qubit with the rest
     path.write_text(json.dumps(data))
-    assert main(["verify", "--input", str(path)]) == 1
-    assert capsys.readouterr().out == (
-        f"ternary mapping from {path}: 8 operators\n"
-        "  anticommutation: ((1, 5), (2, 5), (3, 5), (4, 5), (5, 6), (5, 7), (5, 8))\n"
-        "  squares to +I:   ok\n"
-        "  path product:    NOT identity\n"
-        "  canonical table: no\n"
-        "  mean weight:     2.000000 (lower bound 1.892789)\n"
-        "  max weight:      3\n"
-        "FAIL\n"
+    assert main(["verify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: majorana_table entry 3 ('+ X0 Z1 X99999999999999999999') acts on qubit"
+        " 99999999999999999999, not below n_modes = 4\n"
     )
+    report = verify_table(tuple(map(PauliString.parse, table)))
+    assert report.anticommutation_failures == ((1, 5), (2, 5), (3, 5), (4, 5), (5, 6), (5, 7), (5, 8))
+    assert (report.square_failures, report.mean_weight, report.max_weight) == ((), 2.0, 3)
 
+
+def test_verify_file_with_labels_outside_the_register(tmp_path, capsys):
+    # a 1-mode table on qubits 0 and 5 anticommutes and squares to +I
+    path = tmp_path / "mapping.json"
+    main(["map", "--modes", "1", "--output", str(path)])
+    capsys.readouterr()
+    data = json.loads(path.read_text())
+    data["majorana_table"] = ["+ X0 Z5", "+ Y0 Z5"]
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: majorana_table entry 1 ('+ X0 Z5') acts on qubit 5, not below n_modes = 1\n"
+    )
 
 def test_verify_file_holding_another_table(tmp_path, capsys):
     # a Jordan-Wigner table anticommutes and squares to +I, but its product

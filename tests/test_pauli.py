@@ -147,6 +147,63 @@ def test_parse_rejects_malformed_text():
             PauliString.parse(bad)
 
 
+# parse's results and errors on text the regex parser of earlier versions
+# read, frozen from that parser: (text, letters and power, or error message)
+PARSE_CASES = [
+    ("+\tX0\nY1", (((0, "X"), (1, "Y")), 0)),
+    ("\n- Z2\t\tX0 \n", (((0, "X"), (2, "Z")), 2)),
+    ("X1\u2003Z0", (((0, "Z"), (1, "X")), 0)),  # an em space splits too
+    ("X0\x1cY1", (((0, "X"), (1, "Y")), 0)),
+    ("- Y12 X3", (((3, "X"), (12, "Y")), 2)),
+    ("X007", (((7, "X"),), 0)),
+    ("X\u0663", (((3, "X"),), 0)),  # Arabic-Indic three: any Unicode decimal digit
+    ("X\u0661\u0660", (((10, "X"),), 0)),
+    ("Z\uff11\uff12", (((12, "Z"),), 0)),  # fullwidth digits
+    ("+i I", ((), 1)),
+    ("I", ((), 0)),
+    ("X0 Y1 X0", "duplicate qubit index 0"),
+    ("Y3 X1 Z3 X1", "duplicate qubit index 3"),  # the first label repeated in text order
+    ("x0", "malformed Pauli token 'x0'"),
+    ("X", "malformed Pauli token 'X'"),
+    ("X1Y2", "malformed Pauli token 'X1Y2'"),
+    ("X+1", "malformed Pauli token 'X+1'"),
+    ("X 1", "malformed Pauli token 'X'"),
+    ("X-1", "malformed Pauli token 'X-1'"),
+    ("X1_0", "malformed Pauli token 'X1_0'"),
+    ("X\u00b2", "malformed Pauli token 'X\u00b2'"),  # a superscript two is no decimal digit
+    ("Q3", "malformed Pauli token 'Q3'"),
+    ("+I", "malformed Pauli token '+I'"),
+    ("+ I X0", "malformed Pauli token 'I'"),
+    ("+ X0 I", "malformed Pauli token 'I'"),
+    ("-i", "missing letter tokens (identity is spelled 'I')"),
+    ("", "empty Pauli string text"),
+    (" \t\n", "empty Pauli string text"),
+]
+
+
+@pytest.mark.parametrize("text,expected", PARSE_CASES)
+def test_parse_edge_cases(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            PauliString.parse(text)
+        assert str(info.value) == expected
+    else:
+        parsed = PauliString.parse(text)
+        assert (parsed.letters, parsed.phase_power) == expected
+        assert_canonical(parsed)
+
+
+def assert_canonical(string):
+    """A string built without the constructor's checks is the one the
+    public constructor makes of its letters: equal, equally hashed, its
+    letters sorted by distinct Python-int labels."""
+    checked = PauliString(string.letters, string.phase_power)
+    assert string == checked and hash(string) == hash(checked)
+    assert string.letters == checked.letters and 0 <= string.phase_power < 4
+    assert all(type(q) is int for q, _ in string.letters)
+    assert [q for q, _ in string.letters] == sorted({q for q, _ in string.letters})
+
+
 letter_maps = st.dictionaries(
     st.integers(min_value=0, max_value=30),
     st.sampled_from(["X", "Y", "Z"]),
@@ -198,6 +255,7 @@ product_strings = st.builds(
 def test_product_equals_the_letter_table_fold(strings):
     want = functools.reduce(letter_product, strings, PauliString.identity())
     assert product(strings) == want
+    assert_canonical(product(strings))
     assert product(iter(strings)) == want
     if len(strings) == 2:
         assert strings[0] * strings[1] == want

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fermitree import ternary
@@ -18,6 +19,7 @@ from fermitree.ternary import (
     verify_table,
     weight_lower_bound,
 )
+from test_pauli import assert_canonical
 from test_verify_table import all_paths
 
 # level-order node numbers worked out by hand on the first three levels
@@ -51,6 +53,46 @@ def test_node_index_guards():
     for bad in [(3,), (0, -1), (1, 2, 5)]:
         with pytest.raises(ValueError, match="invalid branch"):
             path_operator(bad)
+    # a float, str or bool branch is no branch, even when it equals 0, 1 or 2
+    for bad in [(1.0, 0), (0, "1"), (True,), (0, False), (np.bool_(True),), (np.float64(2),)]:
+        with pytest.raises(ValueError, match="invalid branch"):
+            path_operator(bad)
+    # numpy integers are branches, and the labels they make are Python ints
+    p = path_operator((np.int64(1), np.uint8(0), np.int32(2)))
+    assert p == path_operator((1, 0, 2))
+    assert all(type(q) is int for q, _ in p.letters)
+
+
+def test_built_tables_are_canonical():
+    for n in range(1, 121):
+        for op in build_mapping(n).majorana_table:
+            assert_canonical(op)
+    assert_canonical(path_operator(()))
+    assert_canonical(path_operator(build_mapping(13).dropped_path))
+
+
+def test_parsed_tables_are_canonical():
+    for n in (1, 2, 4, 13, 40, 121):
+        built = build_mapping(n)
+        parsed = mapping_from_dict(json.loads(json.dumps(mapping_to_dict(built))))
+        assert parsed == built
+        for op in parsed.majorana_table:
+            assert_canonical(op)
+
+
+@pytest.mark.parametrize("entry", ["+ X0 Z5", "+ Y2", "- Z1 X7", "+ X18446744073709551616"])
+def test_mapping_from_dict_rejects_labels_outside_the_register(entry):
+    data = mapping_to_dict(build_mapping(2))
+    data["majorana_table"][1] = entry
+    label = max(int(token[1:]) for token in entry.split()[1:])
+    with pytest.raises(ValueError) as info:
+        mapping_from_dict(data)
+    assert str(info.value) == (
+        f"majorana_table entry 2 ({entry!r}) acts on qubit {label}, not below n_modes = 2"
+    )
+    # the highest label of the register is in range
+    data["majorana_table"][1] = "+ X0 Z1"
+    assert mapping_from_dict(data).majorana_table[1] == PauliString.parse("+ X0 Z1")
 
 
 def test_path_operator_examples():
